@@ -4,9 +4,10 @@ One step = forward-Euler predictor for the three momentum components,
 anisotropic pressure projection, then the concentration update.  The
 epsilon^2 factor multiplying the vertical momentum equation is divided out
 (legitimate for eps > 0), which moves the stiffness into the projection: the
-pressure Poisson problem acquires the mobility A = diag(1, 1, eps^-2).  A
-conjugate-gradient solver with a vertical line-relaxation preconditioner
-(exact tridiagonal solves per column) handles that anisotropy.
+pressure Poisson problem acquires the mobility A = diag(1, 1, eps^-2).  On the
+uniform grid with Neumann walls that operator is separable, so a direct
+tensor-product eigen-solve (``operators.solve_separable``) handles it at a
+cost independent of eps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .operators import (
     diffuse_concentration,
     divergence,
     extend_velocity,
+    solve_separable,
 )
 from .sources import SourceSpec, evaluate_source
 
@@ -45,7 +47,8 @@ class NumericsError(RuntimeError):
 
 
 class ProjectionError(NumericsError):
-    """The pressure solver did not reach its tolerance within max_iter."""
+    """A projection left a divergence above its tolerance, or its right-hand
+    side was incompatible with the Neumann walls."""
 
 
 class CFLError(NumericsError):
@@ -121,123 +124,6 @@ def stable_dt(
 # Anisotropic pressure projection
 # --------------------------------------------------------------------------
 
-_workspace_cache: dict = {}
-
-
-class _ProjectionWorkspace:
-    """Precomputed operator data for one (grid, eps) pair.
-
-    ``apply_spd`` evaluates -div(A grad p) with homogeneous Neumann walls via
-    precomputed degree diagonals; ``apply_precond`` performs the vertical
-    line relaxation (exact per-column tridiagonal solves, stored as batched
-    dense inverses: only four distinct column types exist on a uniform grid).
-    """
-
-    def __init__(self, grid: Grid, eps: float):
-        nx, ny, nz = grid.nx, grid.ny, grid.nz
-        dx, dy, dz = grid.spacing
-        self.dx2i = 1.0 / dx**2
-        self.dy2i = 1.0 / dy**2
-        self.wz = 1.0 / (eps**2 * dz**2)
-        degx = np.where((np.arange(nx) == 0) | (np.arange(nx) == nx - 1), 1.0, 2.0)
-        degy = np.where((np.arange(ny) == 0) | (np.arange(ny) == ny - 1), 1.0, 2.0)
-        degz = np.where((np.arange(nz) == 0) | (np.arange(nz) == nz - 1), 1.0, 2.0)
-        self.diag = (
-            degx[:, None, None] * self.dx2i
-            + degy[None, :, None] * self.dy2i
-            + degz[None, None, :] * self.wz
-        )
-
-        def column_inverse(dgx: float, dgy: float) -> np.ndarray:
-            t = np.zeros((nz, nz))
-            for k in range(nz):
-                dgz = 2.0 - (k == 0) - (k == nz - 1)
-                t[k, k] = dgx * self.dx2i + dgy * self.dy2i + dgz * self.wz
-                if k > 0:
-                    t[k, k - 1] = -self.wz
-                if k < nz - 1:
-                    t[k, k + 1] = -self.wz
-            return np.linalg.inv(t)
-
-        inv = {(a, b): column_inverse(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)}
-        blocks = np.empty((nx, ny, nz, nz))
-        for a in (1.0, 2.0):
-            for b in (1.0, 2.0):
-                mask = (degx[:, None] == a) & (degy[None, :] == b)
-                blocks[mask] = inv[(a, b)]
-        self.blocks = blocks.reshape(nx * ny, nz, nz)
-        self.shape = (nx, ny, nz)
-
-    def apply_spd(self, p: np.ndarray) -> np.ndarray:
-        """-div(A grad p): neighbour sums subtracted from the degree diagonal."""
-        out = self.diag * p
-        out[1:-1] -= (p[2:] + p[:-2]) * self.dx2i
-        out[0] -= p[1] * self.dx2i
-        out[-1] -= p[-2] * self.dx2i
-        out[:, 1:-1] -= (p[:, 2:] + p[:, :-2]) * self.dy2i
-        out[:, 0] -= p[:, 1] * self.dy2i
-        out[:, -1] -= p[:, -2] * self.dy2i
-        out[:, :, 1:-1] -= (p[:, :, 2:] + p[:, :, :-2]) * self.wz
-        out[:, :, 0] -= p[:, :, 1] * self.wz
-        out[:, :, -1] -= p[:, :, -2] * self.wz
-        return out
-
-    def apply_precond(self, r: np.ndarray) -> np.ndarray:
-        nx, ny, nz = self.shape
-        z = np.matmul(self.blocks, r.reshape(nx * ny, nz, 1))
-        return z.reshape(nx, ny, nz)
-
-
-def _workspace(grid: Grid, eps: float) -> _ProjectionWorkspace:
-    key = grid.cache_key + (round(eps, 15),)
-    hit = _workspace_cache.get(key)
-    if hit is None:
-        hit = _ProjectionWorkspace(grid, eps)
-        if len(_workspace_cache) > 16:
-            _workspace_cache.clear()
-        _workspace_cache[key] = hit
-    return hit
-
-
-def _pcg(apply_a, apply_minv, b: np.ndarray, atol_inf: float, max_iter: int, x0=None):
-    """Preconditioned CG for the SPD (on mean-zero fields) operator apply_a.
-
-    Stops when max|r| <= atol_inf; returns (x, iterations, final residual).
-    """
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0 - x0.mean()
-        r = b - apply_a(x)
-    rinf = float(np.max(np.abs(r)))
-    if rinf <= atol_inf:
-        return x, 0, rinf
-    z = apply_minv(r)
-    z -= z.mean()
-    pvec = z.copy()
-    rz = float(np.vdot(r, z))
-    for it in range(1, max_iter + 1):
-        ap = apply_a(pvec)
-        denom = float(np.vdot(pvec, ap))
-        if denom <= 0.0:
-            raise ProjectionError(f"CG breakdown at iteration {it} (curvature {denom:.3e})")
-        alpha = rz / denom
-        x += alpha * pvec
-        r -= alpha * ap
-        rinf = float(np.max(np.abs(r)))
-        if rinf <= atol_inf:
-            return x, it, rinf
-        z = apply_minv(r)
-        z -= z.mean()
-        rz_new = float(np.vdot(r, z))
-        pvec = z + (rz_new / rz) * pvec
-        rz = rz_new
-    raise ProjectionError(
-        f"pressure solver stalled: residual {rinf:.3e} > target {atol_inf:.3e} "
-        f"after {max_iter} iterations"
-    )
-
 
 def pressure_projection_anisotropic(
     u_star: StaggeredVelocity,
@@ -245,19 +131,20 @@ def pressure_projection_anisotropic(
     dt: float,
     grid: Grid,
     tol: float = 1e-8,
-    max_iter: int = 4000,
-    p0: np.ndarray | None = None,
 ):
     """Project u* onto the discretely divergence-free space.
 
     Solves div(A grad p) = div(u*)/dt with A = diag(1, 1, eps^-2) and
     homogeneous Neumann walls, then corrects u1 -= dt*d1p, u2 -= dt*d2p,
     u3 -= dt*eps^-2*d3p on interior faces.  p is returned mean-zero.  The
-    stopping rule targets the post-correction divergence directly:
-    dt*max|residual| <= tol.  An optional initial guess p0 (e.g. the previous
-    step's pressure) warm-starts the conjugate-gradient iteration.
+    solve is direct (``solve_separable``); ``tol`` bounds the post-correction
+    divergence, recomputed from the returned velocity, and a larger one raises
+    ProjectionError.  An input whose divergence already lies within tol of its
+    mean is returned unchanged with p = 0.
 
-    Returns (u, p, info) with info = {"iterations", "max_div"}.
+    Returns (u, p, info) with info = {"iterations", "max_div"}: iterations is
+    0 for that pass-through and 1 for a solve; max_div is max|div u - mean|
+    of the returned u.
     """
     if not (tol > 0 and dt > 0 and 0 < eps <= 1):
         raise ValueError("tol, dt must be positive and eps in (0, 1]")
@@ -277,11 +164,11 @@ def pressure_projection_anisotropic(
         )
 
     b = -(div_star - mean) / dt
-    ws = _workspace(grid, eps)
-    p, iters, rinf = _pcg(
-        ws.apply_spd, ws.apply_precond, b, atol_inf=tol / dt, max_iter=max_iter, x0=p0
-    )
-    p -= p.mean()
+    if np.max(np.abs(b)) <= tol / dt:
+        p, iters = np.zeros(grid.shape_cells), 0
+    else:
+        weights = (1.0 / dx**2, 1.0 / dy**2, 1.0 / (eps * dz) ** 2)
+        p, iters = solve_separable(b, [(c, "neumann", "neumann") for c in weights]), 1
 
     u1 = u_star.u1.copy()
     u2 = u_star.u2.copy()
@@ -290,8 +177,12 @@ def pressure_projection_anisotropic(
     u2[:, 1:-1] -= dt * (p[:, 1:] - p[:, :-1]) / dy
     u3[:, :, 1:-1] -= dt * (p[:, :, 1:] - p[:, :, :-1]) / (eps**2 * dz)
     u_new = StaggeredVelocity(u1, u2, u3)
-    info = {"iterations": iters, "max_div": dt * rinf}
-    return u_new, p, info
+    max_div = float(np.max(np.abs(divergence(u_new, grid) - mean)))
+    if max_div > tol:
+        raise ProjectionError(
+            f"projected divergence {max_div:.3e} exceeds tol {tol:.3e} at eps={eps:g}"
+        )
+    return u_new, p, {"iterations": iters, "max_div": max_div}
 
 
 # --------------------------------------------------------------------------
@@ -324,10 +215,8 @@ def step_anisotropic(
     dt: float,
     grid: Grid,
     tol: float = 1e-8,
-    max_iter: int = 4000,
     scheme: str = "upwind1",
     forcing=None,
-    p_guess: np.ndarray | None = None,
 ) -> SimState:
     """Advance the anisotropic state by one explicit step.
 
@@ -382,11 +271,7 @@ def step_anisotropic(
     u_star = apply_velocity_bcs(
         StaggeredVelocity(u1s, u2s, u3s), theta, params.nu3, grid, mode="anisotropic"
     )
-    if p_guess is None:
-        p_guess = state.p if state.p.shape == grid.shape_cells else None
-    u_new, p, _ = pressure_projection_anisotropic(
-        u_star, eps, dt, grid, tol, max_iter, p0=p_guess
-    )
+    u_new, p, _ = pressure_projection_anisotropic(u_star, eps, dt, grid, tol)
 
     rhs_c = -advect_scalar(u_new, state.C, grid, scheme) + diffuse_concentration(
         state.C, M, grid

@@ -70,8 +70,6 @@ class RunBlock:
     eps_list: tuple = (0.5,)
     output_dir: str = "out"
     tol: float = 1e-8
-    max_iter: int = 4000
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -177,8 +175,6 @@ _SCHEMA = {
         "eps_list": "floats",
         "output_dir": "str",
         "tol": "float",
-        "max_iter": "int",
-        "seed": "int",
     },
 }
 
@@ -360,16 +356,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     tol = get("run", "tol", 1e-8)
     if not tol > 0:
         fail("run", "tol", f"tol must be positive, got {tol}")
-    max_iter = get("run", "max_iter", 4000)
-    if max_iter < 1:
-        fail("run", "max_iter", f"max_iter must be >= 1, got {max_iter}")
     run = RunBlock(
         mode=get("run", "mode", "aniso"),
         eps_list=eps_list,
         output_dir=get("run", "output_dir", "out"),
         tol=tol,
-        max_iter=max_iter,
-        seed=get("run", "seed", 0),
     )
 
     return RunConfig(

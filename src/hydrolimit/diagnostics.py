@@ -31,6 +31,7 @@ from .operators import (
     apply_concentration_bcs,
     diffuse_concentration,
     extend_velocity,
+    solve_separable,
     theta_faces,
 )
 from .sources import SourceSpec, evaluate_source
@@ -349,59 +350,6 @@ def apriori_norms(history: RunHistory) -> dict:
 # Translation modulus (time equicontinuity surrogate)
 # --------------------------------------------------------------------------
 
-_helmholtz_cache: dict = {}
-
-
-class _HelmholtzSolver:
-    """Direct separable solver for (I - Lap_h) N = g.
-
-    Dirichlet (reflection) walls on Gamma_A, homogeneous Neumann ground; the
-    operator splits into 1-D second differences whose dense eigenbases give an
-    exact tensor-product solve.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-
-        def second_diff(n, h, lo, hi):
-            t = np.zeros((n, n))
-            for k in range(n):
-                t[k, k] = 2.0 / h**2
-                if k > 0:
-                    t[k, k - 1] = -1.0 / h**2
-                if k < n - 1:
-                    t[k, k + 1] = -1.0 / h**2
-            t[0, 0] = (3.0 if lo == "dirichlet" else 1.0) / h**2
-            t[-1, -1] = (3.0 if hi == "dirichlet" else 1.0) / h**2
-            return t
-
-        wx, vx = np.linalg.eigh(second_diff(grid.nx, grid.dx, "dirichlet", "dirichlet"))
-        wy, vy = np.linalg.eigh(second_diff(grid.ny, grid.dy, "dirichlet", "dirichlet"))
-        wz, vz = np.linalg.eigh(second_diff(grid.nz, grid.dz, "neumann", "dirichlet"))
-        self.vx, self.vy, self.vz = vx, vy, vz
-        self.lam = 1.0 + wx[:, None, None] + wy[None, :, None] + wz[None, None, :]
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        t = np.einsum("pi,pjk->ijk", self.vx, g)
-        t = np.einsum("qj,iqk->ijk", self.vy, t)
-        t = np.einsum("rk,ijr->ijk", self.vz, t)
-        t = t / self.lam
-        t = np.einsum("ip,pjk->ijk", self.vx, t)
-        t = np.einsum("jq,iqk->ijk", self.vy, t)
-        t = np.einsum("kr,ijr->ijk", self.vz, t)
-        return t
-
-
-def _helmholtz(grid: Grid) -> _HelmholtzSolver:
-    key = grid.cache_key
-    hit = _helmholtz_cache.get(key)
-    if hit is None:
-        hit = _HelmholtzSolver(grid)
-        if len(_helmholtz_cache) > 8:
-            _helmholtz_cache.clear()
-        _helmholtz_cache[key] = hit
-    return _helmholtz_cache[key]
-
 
 @dataclass
 class TranslationReport:
@@ -415,18 +363,24 @@ def translation_modulus(
 ) -> TranslationReport:
     """Time-translation modulus of the concentration in an H^2-dual surrogate.
 
-    For each shift h: solve (I - Lap_h) N = C(t+h) - C(t), take the L^2 norm
-    of N, then the L^2(0, T-h) norm in time; fit log(modulus) against log(h).
-    The smoothing solve is the standard computable proxy for the negative
-    norm, so the fitted exponent is a soft certificate.
+    For each shift h: solve (I - Lap_h) N = C(t+h) - C(t), with Dirichlet
+    (reflection) walls on Gamma_A and a homogeneous Neumann ground, take the
+    L^2 norm of N, then the L^2(0, T-h) norm in time; fit log(modulus)
+    against log(h).  The smoothing solve is the standard computable proxy for
+    the negative norm, so the fitted exponent is a soft certificate.
     """
     if len(h_list) < 3:
         raise ValueError("need at least 3 shift values h")
     n = len(C_history)
     if T is None:
         T = (n - 1) * dt
-    solver = _helmholtz(grid)
     dV = grid.cell_volume
+    walls = ("dirichlet", "dirichlet")
+    axes = (
+        (1.0 / grid.dx**2, *walls),
+        (1.0 / grid.dy**2, *walls),
+        (1.0 / grid.dz**2, "neumann", "dirichlet"),
+    )
 
     hs = []
     moduli = []
@@ -439,7 +393,7 @@ def translation_modulus(
         vals = np.empty(n - s)
         for m in range(n - s):
             d = C_history[m + s] - C_history[m]
-            nn = solver.solve(d)
+            nn = solve_separable(d, axes, shift=1.0)
             vals[m] = np.sum(nn * nn) * dV
         modulus = math.sqrt(float(np.trapezoid(vals, dx=dt))) if len(vals) > 1 else math.sqrt(vals[0] * dt)
         hs.append(h)

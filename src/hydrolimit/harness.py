@@ -73,11 +73,20 @@ def write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_cell(v: str):
+    try:
+        return float(v)
+    except ValueError:
+        return v
+
+
 def read_csv(path: str):
+    """Header and rows of a ``write_csv`` file; numeric cells come back as
+    float (exactly, since they were written with repr), others as str."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln]
     header = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    rows = [[_parse_cell(v) for v in ln.split(",")] for ln in lines[1:]]
     return header, rows
 
 
@@ -151,13 +160,9 @@ def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfi
     theta = None
     u0 = apply_velocity_bcs(u0, theta, cfg.nu3, grid, "anisotropic" if mode == "aniso" else "hydrostatic")
     if mode == "aniso":
-        u, p, _ = pressure_projection_anisotropic(
-            u0, eps, 1.0, grid, tol=cfg.run.tol, max_iter=cfg.run.max_iter
-        )
+        u, p, _ = pressure_projection_anisotropic(u0, eps, 1.0, grid, tol=cfg.run.tol)
         return u, np.zeros(grid.shape_cells)
-    u1, u2, _, _ = surface_pressure_projection(
-        u0.u1, u0.u2, 1.0, grid, tol=cfg.run.tol, max_iter=cfg.run.max_iter
-    )
+    u1, u2, _, _ = surface_pressure_projection(u0.u1, u0.u2, 1.0, grid, tol=cfg.run.tol)
     u3 = diagnose_w(u1, u2, grid)
     return StaggeredVelocity(u1, u2, u3), np.zeros((grid.nx, grid.ny))
 
@@ -228,24 +233,9 @@ def run_simulation(
     snap(state)
     max_div = float(np.max(np.abs(divergence(state.u, grid))))
     t0 = _time.perf_counter()
-    p_old = None
     try:
         for n in range(1, n_steps + 1):
-            # second-order extrapolated pressure guess: cheap CG warm start
-            guess = None if p_old is None else 2.0 * state.p - p_old
-            p_old = state.p
-            state = stepper(
-                state,
-                params,
-                M,
-                theta,
-                source,
-                step_dt,
-                grid,
-                tol=cfg.run.tol,
-                max_iter=cfg.run.max_iter,
-                p_guess=guess,
-            )
+            state = stepper(state, params, M, theta, source, step_dt, grid, tol=cfg.run.tol)
             max_div = max(max_div, float(np.max(np.abs(divergence(state.u, grid)))))
             if n % cfg.time.snapshot_every == 0 or n == n_steps:
                 states.append(state)
@@ -308,7 +298,6 @@ def run_simulation(
                 "snapshots": len(history.states),
                 "cfl": cfg.time.cfl,
                 "tol": cfg.run.tol,
-                "seed": cfg.run.seed,
                 "max_div": max_div,
                 "status": "completed",
             },

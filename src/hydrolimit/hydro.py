@@ -20,6 +20,7 @@ from .operators import (
     apply_velocity_bcs,
     diffuse_concentration,
     extend_velocity,
+    solve_separable,
 )
 from .aniso import (
     CFLError,
@@ -28,7 +29,6 @@ from .aniso import (
     SimState,
     _interp_u1_to_u2,
     _interp_u2_to_u1,
-    _pcg,
     stable_dt,
 )
 from .sources import SourceSpec, evaluate_source
@@ -50,45 +50,38 @@ def diagnose_w(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> np.ndarray:
     return u3
 
 
-def _apply_surface_laplacian(ps: np.ndarray, grid: Grid) -> np.ndarray:
-    """div_H(h grad_H ps) with homogeneous Neumann lateral walls."""
-    dx, dy = grid.dx, grid.dy
-    out = np.zeros_like(ps)
-    out[1:-1] += (ps[2:] - 2.0 * ps[1:-1] + ps[:-2]) / dx**2
-    out[0] += (ps[1] - ps[0]) / dx**2
-    out[-1] += (ps[-2] - ps[-1]) / dx**2
-    out[:, 1:-1] += (ps[:, 2:] - 2.0 * ps[:, 1:-1] + ps[:, :-2]) / dy**2
-    out[:, 0] += (ps[:, 1] - ps[:, 0]) / dy**2
-    out[:, -1] += (ps[:, -2] - ps[:, -1]) / dy**2
-    return grid.h * out
-
-
 def surface_pressure_projection(
     u1_star: np.ndarray,
     u2_star: np.ndarray,
     dt: float,
     grid: Grid,
     tol: float = 1e-8,
-    max_iter: int = 4000,
-    ps0: np.ndarray | None = None,
 ):
     """Barotropic projection of the horizontal velocity.
 
     Solves div_H(h grad_H ps) = div_H(int_0^h u_H* dz)/dt with homogeneous
     Neumann lateral walls and subtracts dt*grad_H ps at every vertical level
     (the correction is level-independent, consistent with d3 p = 0).  ps is
-    mean-zero; the stopping rule bounds the post-correction depth-integrated
-    divergence by tol.
+    mean-zero.  The solve is direct (``solve_separable``); ``tol`` bounds the
+    post-correction depth-integrated divergence, recomputed from the returned
+    velocity, and a larger one raises ProjectionError.  An input whose
+    depth-integrated divergence already lies within tol of its mean is
+    returned unchanged with ps = 0.
 
-    Returns (u1, u2, ps, info).
+    Returns (u1, u2, ps, info) with info = {"iterations", "max_div"} as for
+    ``pressure_projection_anisotropic``.
     """
     if not (tol > 0 and dt > 0):
         raise ValueError("tol and dt must be positive")
     dx, dy = grid.dx, grid.dy
-    int_u1 = np.sum(u1_star, axis=2) * grid.dz
-    int_u2 = np.sum(u2_star, axis=2) * grid.dz
-    div_h = (int_u1[1:] - int_u1[:-1]) / dx + (int_u2[:, 1:] - int_u2[:, :-1]) / dy
 
+    def depth_integrated(u1, u2):
+        int_u1 = np.sum(u1, axis=2) * grid.dz
+        int_u2 = np.sum(u2, axis=2) * grid.dz
+        div_h = (int_u1[1:] - int_u1[:-1]) / dx + (int_u2[:, 1:] - int_u2[:, :-1]) / dy
+        return int_u1, int_u2, div_h
+
+    int_u1, int_u2, div_h = depth_integrated(u1_star, u2_star)
     mean = float(np.mean(div_h))
     scale = float(np.max(np.abs(int_u1)) / dx + np.max(np.abs(int_u2)) / dy)
     if scale > 0 and abs(mean) > 1e-10 * scale:
@@ -97,21 +90,23 @@ def surface_pressure_projection(
             f"(velocity divergence scale {scale:.3e})"
         )
     b = -(div_h - mean) / dt
-
-    def apply_a(q):
-        return -_apply_surface_laplacian(q, grid)
-
-    ps, iters, rinf = _pcg(
-        apply_a, lambda r: r.copy(), b, atol_inf=tol / dt, max_iter=max_iter, x0=ps0
-    )
-    ps -= ps.mean()
+    if np.max(np.abs(b)) <= tol / dt:
+        ps, iters = np.zeros((grid.nx, grid.ny)), 0
+    else:
+        weights = (grid.h / dx**2, grid.h / dy**2)
+        ps, iters = solve_separable(b, [(c, "neumann", "neumann") for c in weights]), 1
 
     u1 = u1_star.copy()
     u2 = u2_star.copy()
     u1[1:-1] -= dt * ((ps[1:] - ps[:-1]) / dx)[:, :, None]
     u2[:, 1:-1] -= dt * ((ps[:, 1:] - ps[:, :-1]) / dy)[:, :, None]
-    info = {"iterations": iters, "max_div": dt * rinf}
-    return u1, u2, ps, info
+    _, _, div_new = depth_integrated(u1, u2)
+    max_div = float(np.max(np.abs(div_new - mean)))
+    if max_div > tol:
+        raise ProjectionError(
+            f"projected depth-integrated divergence {max_div:.3e} exceeds tol {tol:.3e}"
+        )
+    return u1, u2, ps, {"iterations": iters, "max_div": max_div}
 
 
 def step_hydrostatic(
@@ -123,10 +118,8 @@ def step_hydrostatic(
     dt: float,
     grid: Grid,
     tol: float = 1e-8,
-    max_iter: int = 4000,
     scheme: str = "upwind1",
     forcing=None,
-    p_guess: np.ndarray | None = None,
 ) -> SimState:
     """Advance the hydrostatic state by one explicit step.
 
@@ -164,11 +157,7 @@ def step_hydrostatic(
     u1s[-1] = 0.0
     u2s[:, 0] = 0.0
     u2s[:, -1] = 0.0
-    if p_guess is None:
-        p_guess = state.p if state.p.shape == (grid.nx, grid.ny) else None
-    u1n, u2n, ps, _ = surface_pressure_projection(
-        u1s, u2s, dt, grid, tol, max_iter, ps0=p_guess
-    )
+    u1n, u2n, ps, _ = surface_pressure_projection(u1s, u2s, dt, grid, tol)
     u3n = diagnose_w(u1n, u2n, grid)
     u_new = StaggeredVelocity(u1n, u2n, u3n)
 

@@ -13,6 +13,7 @@ consume extended arrays, so tests may substitute analytic ghost values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ __all__ = [
     "divergence",
     "grad_pressure",
     "anisotropic_laplacian",
+    "solve_separable",
     "apply_velocity_bcs",
     "extend_velocity",
     "theta_faces",
@@ -145,6 +147,60 @@ def anisotropic_laplacian(f_ext: np.ndarray, nu, grid: Grid) -> np.ndarray:
         + nu[1] * (f_ext[1:-1, 2:, 1:-1] - 2.0 * c + f_ext[1:-1, :-2, 1:-1]) / grid.dy**2
         + nu[2] * (f_ext[1:-1, 1:-1, 2:] - 2.0 * c + f_ext[1:-1, 1:-1, :-2]) / grid.dz**2
     )
+
+
+# Diagonal change at an end cell of -D2: a Neumann end mirrors the cell value
+# into the ghost, a Dirichlet end negates it (zero on the wall face).
+_END_SHIFT = {"neumann": -1.0, "dirichlet": 1.0}
+
+
+@functools.lru_cache(maxsize=64)
+def _second_difference_basis(n: int, lo_bc: str, hi_bc: str) -> tuple:
+    """Eigenpairs (w, V) of the unit-spacing 1-D operator -D2 on n cells.
+
+    w ascends, so an axis with Neumann at both ends has its constant null mode
+    first.  Both arrays are read-only: every caller shares them.
+    """
+    t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    t[0, 0] += _END_SHIFT[lo_bc]
+    t[-1, -1] += _END_SHIFT[hi_bc]
+    w, v = np.linalg.eigh(t)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+def solve_separable(g: np.ndarray, axes, shift: float = 0.0) -> np.ndarray:
+    """Solve (shift*I + sum_d c_d*(-D2_d)) x = g directly.
+
+    ``axes`` holds one (c_d, lo_bc, hi_bc) per axis of g: the weight of the
+    unit-spacing second difference along that axis (1/h_d^2 times any
+    mobility) and its end conditions, "neumann" or "dirichlet".  The operator
+    is diagonal in the tensor product of the 1-D eigenbases, so the solve is
+    one basis change per axis each way and a division (Schumann & Sweet,
+    J. Comput. Phys. 75, 1988).  When shift is 0 and every end is Neumann the
+    operator is singular on constants: that mode is zeroed, so x is mean-zero
+    and solves the system for the mean-zero part of g.
+    """
+    if len(axes) != g.ndim:
+        raise ValueError(f"{len(axes)} axis specs for a {g.ndim}-D field")
+    bases = [_second_difference_basis(n, lo, hi) for n, (_, lo, hi) in zip(g.shape, axes)]
+    lam = np.full(g.shape, float(shift))
+    for d, ((c, _, _), (w, _)) in enumerate(zip(axes, bases)):
+        lam += c * w.reshape([-1 if k == d else 1 for k in range(g.ndim)])
+    # Each contraction over axis 0 appends the new axis last, so after one
+    # pass per axis the axes are back in their original order.
+    t = g
+    for _, v in bases:
+        t = np.tensordot(t, v, axes=(0, 0))
+    if shift == 0.0 and all(lo == hi == "neumann" for _, lo, hi in axes):
+        origin = (0,) * g.ndim
+        t[origin] = 0.0
+        lam[origin] = 1.0
+    t /= lam
+    for _, v in bases:
+        t = np.tensordot(t, v, axes=(0, 1))
+    return t
 
 
 def theta_faces(theta: BoundaryForcing | None, grid: Grid) -> tuple:

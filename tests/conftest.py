@@ -57,7 +57,7 @@ def smooth_velocity(rng, grid, kmax=2):
 def projected_velocity(rng, grid, eps=1.0, tol=1e-12, kmax=2):
     """Smooth random velocity made divergence-free by the eps-projection."""
     u = apply_velocity_bcs(smooth_velocity(rng, grid, kmax), None, 1.0, grid, "anisotropic")
-    up, _, _ = pressure_projection_anisotropic(u, eps, 1.0, grid, tol=tol, max_iter=10000)
+    up, _, _ = pressure_projection_anisotropic(u, eps, 1.0, grid, tol=tol)
     return up
 
 

@@ -21,13 +21,14 @@ from hydrolimit.operators import (
 from hydrolimit.sources import SourceSpec, evaluate_source
 from hydrolimit.aniso import (
     CFLError,
+    ProjectionError,
     SimState,
     pressure_projection_anisotropic,
     stable_dt,
     step_anisotropic,
 )
 
-from conftest import default_params, projected_velocity, smooth_field
+from conftest import default_params, projected_velocity, smooth_field, smooth_velocity
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +104,32 @@ def test_projection_divergence_tolerance(grid8, eps):
     assert abs(np.mean(p)) < 1e-12
 
 
+def _smooth_wall_velocity(grid):
+    rng = np.random.default_rng(22)
+    return apply_velocity_bcs(smooth_velocity(rng, grid), None, 1.0, grid, "anisotropic")
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25, 0.0625])
+def test_projection_reports_true_divergence(grid8, eps):
+    """info["max_div"] is the divergence of the returned field about the
+    (conserved) mean, not an estimate carried by the solver."""
+    u = _smooth_wall_velocity(grid8)
+    up, _, info = pressure_projection_anisotropic(u, eps, 1.0, grid8, tol=1e-10)
+    true = np.max(np.abs(divergence(up, grid8) - np.mean(divergence(u, grid8))))
+    assert info["max_div"] == pytest.approx(true, rel=1e-12, abs=0.0)
+
+
+def test_projection_tolerance_below_roundoff_raises(grid8):
+    """At eps = 1/16 double precision leaves a divergence near 1e-11 on grid8;
+    asking for 1e-13 must fail loudly instead of returning that field."""
+    u = _smooth_wall_velocity(grid8)
+    with pytest.raises(ProjectionError, match="exceeds tol"):
+        pressure_projection_anisotropic(u, 0.0625, 1.0, grid8, tol=1e-13)
+
+
 def test_projection_divfree_input_is_fixed_point(grid8):
     rng = np.random.default_rng(22)
-    u = projected_velocity(rng, grid8, eps=1.0, tol=1e-13)
+    u = projected_velocity(rng, grid8, eps=1.0, tol=1e-12)
     up, p, info = pressure_projection_anisotropic(u, 1.0, 0.01, grid8, tol=1e-8)
     assert info["iterations"] == 0
     assert np.max(np.abs(p)) < 1e-10
@@ -122,7 +146,7 @@ def test_projection_recovers_potential(grid8, eps):
     dt = 0.01
     gx, gy, gz = grad_pressure(phi, grid8)
     u_star = StaggeredVelocity(dt * gx, dt * gy, dt * gz / eps**2)
-    up, p, _ = pressure_projection_anisotropic(u_star, eps, dt, grid8, tol=1e-12, max_iter=20000)
+    up, p, _ = pressure_projection_anisotropic(u_star, eps, dt, grid8, tol=1e-12)
     assert np.allclose(p, phi - phi.mean(), atol=1e-7)
     for comp in up.components():
         assert np.max(np.abs(comp)) < 1e-7
@@ -162,7 +186,7 @@ def test_projection_eps_one_matches_plain_poisson(grid8):
         grid8,
     )
     dt = 0.02
-    up, p, _ = pressure_projection_anisotropic(u, 1.0, dt, grid8, tol=1e-12, max_iter=20000)
+    up, p, _ = pressure_projection_anisotropic(u, 1.0, dt, grid8, tol=1e-12)
 
     # plain CG on -lap p = -div(u*)/dt with Neumann walls
     def apply_neg_lap(q):
@@ -590,7 +614,7 @@ def test_step_matches_dense_oracle():
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
     dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
 
-    new = step_anisotropic(st, params, M, theta, src, dt, g, tol=1e-13, max_iter=20000)
+    new = step_anisotropic(st, params, M, theta, src, dt, g, tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
 
     def relmax(a, b):

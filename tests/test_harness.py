@@ -10,6 +10,7 @@ import pytest
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import ConfigError, parse_config
 from hydrolimit.core import GridSpec, build_grid
+from hydrolimit.diagnostics import APRIORI_NORM_NAMES
 from hydrolimit.harness import (
     epsilon_sweep,
     initial_velocity,
@@ -103,6 +104,13 @@ def test_parse_rejects_unknown_key_with_line():
         parse_config("[grid]\nnx = 8\nwhatever = 3\n")
     assert "whatever" in str(err.value)
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["max_iter", "seed"])
+def test_parse_rejects_removed_run_keys(key):
+    """Neither key does anything (the solver is direct, nothing is random)."""
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"[run]\n{key} = 3\n")
 
 
 def test_parse_rejects_unknown_section():
@@ -272,6 +280,15 @@ def test_csv_roundtrip_exact(tmp_path):
     assert header == ["a", "b"]
     for (a, b), (a2, b2) in zip(rows, back):
         assert a == a2 and b == b2
+
+
+def test_read_csv_roundtrips_norms_of_a_run(tmp_path):
+    """norms.csv pairs a name with a value: the name comes back as str."""
+    cfg = parse_config(SMALL_RUN)
+    res = run_simulation(cfg, 0.5, "aniso", out_dir=str(tmp_path / "run"))
+    header, rows = read_csv(str(tmp_path / "run" / "norms.csv"))
+    assert header == ["quantity", "value"]
+    assert [tuple(r) for r in rows] == [(k, res.norms[k]) for k in APRIORI_NORM_NAMES]
 
 
 def test_csv_format_conventions(tmp_path):

@@ -1,10 +1,11 @@
 """Hydrostatic stepper: barotropic projection, diagnostic w, energy decay."""
 
 import numpy as np
+import pytest
 
 from hydrolimit.core import DiffusionTensor, PhysParams
 from hydrolimit.operators import StaggeredVelocity, apply_velocity_bcs, divergence
-from hydrolimit.aniso import SimState, stable_dt, step_anisotropic
+from hydrolimit.aniso import ProjectionError, SimState, stable_dt, step_anisotropic
 from hydrolimit.hydro import diagnose_w, step_hydrostatic, surface_pressure_projection
 
 from conftest import default_params, smooth_field, smooth_velocity
@@ -60,6 +61,21 @@ def test_diagnose_w_exact_3d_divergence(grid8):
 # ---------------------------------------------------------------------------
 
 
+def _depth_integrated_divergence(u1, u2, grid):
+    int1 = np.sum(u1, axis=2) * grid.dz
+    int2 = np.sum(u2, axis=2) * grid.dz
+    return (int1[1:] - int1[:-1]) / grid.dx + (int2[:, 1:] - int2[:, :-1]) / grid.dy
+
+
+def _smooth_wall_horizontal_velocity(grid):
+    u = smooth_velocity(np.random.default_rng(41), grid)
+    u1 = u.u1.copy()
+    u2 = u.u2.copy()
+    u1[0] = u1[-1] = 0.0
+    u2[:, 0] = u2[:, -1] = 0.0
+    return u1, u2
+
+
 def test_surface_projection_nondivergent_input(grid8):
     """Depth-integrated solenoidal uH passes through unchanged.
 
@@ -86,27 +102,35 @@ def test_surface_projection_recovers_potential(grid8):
     u2 = np.zeros(grid8.shape_u2)
     u1[1:-1] = dt * ((phi[1:] - phi[:-1]) / grid8.dx)[:, :, None]
     u2[:, 1:-1] = dt * ((phi[:, 1:] - phi[:, :-1]) / grid8.dy)[:, :, None]
-    u1n, u2n, ps, _ = surface_pressure_projection(u1, u2, dt, grid8, tol=1e-13, max_iter=20000)
+    u1n, u2n, ps, _ = surface_pressure_projection(u1, u2, dt, grid8, tol=1e-13)
     assert np.allclose(ps, (phi - phi.mean()) / grid8.h, atol=1e-8)
     assert np.max(np.abs(u1n)) < 1e-8
 
 
 def test_surface_projection_divergence_tolerance(grid8):
-    rng = np.random.default_rng(41)
-    u = smooth_velocity(rng, grid8)
-    u1 = u.u1.copy()
-    u2 = u.u2.copy()
-    u1[0] = u1[-1] = 0.0
-    u2[:, 0] = u2[:, -1] = 0.0
+    u1, u2 = _smooth_wall_horizontal_velocity(grid8)
     tol = 1e-9
     u1n, u2n, ps, _ = surface_pressure_projection(u1, u2, 0.01, grid8, tol=tol)
-    int1 = np.sum(u1n, axis=2) * grid8.dz
-    int2 = np.sum(u2n, axis=2) * grid8.dz
-    div_h = (int1[1:] - int1[:-1]) / grid8.dx + (int2[:, 1:] - int2[:, :-1]) / grid8.dy
+    div_h = _depth_integrated_divergence(u1n, u2n, grid8)
     assert np.max(np.abs(div_h)) <= 10.0 * tol
     # diagnosed top interface value inherits the projection tolerance
     u3 = diagnose_w(u1n, u2n, grid8)
     assert np.max(np.abs(u3[:, :, -1])) <= 10.0 * tol / grid8.h
+
+
+def test_surface_projection_reports_true_divergence(grid8):
+    u1, u2 = _smooth_wall_horizontal_velocity(grid8)
+    u1n, u2n, _, info = surface_pressure_projection(u1, u2, 0.01, grid8, tol=1e-12)
+    mean = np.mean(_depth_integrated_divergence(u1, u2, grid8))
+    true = np.max(np.abs(_depth_integrated_divergence(u1n, u2n, grid8) - mean))
+    assert info["max_div"] == pytest.approx(true, rel=1e-12, abs=0.0)
+
+
+def test_surface_projection_tolerance_below_roundoff_raises(grid8):
+    """Double precision leaves a depth-integrated divergence near 3e-14 here."""
+    u1, u2 = _smooth_wall_horizontal_velocity(grid8)
+    with pytest.raises(ProjectionError, match="exceeds tol"):
+        surface_pressure_projection(u1, u2, 0.01, grid8, tol=1e-16)
 
 
 # ---------------------------------------------------------------------------
