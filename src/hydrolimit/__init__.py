@@ -39,20 +39,20 @@ from .aniso import (
     SimState,
     pressure_projection_anisotropic,
     stable_dt,
-    step_anisotropic,
 )
-from .hydro import diagnose_w, step_hydrostatic, surface_pressure_projection
+from .hydro import diagnose_w, surface_pressure_projection
 from .diagnostics import (
     ConvergenceReport,
     EnergyReport,
     RunHistory,
     apriori_norms,
     convergence_metrics,
+    convergence_report,
     energy_balance,
     translation_modulus,
     weak_residual,
 )
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .harness import epsilon_sweep, run_simulation, write_csv, write_vtk
+from .harness import epsilon_sweep, project, run_simulation, step, write_csv, write_vtk
 
 __version__ = "0.1.0"

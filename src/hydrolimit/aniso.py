@@ -1,13 +1,13 @@
-"""Explicit time integrator for the rescaled anisotropic system.
+"""Run state, time-step limit and pressure projection of the rescaled
+anisotropic system.
 
-One step = forward-Euler predictor for the three momentum components,
-anisotropic pressure projection, then the concentration update.  The
-epsilon^2 factor multiplying the vertical momentum equation is divided out
-(legitimate for eps > 0), which moves the stiffness into the projection: the
-pressure Poisson problem acquires the mobility A = diag(1, 1, eps^-2).  On the
-uniform grid with Neumann walls that operator is separable, so a direct
-tensor-product eigen-solve (``operators.solve_separable``) handles it at a
-cost independent of eps.
+The epsilon^2 factor multiplying the vertical momentum equation is divided
+out (legitimate for eps > 0), which moves the stiffness into the projection:
+the pressure Poisson problem acquires the mobility A = diag(1, 1, eps^-2).
+On the uniform grid with Neumann walls that operator is separable, so a
+direct tensor-product eigen-solve (``operators.solve_separable``) handles it
+at a cost independent of eps.  The stepper shared with the hydrostatic model
+is ``harness.step``.
 """
 
 from __future__ import annotations
@@ -17,19 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, coriolis_at
-from .operators import (
-    StaggeredVelocity,
-    advect_scalar,
-    advect_velocity,
-    anisotropic_laplacian,
-    apply_velocity_bcs,
-    diffuse_concentration,
-    divergence,
-    extend_velocity,
-    solve_separable,
-)
-from .sources import SourceSpec, evaluate_source
+from .core import DiffusionTensor, Grid, PhysParams, coriolis_at
+from .operators import StaggeredVelocity, divergence, solve_separable
 
 __all__ = [
     "SimState",
@@ -38,7 +27,6 @@ __all__ = [
     "CFLError",
     "stable_dt",
     "pressure_projection_anisotropic",
-    "step_anisotropic",
 ]
 
 
@@ -183,106 +171,3 @@ def pressure_projection_anisotropic(
             f"projected divergence {max_div:.3e} exceeds tol {tol:.3e} at eps={eps:g}"
         )
     return u_new, p, {"iterations": iters, "max_div": max_div}
-
-
-# --------------------------------------------------------------------------
-# Time step
-# --------------------------------------------------------------------------
-
-
-def _interp_u2_to_u1(u2: np.ndarray) -> np.ndarray:
-    return 0.25 * (u2[:-1, :-1] + u2[:-1, 1:] + u2[1:, :-1] + u2[1:, 1:])
-
-
-def _interp_u3_to_u1(u3: np.ndarray) -> np.ndarray:
-    return 0.25 * (u3[:-1, :, :-1] + u3[:-1, :, 1:] + u3[1:, :, :-1] + u3[1:, :, 1:])
-
-
-def _interp_u1_to_u2(u1: np.ndarray) -> np.ndarray:
-    return 0.25 * (u1[:-1, :-1] + u1[1:, :-1] + u1[:-1, 1:] + u1[1:, 1:])
-
-
-def _interp_u1_to_u3(u1: np.ndarray) -> np.ndarray:
-    return 0.25 * (u1[:-1, :, :-1] + u1[1:, :, :-1] + u1[:-1, :, 1:] + u1[1:, :, 1:])
-
-
-def step_anisotropic(
-    state: SimState,
-    params: PhysParams,
-    M: DiffusionTensor,
-    theta: BoundaryForcing | None,
-    source: SourceSpec | None,
-    dt: float,
-    grid: Grid,
-    tol: float = 1e-8,
-    scheme: str = "upwind1",
-    forcing=None,
-) -> SimState:
-    """Advance the anisotropic state by one explicit step.
-
-    Predictor signs follow the momentum equations: the u1 equation carries
-    -alpha*u2 + eps*beta*u3, the u2 equation +alpha*u1, and the u3 equation
-    (divided through by eps^2) gains +(beta/eps)*u1 while its pressure term
-    moves into the projection.  The concentration then advects with the
-    projected velocity:  C += dt * (-u.grad C + div(M grad C) + S(t)).
-
-    ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
-    face/cell forcings (manufactured-solution hook).
-    """
-    eps = params.eps
-    if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
-        raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
-
-    u = apply_velocity_bcs(state.u, theta, params.nu3, grid, mode="anisotropic")
-    ext = extend_velocity(u, theta, params.nu3, grid, mode="anisotropic")
-    adv = advect_velocity(u, grid, scheme=scheme, ext=ext)
-    lap1 = anisotropic_laplacian(ext.u1e, params.nu, grid)
-    lap2 = anisotropic_laplacian(ext.u2e, params.nu, grid)
-    lap3 = anisotropic_laplacian(ext.u3e, params.nu, grid)
-
-    alpha_c, beta_c = coriolis_at(params, grid.x2c)
-    alpha_f, _ = coriolis_at(params, grid.x2f)
-
-    u1s = u.u1.copy()
-    u2s = u.u2.copy()
-    u3s = u.u3.copy()
-    u1s[1:-1] += dt * (
-        -adv.u1[1:-1]
-        + lap1[1:-1]
-        + alpha_c[None, :, None] * _interp_u2_to_u1(u.u2)
-        - eps * beta_c[None, :, None] * _interp_u3_to_u1(u.u3)
-    )
-    u2s[:, 1:-1] += dt * (
-        -adv.u2[:, 1:-1]
-        + lap2[:, 1:-1]
-        - alpha_f[None, 1:-1, None] * _interp_u1_to_u2(u.u1)
-    )
-    u3s[:, :, 1:-1] += dt * (
-        -adv.u3[:, :, 1:-1]
-        + lap3[:, :, 1:-1]
-        + (beta_c[None, :, None] / eps) * _interp_u1_to_u3(u.u1)
-    )
-    if forcing is not None:
-        f1, f2, f3, _ = forcing(state.t, grid)
-        u1s[1:-1] += dt * f1[1:-1]
-        u2s[:, 1:-1] += dt * f2[:, 1:-1]
-        u3s[:, :, 1:-1] += dt * f3[:, :, 1:-1]
-
-    u_star = apply_velocity_bcs(
-        StaggeredVelocity(u1s, u2s, u3s), theta, params.nu3, grid, mode="anisotropic"
-    )
-    u_new, p, _ = pressure_projection_anisotropic(u_star, eps, dt, grid, tol)
-
-    rhs_c = -advect_scalar(u_new, state.C, grid, scheme) + diffuse_concentration(
-        state.C, M, grid
-    )
-    if source is not None:
-        rhs_c = rhs_c + evaluate_source(source, state.t, grid)
-    if forcing is not None:
-        rhs_c = rhs_c + forcing(state.t, grid)[3]
-    c_new = state.C + dt * rhs_c
-
-    new = SimState(t=state.t + dt, step=state.step + 1, u=u_new, p=p, C=c_new)
-    if not new.is_finite():
-        raise NumericsError(f"non-finite state after step {new.step}")
-    return new

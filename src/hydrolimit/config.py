@@ -281,7 +281,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 get("diffusion", "m33", 1.0),
             )
         except ValueError as exc:
-            raise ConfigError(str(exc), line("diffusion", "m11")) from None
+            # Non-finite or non-coercive entries; the defaults are neither,
+            # so some m* key was given: report the first one.
+            ln, key = min(
+                (ln, key) for (sec, key), ln in lines_of.items() if sec == "diffusion"
+            )
+            raise ConfigError(str(exc), ln, key) from None
 
     # source
     src_kind = get("source", "kind", "gaussian")

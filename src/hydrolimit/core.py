@@ -149,28 +149,6 @@ class Grid:
         k = min(int(x3 / self.dz), self.nz - 1)
         return (i, j, k)
 
-    def boundary_faces(self) -> dict:
-        """Classify every boundary face of the domain.
-
-        Returns a dict with keys ``"ground"`` (Gamma_G), ``"top"`` (Gamma_U)
-        and ``"lateral"`` (Gamma_L); each value is a list of
-        ``(component, i, j, k)`` tuples indexing the face arrays.  Gamma_A is
-        top + lateral.
-        """
-        nx, ny, nz = self.nx, self.ny, self.nz
-        ground = [("u3", i, j, 0) for i in range(nx) for j in range(ny)]
-        top = [("u3", i, j, nz) for i in range(nx) for j in range(ny)]
-        lateral = []
-        for j in range(ny):
-            for k in range(nz):
-                lateral.append(("u1", 0, j, k))
-                lateral.append(("u1", nx, j, k))
-        for i in range(nx):
-            for k in range(nz):
-                lateral.append(("u2", i, 0, k))
-                lateral.append(("u2", i, ny, k))
-        return {"ground": ground, "top": top, "lateral": lateral}
-
 
 def build_grid(spec: GridSpec) -> Grid:
     """Build the uniform staggered grid for a validated spec."""
@@ -247,9 +225,9 @@ class DiffusionTensor:
     """Symmetric 3x3 diffusivity tensor, constant or one matrix per cell.
 
     ``m`` has shape (3,3) for the constant variant or (nx,ny,nz,3,3) for the
-    spatially varying one.  Symmetry is required at construction; coercivity
-    (smallest eigenvalue > 0 everywhere) is enforced by
-    ``coercivity_constant``.
+    spatially varying one.  Symmetry and coercivity (smallest eigenvalue > 0
+    everywhere, see ``coercivity_constant``) are required at construction, so
+    the solvers never re-check them.
     """
 
     m: np.ndarray
@@ -265,6 +243,7 @@ class DiffusionTensor:
         if asym > 1e-12 * scale:
             raise ValueError(f"tensor asymmetry {asym:.3e} exceeds 1e-12 relative")
         object.__setattr__(self, "m", m)
+        coercivity_constant(self)
 
     @property
     def is_spatial(self) -> bool:
@@ -344,15 +323,10 @@ def _sym3_eigen_min(m: np.ndarray) -> np.ndarray:
 def coercivity_constant(M: DiffusionTensor) -> float:
     """Smallest eigenvalue of M (minimum over cells for the spatial variant).
 
-    Raises if the tensor is not symmetric to 1e-12 relative or if the
-    smallest eigenvalue is not strictly positive.
+    Raises if it is not strictly positive.  Symmetry is checked by the
+    ``DiffusionTensor`` constructor, which calls this function.
     """
-    m = M.m
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    asym = float(np.max(np.abs(m - np.swapaxes(m, -1, -2))))
-    if asym > 1e-12 * scale:
-        raise ValueError(f"tensor asymmetry {asym:.3e} exceeds 1e-12 relative")
-    lam = float(np.min(_sym3_eigen_min(m)))
+    lam = float(np.min(_sym3_eigen_min(M.m)))
     if not lam > 0.0:
         raise ValueError(f"coercivity violated: smallest eigenvalue {lam:.6e} <= 0")
     return lam

@@ -57,6 +57,7 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceReport",
     "spacetime_errors",
+    "convergence_report",
     "convergence_metrics",
 ]
 
@@ -648,8 +649,7 @@ def _solution_center_gradients(u: StaggeredVelocity, history: RunHistory):
     """Gradients of the solution components interpolated to cell centres."""
     grid = history.grid
     dx, dy, dz = grid.spacing
-    mode = "anisotropic" if history.mode == "aniso" else "hydrostatic"
-    ext = extend_velocity(u, history.theta, history.params.nu3, grid, mode)
+    ext = extend_velocity(u, history.theta, history.params.nu3, grid, history.mode)
 
     def avg(a, axis):
         lo = [slice(None)] * 3
@@ -911,17 +911,13 @@ def spacetime_errors(run: RunHistory, ref: RunHistory) -> tuple:
     return tint(eh), tint(e3), tint(ec)
 
 
-def convergence_metrics(aniso_runs, hydro_run: RunHistory) -> ConvergenceReport:
-    """Per-eps space-time errors against the hydrostatic reference.
+def convergence_report(rows) -> ConvergenceReport:
+    """Rows sorted by decreasing eps plus their log-log fitted rates.
 
-    Rows are sorted by decreasing eps; the log-log fitted rates are reported,
-    not asserted (the limit statement comes with no rate).
+    Raises on a non-finite error; the rates are reported, not asserted (the
+    limit statement comes with no rate).
     """
-    rows = []
-    for run in aniso_runs:
-        err_uh, err_u3, err_c = spacetime_errors(run, hydro_run)
-        rows.append(ConvergenceRow(run.params.eps, err_uh, err_u3, err_c))
-    rows.sort(key=lambda r: -r.eps)
+    rows = sorted(rows, key=lambda r: -r.eps)
     for r in rows:
         if not all(map(math.isfinite, (r.err_uH, r.err_u3, r.err_C))):
             raise ValueError(f"non-finite error at eps={r.eps}")
@@ -938,4 +934,12 @@ def convergence_metrics(aniso_runs, hydro_run: RunHistory) -> ConvergenceReport:
         rate_uH=fit([r.err_uH for r in rows]),
         rate_u3=fit([r.err_u3 for r in rows]),
         rate_C=fit([r.err_C for r in rows]),
+    )
+
+
+def convergence_metrics(aniso_runs, hydro_run: RunHistory) -> ConvergenceReport:
+    """Per-eps space-time errors against the hydrostatic reference, as a
+    ``convergence_report``."""
+    return convergence_report(
+        [ConvergenceRow(run.params.eps, *spacetime_errors(run, hydro_run)) for run in aniso_runs]
     )

@@ -1,4 +1,5 @@
-"""Experiment orchestration: single runs, eps sweeps, field and report output.
+"""Time stepping and experiment orchestration: the one-step integrator of both
+models, single runs, eps sweeps, field and report output.
 
 A run projects its initial velocity to the divergence-free space of its mode,
 steps with a fixed dt chosen once from the initial stability limit (so
@@ -18,28 +19,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aniso import (
+    CFLError,
     NumericsError,
     SimState,
     pressure_projection_anisotropic,
     stable_dt,
-    step_anisotropic,
 )
 from .config import RunConfig
-from .core import Grid, build_grid
+from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, build_grid, coriolis_at
 from .diagnostics import (
     ConvergenceReport,
+    ConvergenceRow,
     EnergyReport,
     RunHistory,
     apriori_norms,
+    convergence_report,
     energy_balance,
     spacetime_errors,
     translation_modulus,
     APRIORI_NORM_NAMES,
 )
-from .hydro import diagnose_w, step_hydrostatic, surface_pressure_projection
-from .operators import StaggeredVelocity, apply_velocity_bcs, divergence
+from .hydro import diagnose_w, surface_pressure_projection
+from .operators import (
+    StaggeredVelocity,
+    advect_scalar,
+    advect_velocity,
+    anisotropic_laplacian,
+    apply_velocity_bcs,
+    diffuse_concentration,
+    divergence,
+    extend_velocity,
+)
+from .sources import SourceSpec, evaluate_source
 
 __all__ = [
+    "project",
+    "step",
     "RunResult",
     "SweepResult",
     "initial_velocity",
@@ -155,16 +170,122 @@ def initial_concentration(cfg: RunConfig, grid: Grid) -> np.ndarray:
     raise ValueError(f"unknown concentration preset {kind!r}")
 
 
+def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: Grid, tol: float):
+    """Project u* onto the divergence-free space of ``mode``.
+
+    "aniso": the eps-weighted 3-D projection, p the 3-D pressure.  "hydro":
+    the barotropic surface projection of (u1, u2) followed by the diagnosed
+    u3 (u*'s own u3 is ignored), p the 2-D surface pressure.  Returns
+    (u, p, info) with the projection's info dict.
+    """
+    if mode == "aniso":
+        return pressure_projection_anisotropic(u_star, eps, dt, grid, tol)
+    u1, u2, ps, info = surface_pressure_projection(u_star.u1, u_star.u2, dt, grid, tol)
+    return StaggeredVelocity(u1, u2, diagnose_w(u1, u2, grid)), ps, info
+
+
+def _interp_u2_to_u1(u2: np.ndarray) -> np.ndarray:
+    return 0.25 * (u2[:-1, :-1] + u2[:-1, 1:] + u2[1:, :-1] + u2[1:, 1:])
+
+
+def _interp_u3_to_u1(u3: np.ndarray) -> np.ndarray:
+    return 0.25 * (u3[:-1, :, :-1] + u3[:-1, :, 1:] + u3[1:, :, :-1] + u3[1:, :, 1:])
+
+
+def _interp_u1_to_u2(u1: np.ndarray) -> np.ndarray:
+    return 0.25 * (u1[:-1, :-1] + u1[1:, :-1] + u1[:-1, 1:] + u1[1:, 1:])
+
+
+def _interp_u1_to_u3(u1: np.ndarray) -> np.ndarray:
+    return 0.25 * (u1[:-1, :, :-1] + u1[1:, :, :-1] + u1[:-1, :, 1:] + u1[1:, :, 1:])
+
+
+def step(
+    state: SimState,
+    params: PhysParams,
+    M: DiffusionTensor,
+    theta: BoundaryForcing | None,
+    source: SourceSpec | None,
+    dt: float,
+    grid: Grid,
+    mode: str,
+    tol: float = 1e-8,
+    forcing=None,
+) -> SimState:
+    """Advance the state of the ``mode`` ("aniso" | "hydro") model by one
+    explicit step.
+
+    Forward-Euler momentum predictor (advection, anisotropic diffusion,
+    rotation), projection (``project``), then the concentration update with
+    the projected velocity:  C += dt * (-u.grad C + div(M grad C) + S(t)).
+    Predictor signs follow the momentum equations: the u1 equation carries
+    -alpha*u2 + eps*beta*u3, the u2 equation +alpha*u1.  Only the
+    anisotropic model advances u3: its equation (divided through by eps^2)
+    gains +(beta/eps)*u1 while its pressure term moves into the projection;
+    the hydrostatic model drops the beta terms and diagnoses u3.
+
+    ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
+    face/cell forcings (manufactured-solution hook); f3 acts only in "aniso".
+    """
+    aniso = mode == "aniso"
+    eps = params.eps
+    if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
+        raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
+
+    u = apply_velocity_bcs(state.u)
+    ext = extend_velocity(u, theta, params.nu3, grid, mode)
+    adv = advect_velocity(u, grid, ext=ext, components=(0, 1, 2) if aniso else (0, 1))
+    lap1 = anisotropic_laplacian(ext.u1e, params.nu, grid)
+    lap2 = anisotropic_laplacian(ext.u2e, params.nu, grid)
+
+    alpha_c, beta_c = coriolis_at(params, grid.x2c)
+    alpha_f, _ = coriolis_at(params, grid.x2f)
+
+    u1s = u.u1.copy()
+    u2s = u.u2.copy()
+    u3s = u.u3
+    rhs1 = -adv.u1[1:-1] + lap1[1:-1] + alpha_c[None, :, None] * _interp_u2_to_u1(u.u2)
+    if aniso:
+        rhs1 = rhs1 - eps * beta_c[None, :, None] * _interp_u3_to_u1(u.u3)
+    u1s[1:-1] += dt * rhs1
+    u2s[:, 1:-1] += dt * (
+        -adv.u2[:, 1:-1] + lap2[:, 1:-1] - alpha_f[None, 1:-1, None] * _interp_u1_to_u2(u.u1)
+    )
+    if aniso:
+        lap3 = anisotropic_laplacian(ext.u3e, params.nu, grid)
+        u3s = u.u3.copy()
+        u3s[:, :, 1:-1] += dt * (
+            -adv.u3[:, :, 1:-1]
+            + lap3[:, :, 1:-1]
+            + (beta_c[None, :, None] / eps) * _interp_u1_to_u3(u.u1)
+        )
+    if forcing is not None:
+        f1, f2, f3, _ = forcing(state.t, grid)
+        u1s[1:-1] += dt * f1[1:-1]
+        u2s[:, 1:-1] += dt * f2[:, 1:-1]
+        if aniso:
+            u3s[:, :, 1:-1] += dt * f3[:, :, 1:-1]
+
+    u_star = apply_velocity_bcs(StaggeredVelocity(u1s, u2s, u3s))
+    u_new, p, _ = project(u_star, mode, eps, dt, grid, tol)
+
+    rhs_c = -advect_scalar(u_new, state.C, grid) + diffuse_concentration(state.C, M, grid)
+    if source is not None:
+        rhs_c = rhs_c + evaluate_source(source, state.t, grid)
+    if forcing is not None:
+        rhs_c = rhs_c + forcing(state.t, grid)[3]
+    c_new = state.C + dt * rhs_c
+
+    new = SimState(t=state.t + dt, step=state.step + 1, u=u_new, p=p, C=c_new)
+    if not new.is_finite():
+        raise NumericsError(f"non-finite state after step {new.step}")
+    return new
+
+
 def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfig, grid: Grid):
     """Enforce the divergence-free initial hypothesis of the respective mode."""
-    theta = None
-    u0 = apply_velocity_bcs(u0, theta, cfg.nu3, grid, "anisotropic" if mode == "aniso" else "hydrostatic")
-    if mode == "aniso":
-        u, p, _ = pressure_projection_anisotropic(u0, eps, 1.0, grid, tol=cfg.run.tol)
-        return u, np.zeros(grid.shape_cells)
-    u1, u2, _, _ = surface_pressure_projection(u0.u1, u0.u2, 1.0, grid, tol=cfg.run.tol)
-    u3 = diagnose_w(u1, u2, grid)
-    return StaggeredVelocity(u1, u2, u3), np.zeros((grid.nx, grid.ny))
+    u, _, _ = project(apply_velocity_bcs(u0), mode, eps, 1.0, grid, cfg.run.tol)
+    return u, np.zeros(grid.shape_cells if mode == "aniso" else (grid.nx, grid.ny))
 
 
 @dataclass
@@ -228,14 +349,13 @@ def run_simulation(
                 title=f"hydrolimit {mode} eps={eps:g} step={s.step}",
             )
 
-    stepper = step_anisotropic if mode == "aniso" else step_hydrostatic
     states = [state]
     snap(state)
     max_div = float(np.max(np.abs(divergence(state.u, grid))))
     t0 = _time.perf_counter()
     try:
         for n in range(1, n_steps + 1):
-            state = stepper(state, params, M, theta, source, step_dt, grid, tol=cfg.run.tol)
+            state = step(state, params, M, theta, source, step_dt, grid, mode, tol=cfg.run.tol)
             max_div = max(max_div, float(np.max(np.abs(divergence(state.u, grid)))))
             if n % cfg.time.snapshot_every == 0 or n == n_steps:
                 states.append(state)
@@ -392,23 +512,7 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
         res.history.states = [res.history.states[0], res.history.states[-1]]
         aniso_results[eps] = res
 
-    from .diagnostics import ConvergenceRow
-
-    rows = [ConvergenceRow(eps, *errors[eps]) for eps in eps_list]
-
-    def fit(vals):
-        eps_arr = np.array(eps_list)
-        vals = np.asarray(vals)
-        if len(vals) >= 2 and np.all(vals > 0):
-            return float(np.polyfit(np.log(eps_arr), np.log(vals), 1)[0])
-        return float("nan")
-
-    report = ConvergenceReport(
-        rows=rows,
-        rate_uH=fit([r.err_uH for r in rows]),
-        rate_u3=fit([r.err_u3 for r in rows]),
-        rate_C=fit([r.err_C for r in rows]),
-    )
+    report = convergence_report([ConvergenceRow(eps, *errors[eps]) for eps in eps_list])
     return SweepResult(report, hydro, aniso_results, translation, norm_table, out_dir)
 
 

@@ -1,39 +1,22 @@
-"""Explicit time integrator for the hydrostatic (primitive-equation) system.
+"""Pressure constraint of the hydrostatic (primitive-equation) system.
 
 Only the horizontal momentum is prognostic.  Pressure is a 2-D surface field
 enforcing the barotropic constraint div_H of the depth-integrated horizontal
 velocity = 0; the vertical velocity is diagnosed from the divergence-free
 condition by vertical integration from the ground, which makes the full 3-D
-discrete divergence vanish identically (telescoping).
+discrete divergence vanish identically (telescoping).  The stepper shared
+with the anisotropic model is ``harness.step``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, coriolis_at
-from .operators import (
-    StaggeredVelocity,
-    advect_scalar,
-    advect_velocity,
-    anisotropic_laplacian,
-    apply_velocity_bcs,
-    diffuse_concentration,
-    extend_velocity,
-    solve_separable,
-)
-from .aniso import (
-    CFLError,
-    NumericsError,
-    ProjectionError,
-    SimState,
-    _interp_u1_to_u2,
-    _interp_u2_to_u1,
-    stable_dt,
-)
-from .sources import SourceSpec, evaluate_source
+from .aniso import ProjectionError
+from .core import Grid
+from .operators import solve_separable
 
-__all__ = ["surface_pressure_projection", "diagnose_w", "step_hydrostatic"]
+__all__ = ["surface_pressure_projection", "diagnose_w"]
 
 
 def diagnose_w(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> np.ndarray:
@@ -107,70 +90,3 @@ def surface_pressure_projection(
             f"projected depth-integrated divergence {max_div:.3e} exceeds tol {tol:.3e}"
         )
     return u1, u2, ps, {"iterations": iters, "max_div": max_div}
-
-
-def step_hydrostatic(
-    state: SimState,
-    params: PhysParams,
-    M: DiffusionTensor,
-    theta: BoundaryForcing | None,
-    source: SourceSpec | None,
-    dt: float,
-    grid: Grid,
-    tol: float = 1e-8,
-    scheme: str = "upwind1",
-    forcing=None,
-) -> SimState:
-    """Advance the hydrostatic state by one explicit step.
-
-    Horizontal predictor (advection by the full 3-D velocity with the
-    diagnosed u3, anisotropic diffusion, -/+ alpha coupling), barotropic
-    projection, vertical-velocity diagnosis, then the concentration update
-    with the new velocity.
-    """
-    if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
-        raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
-
-    u = apply_velocity_bcs(state.u, theta, params.nu3, grid, mode="hydrostatic")
-    ext = extend_velocity(u, theta, params.nu3, grid, mode="hydrostatic")
-    adv = advect_velocity(u, grid, scheme=scheme, ext=ext, components=(0, 1))
-    lap1 = anisotropic_laplacian(ext.u1e, params.nu, grid)
-    lap2 = anisotropic_laplacian(ext.u2e, params.nu, grid)
-
-    alpha_c, _ = coriolis_at(params, grid.x2c)
-    alpha_f, _ = coriolis_at(params, grid.x2f)
-
-    u1s = u.u1.copy()
-    u2s = u.u2.copy()
-    u1s[1:-1] += dt * (
-        -adv.u1[1:-1] + lap1[1:-1] + alpha_c[None, :, None] * _interp_u2_to_u1(u.u2)
-    )
-    u2s[:, 1:-1] += dt * (
-        -adv.u2[:, 1:-1] + lap2[:, 1:-1] - alpha_f[None, 1:-1, None] * _interp_u1_to_u2(u.u1)
-    )
-    if forcing is not None:
-        f1, f2, _, _ = forcing(state.t, grid)
-        u1s[1:-1] += dt * f1[1:-1]
-        u2s[:, 1:-1] += dt * f2[:, 1:-1]
-
-    u1s[0] = 0.0
-    u1s[-1] = 0.0
-    u2s[:, 0] = 0.0
-    u2s[:, -1] = 0.0
-    u1n, u2n, ps, _ = surface_pressure_projection(u1s, u2s, dt, grid, tol)
-    u3n = diagnose_w(u1n, u2n, grid)
-    u_new = StaggeredVelocity(u1n, u2n, u3n)
-
-    rhs_c = -advect_scalar(u_new, state.C, grid, scheme) + diffuse_concentration(
-        state.C, M, grid
-    )
-    if source is not None:
-        rhs_c = rhs_c + evaluate_source(source, state.t, grid)
-    if forcing is not None:
-        rhs_c = rhs_c + forcing(state.t, grid)[3]
-    c_new = state.C + dt * rhs_c
-
-    new = SimState(t=state.t + dt, step=state.step + 1, u=u_new, p=ps, C=c_new)
-    if not new.is_finite():
-        raise NumericsError(f"non-finite state after step {new.step}")
-    return new

@@ -225,22 +225,14 @@ def theta_faces(theta: BoundaryForcing | None, grid: Grid) -> tuple:
     return t1f, t2f
 
 
-def apply_velocity_bcs(
-    u: StaggeredVelocity,
-    theta: BoundaryForcing | None,
-    nu3: float,
-    grid: Grid,
-    mode: str = "anisotropic",
-) -> StaggeredVelocity:
-    """Zero the stored boundary-face values of u.
+def apply_velocity_bcs(u: StaggeredVelocity) -> StaggeredVelocity:
+    """Zero the stored boundary-face values of u (both models).
 
     Gamma_A is no-slip for u1/u2 (faces on the lateral walls) and u3 vanishes
     on both horizontal boundaries.  The traction condition on the ground and
     the Dirichlet conditions at non-face-aligned walls act through ghost
     layers; see ``extend_velocity``.
     """
-    if mode not in ("anisotropic", "hydrostatic"):
-        raise ValueError(f"unknown mode {mode!r}")
     u1 = u.u1.copy()
     u2 = u.u2.copy()
     u3 = u.u3.copy()
@@ -258,7 +250,7 @@ def extend_velocity(
     theta: BoundaryForcing | None,
     nu3: float,
     grid: Grid,
-    mode: str = "anisotropic",
+    mode: str = "aniso",
 ) -> VelocityExtension:
     """Ghost-extend the velocity components per the model boundary conditions.
 
@@ -266,13 +258,13 @@ def extend_velocity(
     (lateral, top); below the ground the ghost solves the one-sided traction
     relation nu3*(u_H[first interior] - u_H[ghost])/dz = theta_H, so theta = 0
     reduces to a homogeneous Neumann mirror.  u3 lateral ghosts are Dirichlet
-    reflections in anisotropic mode; in hydrostatic mode u3 carries no lateral
+    reflections in mode "aniso"; in mode "hydro" u3 carries no lateral
     condition and the ghosts are plain copies (the hydrostatic solver never
     differentiates u3 across the walls).  Normal-direction ghosts are linear
     extrapolations through the stored boundary faces; they only feed stencil
     rows that the solvers discard.
     """
-    if mode not in ("anisotropic", "hydrostatic"):
+    if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
     t1f, t2f = theta_faces(theta, grid)
     u1, u2, u3 = u.u1, u.u2, u.u3
@@ -299,7 +291,7 @@ def extend_velocity(
     u3e[1:-1, 1:-1, 1:-1] = u3
     u3e[1:-1, 1:-1, 0] = 2.0 * u3[:, :, 0] - u3[:, :, 1]
     u3e[1:-1, 1:-1, -1] = 2.0 * u3[:, :, -1] - u3[:, :, -2]
-    if mode == "anisotropic":
+    if mode == "aniso":
         u3e[0, 1:-1, 1:-1] = -u3[0]
         u3e[-1, 1:-1, 1:-1] = -u3[-1]
         u3e[1:-1, 0, 1:-1] = -u3[:, 0]
@@ -397,11 +389,9 @@ def diffuse_concentration(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     Fluxes are assembled on faces: the normal derivative is the two-point face
     difference (using the BC ghosts), cross derivatives are cell-centred
     central differences averaged onto the face.  The ground flux is imposed
-    exactly zero (no-flux); Gamma_A fluxes see Dirichlet C = 0 ghosts.
+    exactly zero (no-flux); Gamma_A fluxes see Dirichlet C = 0 ghosts.  M is
+    coercive by construction (``DiffusionTensor`` checks it once).
     """
-    from .core import coercivity_constant
-
-    coercivity_constant(M)  # raises on violation
     Ce = apply_concentration_bcs(C, M, grid)
     dx, dy, dz = grid.spacing
 

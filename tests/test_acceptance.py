@@ -31,16 +31,15 @@ from hydrolimit.aniso import (
     SimState,
     pressure_projection_anisotropic,
     stable_dt,
-    step_anisotropic,
 )
-from hydrolimit.hydro import diagnose_w, step_hydrostatic, surface_pressure_projection
+from hydrolimit.hydro import diagnose_w, surface_pressure_projection
 from hydrolimit.diagnostics import (
     RunHistory,
     diffusion_quadratic_form,
     energy_balance,
     weak_residual,
 )
-from hydrolimit.harness import epsilon_sweep, read_csv, run_simulation
+from hydrolimit.harness import epsilon_sweep, read_csv, run_simulation, step
 
 from conftest import random_spd_tensor, smooth_field, smooth_velocity
 from mms import ManufacturedHydro
@@ -108,24 +107,20 @@ def test_criterion_02_energy_inequality():
             for mode in ("aniso", "hydro"):
                 rng = np.random.default_rng(seed)
                 params = PhysParams(0.02, 0.02, 0.02, eps=eps, f0=1.0, l0=math.pi / 4)
-                u = apply_velocity_bcs(
-                    smooth_velocity(rng, g), None, params.nu3, g, "anisotropic"
-                )
+                u = apply_velocity_bcs(smooth_velocity(rng, g))
                 C0 = np.abs(smooth_field(rng, g))
                 if mode == "aniso":
                     up, _, _ = pressure_projection_anisotropic(u, eps, 1.0, g, tol=1e-11)
                     st = SimState(0.0, 0, up, np.zeros(g.shape_cells), C0)
-                    stepper = step_anisotropic
                 else:
                     u1, u2, ps, _ = surface_pressure_projection(u.u1, u.u2, 1.0, g, tol=1e-11)
                     st = SimState(
                         0.0, 0, StaggeredVelocity(u1, u2, diagnose_w(u1, u2, g)), ps, C0
                     )
-                    stepper = step_hydrostatic
                 dt = stable_dt(st, params, M, g, cfl=0.4)
                 states = [st]
                 for _ in range(40):
-                    st = stepper(st, params, M, None, None, dt, g, tol=1e-11)
+                    st = step(st, params, M, None, None, dt, g, mode, tol=1e-11)
                     states.append(st)
                 hist = RunHistory(mode, g, params, M, None, None, dt, states)
                 rep = energy_balance(hist)
@@ -259,7 +254,7 @@ def test_criterion_06_dense_oracle():
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
     dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
 
-    new = step_anisotropic(st, params, M, theta, src, dt, g, tol=1e-13)
+    new = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
 
     def relmax(a, b):
@@ -414,8 +409,8 @@ def test_criterion_10_weak_residuals():
         every = max(1, n_steps // 50)
         states = [st]
         for m in range(n_steps):
-            st = step_hydrostatic(
-                st, params, M, None, None, dt, g, tol=1e-10,
+            st = step(
+                st, params, M, None, None, dt, g, "hydro", tol=1e-10,
                 forcing=mfg.forcing_staggered,
             )
             if st.step % every == 0:
@@ -539,7 +534,7 @@ def test_manufactured_solution_tracked_by_solver():
     dt = stable_dt(st, params, M, g, cfl=0.4)
     n_steps = int(math.ceil(0.1 / dt))
     for _ in range(n_steps):
-        st = step_hydrostatic(st, params, M, None, None, dt, g, tol=1e-10,
-                              forcing=mfg.forcing_staggered)
+        st = step(st, params, M, None, None, dt, g, "hydro", tol=1e-10,
+                  forcing=mfg.forcing_staggered)
     err = mfg.velocity_error(st.t, st.u, g)
     assert err < 0.02  # O(dx) tracking at dx ~ 0.083

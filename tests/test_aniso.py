@@ -25,8 +25,8 @@ from hydrolimit.aniso import (
     SimState,
     pressure_projection_anisotropic,
     stable_dt,
-    step_anisotropic,
 )
+from hydrolimit.harness import step
 
 from conftest import default_params, projected_velocity, smooth_field, smooth_velocity
 
@@ -77,7 +77,7 @@ def test_step_rejects_cfl_violation(grid8):
     st0 = SimState.zeros(grid8)
     limit = stable_dt(st0, params, M, grid8, cfl=1.0)
     with pytest.raises(CFLError):
-        step_anisotropic(st0, params, M, None, None, 2.0 * limit, grid8)
+        step(st0, params, M, None, None, 2.0 * limit, grid8, "aniso")
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +93,7 @@ def test_projection_divergence_tolerance(grid8, eps):
             rng.normal(size=grid8.shape_u1),
             rng.normal(size=grid8.shape_u2),
             rng.normal(size=grid8.shape_u3),
-        ),
-        None,
-        1.0,
-        grid8,
+        )
     )
     tol = 1e-8
     up, p, info = pressure_projection_anisotropic(u, eps, 0.01, grid8, tol=tol)
@@ -106,7 +103,7 @@ def test_projection_divergence_tolerance(grid8, eps):
 
 def _smooth_wall_velocity(grid):
     rng = np.random.default_rng(22)
-    return apply_velocity_bcs(smooth_velocity(rng, grid), None, 1.0, grid, "anisotropic")
+    return apply_velocity_bcs(smooth_velocity(rng, grid))
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.0625])
@@ -159,10 +156,7 @@ def test_projection_idempotent(grid8):
             rng.normal(size=grid8.shape_u1),
             rng.normal(size=grid8.shape_u2),
             rng.normal(size=grid8.shape_u3),
-        ),
-        None,
-        1.0,
-        grid8,
+        )
     )
     tol = 1e-9
     u1p, _, _ = pressure_projection_anisotropic(u, 0.25, 0.01, grid8, tol=tol)
@@ -180,10 +174,7 @@ def test_projection_eps_one_matches_plain_poisson(grid8):
             rng.normal(size=grid8.shape_u1),
             rng.normal(size=grid8.shape_u2),
             rng.normal(size=grid8.shape_u3),
-        ),
-        None,
-        1.0,
-        grid8,
+        )
     )
     dt = 0.02
     up, p, _ = pressure_projection_anisotropic(u, 1.0, dt, grid8, tol=1e-12)
@@ -231,7 +222,7 @@ def test_projection_incompatible_rhs_rejected(grid8):
 
 
 # ---------------------------------------------------------------------------
-# step_anisotropic basics
+# step, mode "aniso": basics
 # ---------------------------------------------------------------------------
 
 
@@ -242,7 +233,7 @@ def test_zero_state_is_fixed_point(grid8):
     dt = stable_dt(st0, params, M, grid8, cfl=0.5)
     st = st0
     for _ in range(5):
-        st = step_anisotropic(st, params, M, None, None, dt, grid8)
+        st = step(st, params, M, None, None, dt, grid8, "aniso")
     assert np.max(np.abs(st.u.u1)) == 0.0
     assert np.max(np.abs(st.C)) == 0.0
     assert np.max(np.abs(st.p)) == 0.0
@@ -256,7 +247,7 @@ def test_one_way_coupling_velocity_stays_zero(grid8):
     st = SimState.zeros(grid8)
     dt = stable_dt(st, params, M, grid8, cfl=0.5)
     for _ in range(10):
-        st = step_anisotropic(st, params, M, None, src, dt, grid8)
+        st = step(st, params, M, None, src, dt, grid8, "aniso")
     assert np.max(np.abs(st.u.u1)) == 0.0
     assert np.max(np.abs(st.u.u3)) == 0.0
     assert st.C.max() > 0.0
@@ -271,7 +262,7 @@ def test_step_keeps_divergence_small(grid8):
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
     tol = 1e-9
     for _ in range(5):
-        st = step_anisotropic(st, params, M, None, None, dt, grid8, tol=tol)
+        st = step(st, params, M, None, None, dt, grid8, "aniso", tol=tol)
         assert np.max(np.abs(divergence(st.u, grid8))) <= 10.0 * tol
 
 
@@ -295,7 +286,7 @@ def test_energy_nonincreasing_unforced(grid8):
 
     e_prev = energy(st)
     for _ in range(30):
-        st = step_anisotropic(st, params, M, None, None, dt, grid8, tol=1e-11)
+        st = step(st, params, M, None, None, dt, grid8, "aniso", tol=1e-11)
         e = energy(st)
         assert e <= e_prev + 1e-12
         e_prev = e
@@ -614,7 +605,7 @@ def test_step_matches_dense_oracle():
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
     dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
 
-    new = step_anisotropic(st, params, M, theta, src, dt, g, tol=1e-13)
+    new = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
 
     def relmax(a, b):

@@ -13,7 +13,8 @@ from hydrolimit.operators import (
     extend_velocity,
     solve_separable,
 )
-from hydrolimit.aniso import SimState, stable_dt, step_anisotropic
+from hydrolimit.aniso import SimState, stable_dt
+from hydrolimit.harness import step
 from hydrolimit.diagnostics import (
     RunHistory,
     ScalarTestFunction,
@@ -57,7 +58,7 @@ def run_aniso(grid, params, M, steps, theta=None, source=None, cfl=0.4, seed=1, 
     dt = stable_dt(st, params, M, grid, cfl=cfl)
     states = [st]
     for _ in range(steps):
-        st = step_anisotropic(st, params, M, theta, source, dt, grid, tol=tol)
+        st = step(st, params, M, theta, source, dt, grid, "aniso", tol=tol)
         states.append(st)
     return make_history(grid, params, M, states, dt, "aniso", theta, source)
 
@@ -72,8 +73,8 @@ def test_velocity_dissipation_is_exact_laplacian_pairing(grid8):
     rng = np.random.default_rng(50)
     nu = (0.03, 0.05, 0.02)
     theta = BoundaryForcing.constant(grid8, 0.4, -0.3)
-    u = apply_velocity_bcs(smooth_velocity(rng, grid8), theta, nu[2], grid8, "anisotropic")
-    ext = extend_velocity(u, theta, nu[2], grid8, "anisotropic")
+    u = apply_velocity_bcs(smooth_velocity(rng, grid8))
+    ext = extend_velocity(u, theta, nu[2], grid8, "aniso")
     dV = grid8.cell_volume
 
     lap1 = anisotropic_laplacian(ext.u1e, nu, grid8)
@@ -88,8 +89,8 @@ def test_velocity_dissipation_is_exact_laplacian_pairing(grid8):
 def test_u3_dissipation_identity(grid8):
     rng = np.random.default_rng(51)
     nu = (0.03, 0.05, 0.02)
-    u = apply_velocity_bcs(smooth_velocity(rng, grid8), None, nu[2], grid8, "anisotropic")
-    ext = extend_velocity(u, None, nu[2], grid8, "anisotropic")
+    u = apply_velocity_bcs(smooth_velocity(rng, grid8))
+    ext = extend_velocity(u, None, nu[2], grid8, "aniso")
     lap3 = anisotropic_laplacian(ext.u3e, nu, grid8)
     pair = float(np.sum(u.u3 * lap3) * grid8.cell_volume)
     _, diss_3 = velocity_dissipation(u, nu, grid8)

@@ -170,6 +170,27 @@ def test_tensor_file_roundtrip(tmp_path):
     assert cfg.diffusion.entry(0, 1).max() == pytest.approx(0.1)
 
 
+def test_parse_rejects_noncoercive_entries_with_line():
+    """A non-coercive inline tensor is a config error at the first m* key,
+    not a bare ValueError on the run's first step."""
+    with pytest.raises(ConfigError, match="coercivity violated") as err:
+        parse_config("[grid]\nnx = 8\n[diffusion]\nm12 = 2.0\nm33 = 0.5\n")
+    assert err.value.line == 4 and err.value.key == "m12"
+
+
+def test_parse_rejects_noncoercive_tensor_file(tmp_path):
+    n = 4
+    rows = [f"{n} {n} {n}"] + ["1.0 0.0 0.0 1.0 0.0 1.0"] * (n**3 - 1)
+    rows.append("1.0 0.0 0.0 1.0 0.0 -0.1")  # one indefinite cell
+    (tmp_path / "tensor.txt").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match="coercivity violated") as err:
+        parse_config(
+            f"[grid]\nnx = {n}\nny = {n}\nnz = {n}\n[diffusion]\ntensor_file = tensor.txt\n",
+            base_dir=str(tmp_path),
+        )
+    assert err.value.line == 6 and err.value.key == "tensor_file"
+
+
 def test_config_rejection_is_total(tmp_path):
     """A bad config raises before anything touches the filesystem."""
     bad = tmp_path / "bad.cfg"

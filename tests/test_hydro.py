@@ -5,8 +5,9 @@ import pytest
 
 from hydrolimit.core import DiffusionTensor, PhysParams
 from hydrolimit.operators import StaggeredVelocity, apply_velocity_bcs, divergence
-from hydrolimit.aniso import ProjectionError, SimState, stable_dt, step_anisotropic
-from hydrolimit.hydro import diagnose_w, step_hydrostatic, surface_pressure_projection
+from hydrolimit.aniso import ProjectionError, SimState, stable_dt
+from hydrolimit.harness import step
+from hydrolimit.hydro import diagnose_w, surface_pressure_projection
 
 from conftest import default_params, smooth_field, smooth_velocity
 
@@ -134,7 +135,7 @@ def test_surface_projection_tolerance_below_roundoff_raises(grid8):
 
 
 # ---------------------------------------------------------------------------
-# step_hydrostatic
+# step, mode "hydro"
 # ---------------------------------------------------------------------------
 
 
@@ -144,7 +145,7 @@ def test_hydro_zero_state_fixed_point(grid8):
     st = SimState.zeros(grid8, mode="hydro")
     dt = stable_dt(st, params, M, grid8, cfl=0.5)
     for _ in range(5):
-        st = step_hydrostatic(st, params, M, None, None, dt, grid8)
+        st = step(st, params, M, None, None, dt, grid8, "hydro")
     assert np.max(np.abs(st.u.u1)) == 0.0
     assert np.max(np.abs(st.C)) == 0.0
 
@@ -153,7 +154,7 @@ def test_hydro_pure_decay_without_rotation(grid8):
     rng = np.random.default_rng(42)
     params = PhysParams(0.02, 0.02, 0.02, eps=0.5, f0=0.0)
     M = DiffusionTensor.identity()
-    u = apply_velocity_bcs(smooth_velocity(rng, grid8), None, params.nu3, grid8, "hydrostatic")
+    u = apply_velocity_bcs(smooth_velocity(rng, grid8))
     u1n, u2n, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-11)
     st = hydro_state(grid8, u1n, u2n)
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
@@ -164,7 +165,7 @@ def test_hydro_pure_decay_without_rotation(grid8):
 
     n_prev = uh_norm(st)
     for _ in range(25):
-        st = step_hydrostatic(st, params, M, None, None, dt, grid8, tol=1e-11)
+        st = step(st, params, M, None, None, dt, grid8, "hydro", tol=1e-11)
         n = uh_norm(st)
         assert n <= n_prev + 1e-13
         n_prev = n
@@ -174,11 +175,11 @@ def test_hydro_pressure_is_2d_and_reconstruction_constant(grid8):
     rng = np.random.default_rng(43)
     params = default_params(eps=0.5)
     M = DiffusionTensor.identity()
-    u = apply_velocity_bcs(smooth_velocity(rng, grid8), None, params.nu3, grid8, "hydrostatic")
+    u = apply_velocity_bcs(smooth_velocity(rng, grid8))
     u1n, u2n, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-11)
     st = hydro_state(grid8, u1n, u2n, smooth_field(rng, grid8))
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
-    st = step_hydrostatic(st, params, M, None, None, dt, grid8)
+    st = step(st, params, M, None, None, dt, grid8, "hydro")
     assert st.p.shape == (grid8.nx, grid8.ny)
     p3 = np.broadcast_to(st.p[:, :, None], grid8.shape_cells)
     assert np.max(np.abs(np.diff(p3, axis=2))) == 0.0
@@ -188,12 +189,12 @@ def test_hydro_steps_preserve_exact_3d_divergence(grid8):
     rng = np.random.default_rng(44)
     params = default_params(eps=0.5)
     M = DiffusionTensor.identity()
-    u = apply_velocity_bcs(smooth_velocity(rng, grid8), None, params.nu3, grid8, "hydrostatic")
+    u = apply_velocity_bcs(smooth_velocity(rng, grid8))
     u1n, u2n, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-10)
     st = hydro_state(grid8, u1n, u2n, smooth_field(rng, grid8))
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
     for _ in range(10):
-        st = step_hydrostatic(st, params, M, None, None, dt, grid8, tol=1e-10)
+        st = step(st, params, M, None, None, dt, grid8, "hydro", tol=1e-10)
         assert np.max(np.abs(divergence(st.u, grid8))) < 1e-12
 
 
@@ -202,7 +203,7 @@ def test_hydro_differs_from_aniso_at_eps_one(grid8):
     rng = np.random.default_rng(45)
     params = default_params(eps=1.0, nu=0.02)
     M = DiffusionTensor.identity()
-    u = apply_velocity_bcs(smooth_velocity(rng, grid8), None, params.nu3, grid8, "anisotropic")
+    u = apply_velocity_bcs(smooth_velocity(rng, grid8))
     C0 = np.abs(smooth_field(rng, grid8))
 
     from hydrolimit.aniso import pressure_projection_anisotropic
@@ -217,7 +218,7 @@ def test_hydro_differs_from_aniso_at_eps_one(grid8):
         stable_dt(st_a, params, M, grid8, cfl=1.0), stable_dt(st_h, params, M, grid8, cfl=1.0)
     )
     for _ in range(10):
-        st_a = step_anisotropic(st_a, params, M, None, None, dt, grid8, tol=1e-11)
-        st_h = step_hydrostatic(st_h, params, M, None, None, dt, grid8, tol=1e-11)
+        st_a = step(st_a, params, M, None, None, dt, grid8, "aniso", tol=1e-11)
+        st_h = step(st_h, params, M, None, None, dt, grid8, "hydro", tol=1e-11)
     diff = np.max(np.abs(st_a.u.u1 - st_h.u.u1))
     assert diff > 1e-6

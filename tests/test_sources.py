@@ -171,3 +171,35 @@ def test_norm_bound_linear_in_intensity(kind, width, i0):
     base = source_norm_bound(SourceSpec(kind, 1.0, 0.0, (0.5, 0.5, 0.5), width), g, 1.0)
     scaled = source_norm_bound(SourceSpec(kind, i0, 0.0, (0.5, 0.5, 0.5), width), g, 1.0)
     assert scaled == pytest.approx(i0 * base, rel=1e-10, abs=1e-12)
+
+
+def _lorentzian_integral_full_array(eps, x_s, grid, nq=2048):
+    """Reference: the normaliser's quadrature evaluated on one nq x nq array."""
+    a = (math.pi * eps) ** 2
+    x = (np.arange(nq) + 0.5) * (grid.lx / nq)
+    y = (np.arange(nq) + 0.5) * (grid.ly / nq)
+    b = 1.0 + a * ((x[:, None] - x_s[0]) ** 2 + (y[None, :] - x_s[1]) ** 2)
+    zpart = (
+        np.arctan((grid.h - x_s[2]) * np.sqrt(a / b)) + np.arctan(x_s[2] * np.sqrt(a / b))
+    ) / np.sqrt(a * b)
+    return float(eps * np.sum(zpart) * (grid.lx / nq) * (grid.ly / nq))
+
+
+@pytest.mark.parametrize("eps, x_s", [(0.5, (0.5, 0.5, 0.5)), (0.0625, (0.3, 0.7, 0.4))])
+def test_lorentzian_normaliser_blocked_memory(monkeypatch, eps, x_s):
+    """The blocked quadrature keeps one 2048^2 array alive (32 MiB) and gives
+    the same value, bit for bit, as the full-array evaluation."""
+    import tracemalloc
+
+    from hydrolimit import sources
+
+    monkeypatch.setattr(sources, "_lorentz_norm_cache", {})
+    g = build_grid(GridSpec(8, 8, 8))
+    tracemalloc.start()
+    try:
+        val = sources._lorentzian_domain_integral(eps, x_s, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert val == _lorentzian_integral_full_array(eps, x_s, g)
