@@ -94,7 +94,7 @@ def stable_dt(
 
     limits.append(1.0 / (2.0 * (params.nu1 / dx**2 + params.nu2 / dy**2 + params.nu3 / dz**2)))
 
-    rows = [M.row_abs_sum(d) for d in range(3)]
+    rows = M.row_sums
     denom_c = 2.0 * (rows[0] / dx**2 + rows[1] / dy**2 + rows[2] / dz**2)
     if denom_c > 0.0:
         limits.append(1.0 / denom_c)

@@ -4,18 +4,23 @@ Comments start with '#', lists are comma separated.  Unknown sections or keys
 are hard errors, as are invariant violations; every error carries the line
 number it came from.  An empty config is valid and yields the documented
 defaults.
+
+``_KEYS`` is the one place where a key's type, default and admissible range
+are written.  Every float must be finite.  The files a config names (tensor,
+traction) are read and checked while it is parsed, so a parsed config holds
+no path that a run still has to open.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryForcing, DiffusionTensor, Grid, GridSpec, PhysParams
-from .sources import SourceSpec
+from .core import BoundaryForcing, DiffusionTensor, GridSpec, PhysParams
+from .sources import SourceSpec, check_location
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
@@ -31,75 +36,58 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SourceConfig:
-    kind: str = "gaussian"
-    intensity: float = 1.0
-    t_s: float = 0.1
-    x_s: tuple = (0.5, 0.5, 0.5)
-    width: float | None = None  # None: use the run's eps
-
-
-@dataclass(frozen=True)
-class BCConfig:
-    theta_mode: str = "zero"  # zero | constant | file
-    theta1: float = 0.0
-    theta2: float = 0.0
-    theta_file: str | None = None
+    kind: str
+    intensity: float
+    t_s: float
+    x_s: tuple
+    width: float | None  # None: use the run's eps
 
 
 @dataclass(frozen=True)
 class InitConfig:
-    velocity: str = "zero"  # zero | taylor_green_h
-    velocity_amp: float = 1.0
-    concentration: str = "zero"  # zero | gaussian_blob
-    blob_amp: float = 1.0
-    blob_center: tuple = (0.5, 0.5, 0.5)
-    blob_width: float = 0.1
+    velocity: str
+    velocity_amp: float
+    concentration: str
+    blob_amp: float
+    blob_center: tuple
+    blob_width: float
 
 
 @dataclass(frozen=True)
 class TimeConfig:
-    T: float = 1.0
-    cfl: float = 0.5
-    dt_max: float = math.inf
-    snapshot_every: int = 4
+    T: float
+    cfl: float
+    dt_max: float
+    snapshot_every: int
 
 
 @dataclass(frozen=True)
 class RunBlock:
-    mode: str = "aniso"  # aniso | hydro | sweep
-    eps_list: tuple = (0.5,)
-    output_dir: str = "out"
-    tol: float = 1e-8
+    mode: str
+    eps_list: tuple
+    output_dir: str
+    tol: float
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: GridSpec = field(default_factory=lambda: GridSpec(32, 32, 16))
-    nu1: float = 1e-2
-    nu2: float = 1e-2
-    nu3: float = 1e-2
-    f0: float = 1.0
-    coriolis_mode: str = "f_plane"
-    l0: float = math.pi / 4.0
-    l_slope: float = 0.0
-    diffusion: DiffusionTensor = field(default_factory=DiffusionTensor.identity)
-    source: SourceConfig = field(default_factory=SourceConfig)
-    bc: BCConfig = field(default_factory=BCConfig)
-    init: InitConfig = field(default_factory=InitConfig)
-    time: TimeConfig = field(default_factory=TimeConfig)
-    run: RunBlock = field(default_factory=RunBlock)
+    grid: GridSpec
+    nu1: float
+    nu2: float
+    nu3: float
+    f0: float
+    coriolis_mode: str
+    l0: float
+    l_slope: float
+    diffusion: DiffusionTensor
+    source: SourceConfig
+    theta: BoundaryForcing | None  # ground traction; None for theta_mode = zero
+    init: InitConfig
+    time: TimeConfig
+    run: RunBlock
 
     def phys_params(self, eps: float) -> PhysParams:
-        return PhysParams(
-            nu1=self.nu1,
-            nu2=self.nu2,
-            nu3=self.nu3,
-            eps=eps,
-            f0=self.f0,
-            coriolis_mode=self.coriolis_mode,
-            l0=self.l0,
-            l_slope=self.l_slope,
-        )
+        return PhysParams(eps=eps, **{key: getattr(self, key) for key in _KEYS["phys"]})
 
     def source_spec(self, eps: float, mode: str) -> SourceSpec | None:
         s = self.source
@@ -114,101 +102,116 @@ class RunConfig:
             return SourceSpec(s.kind, s.intensity, s.t_s, s.x_s)
         return SourceSpec(s.kind, s.intensity, s.t_s, s.x_s, width)
 
-    def boundary_forcing(self, grid: Grid) -> BoundaryForcing | None:
-        bc = self.bc
-        if bc.theta_mode == "zero":
-            return None
-        if bc.theta_mode == "constant":
-            return BoundaryForcing.constant(grid, bc.theta1, bc.theta2)
-        t1, t2 = _read_theta_file(bc.theta_file, grid)
-        return BoundaryForcing(t1, t2)
 
+# A rule is (predicate, what it requires); it applies to every number of a
+# value, so to each entry of a list.
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_UNIT = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_CELLS = (lambda v: v >= 4, "must be at least 4 cells")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 
-_CHOICES = {
-    ("phys", "coriolis_mode"): ("f_plane", "beta_plane"),
-    ("source", "kind"): ("gaussian", "unit_impulse", "lorentzian", "delta_deposit"),
-    ("bc", "theta_mode"): ("zero", "constant", "file"),
-    ("init", "velocity"): ("zero", "taylor_green_h"),
-    ("init", "concentration"): ("zero", "gaussian_blob"),
-    ("run", "mode"): ("aniso", "hydro", "sweep"),
-}
-
-_SCHEMA = {
-    "grid": {"nx": "int", "ny": "int", "nz": "int", "lx": "float", "ly": "float", "h": "float"},
+# section -> key -> (kind, default, rule).  A kind is "int", "float",
+# "float3" (exactly three floats), "floats" (one or more), "str", or the tuple
+# of admissible words.  A default is used as written, without the rule.
+_KEYS = {
+    "grid": {
+        "nx": ("int", 32, _CELLS),
+        "ny": ("int", 32, _CELLS),
+        "nz": ("int", 16, _CELLS),
+        "lx": ("float", 1.0, _POSITIVE),
+        "ly": ("float", 1.0, _POSITIVE),
+        "h": ("float", 1.0, _POSITIVE),
+    },
     "phys": {
-        "nu1": "float",
-        "nu2": "float",
-        "nu3": "float",
-        "f0": "float",
-        "coriolis_mode": "choice",
-        "l0": "float",
-        "l_slope": "float",
+        "nu1": ("float", 1e-2, _POSITIVE),
+        "nu2": ("float", 1e-2, _POSITIVE),
+        "nu3": ("float", 1e-2, _POSITIVE),
+        "f0": ("float", 1.0, None),
+        "coriolis_mode": (("f_plane", "beta_plane"), "f_plane", None),
+        "l0": ("float", math.pi / 4.0, None),
+        "l_slope": ("float", 0.0, None),
     },
     "diffusion": {
-        "m11": "float",
-        "m12": "float",
-        "m13": "float",
-        "m22": "float",
-        "m23": "float",
-        "m33": "float",
-        "tensor_file": "str",
+        "m11": ("float", 1.0, None),
+        "m12": ("float", 0.0, None),
+        "m13": ("float", 0.0, None),
+        "m22": ("float", 1.0, None),
+        "m23": ("float", 0.0, None),
+        "m33": ("float", 1.0, None),
+        "tensor_file": ("str", None, None),
     },
     "source": {
-        "kind": "choice",
-        "intensity": "float",
-        "t_s": "float",
-        "x_s": "float3",
-        "width": "float",
+        "kind": (("gaussian", "unit_impulse", "lorentzian", "delta_deposit"), "gaussian", None),
+        "intensity": ("float", 1.0, _NONNEGATIVE),
+        "t_s": ("float", 0.1, _NONNEGATIVE),
+        "x_s": ("float3", (0.5, 0.5, 0.5), None),
+        "width": ("float", None, _POSITIVE),
     },
-    "bc": {"theta_mode": "choice", "theta1": "float", "theta2": "float", "theta_file": "str"},
+    "bc": {
+        "theta_mode": (("zero", "constant", "file"), "zero", None),
+        "theta1": ("float", 0.0, None),
+        "theta2": ("float", 0.0, None),
+        "theta_file": ("str", None, None),
+    },
     "init": {
-        "velocity": "choice",
-        "velocity_amp": "float",
-        "concentration": "choice",
-        "blob_amp": "float",
-        "blob_center": "float3",
-        "blob_width": "float",
+        "velocity": (("zero", "taylor_green_h"), "zero", None),
+        "velocity_amp": ("float", 1.0, None),
+        "concentration": (("zero", "gaussian_blob"), "zero", None),
+        "blob_amp": ("float", 1.0, None),
+        "blob_center": ("float3", (0.5, 0.5, 0.5), None),
+        "blob_width": ("float", 0.1, _POSITIVE),
     },
-    "time": {"T": "float", "cfl": "float", "dt_max": "float", "snapshot_every": "int"},
+    "time": {
+        "T": ("float", 1.0, _POSITIVE),
+        "cfl": ("float", 0.5, _UNIT),
+        "dt_max": ("float", math.inf, _POSITIVE),  # default: no cap
+        "snapshot_every": ("int", 4, _AT_LEAST_ONE),
+    },
     "run": {
-        "mode": "choice",
-        "eps_list": "floats",
-        "output_dir": "str",
-        "tol": "float",
+        "mode": (("aniso", "hydro", "sweep"), "aniso", None),
+        "eps_list": ("floats", (0.5,), _UNIT),
+        "output_dir": ("str", "out", None),
+        "tol": ("float", 1e-8, _POSITIVE),
     },
 }
 
 
 def _convert(section: str, key: str, raw: str, line: int):
-    kind = _SCHEMA[section][key]
+    kind, _, rule = _KEYS[section][key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ValueError(f"must be one of {kind}")
+            return raw
         if kind == "str":
             return raw
-        if kind == "floats":
-            return tuple(float(x.strip()) for x in raw.split(",") if x.strip())
-        if kind == "float3":
-            vals = tuple(float(x.strip()) for x in raw.split(",") if x.strip())
-            if len(vals) != 3:
-                raise ValueError(f"expected 3 comma-separated values, got {len(vals)}")
-            return vals
-        if kind == "choice":
-            if raw not in _CHOICES[(section, key)]:
-                raise ValueError(f"must be one of {_CHOICES[(section, key)]}")
-            return raw
+        if kind == "int":
+            value = int(raw)
+        elif kind == "float":
+            value = float(raw)
+        else:
+            value = tuple(float(x) for x in raw.split(",") if x.strip())
+            if kind == "float3" and len(value) != 3:
+                raise ValueError(f"expected 3 comma-separated values, got {len(value)}")
+            if not value:
+                raise ValueError("expected at least one value")
+        for v in value if isinstance(value, tuple) else (value,):
+            if not math.isfinite(v):
+                raise ValueError(f"must be finite, got {raw}")
+            if rule is not None and not rule[0](v):
+                raise ValueError(f"{rule[1]}, got {v}")
+        return value
     except ValueError as exc:
         raise ConfigError(str(exc), line, key) from None
-    raise ConfigError(f"unhandled schema kind {kind}", line, key)  # pragma: no cover
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     """Parse and fully validate a configuration.
 
     Never returns a partially applied configuration: any unknown key, type
-    mismatch, or invariant violation raises ConfigError with a line number.
+    mismatch, invariant violation, contradiction between keys or bad input
+    file raises ConfigError with a line number.
     """
     values: dict = {}
     lines_of: dict = {}
@@ -219,7 +222,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]", ln)
             continue
         if "=" not in stripped:
@@ -227,162 +230,85 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if section is None:
             raise ConfigError("key outside of any [section]", ln)
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown key '{key}' in section [{section}]", ln, key)
         if (section, key) in values:
             raise ConfigError("duplicate key", ln, key)
         values[(section, key)] = _convert(section, key, raw, ln)
         lines_of[(section, key)] = ln
 
-    def get(section, key, default):
-        return values.get((section, key), default)
+    def section_values(name):
+        return {key: values.get((name, key), spec[1]) for key, spec in _KEYS[name].items()}
 
-    def line(section, key):
-        return lines_of.get((section, key))
+    def first_given(name, keys):
+        """(line, key) of the first of ``keys`` the config sets, or None."""
+        return min(((lines_of[(name, k)], k) for k in keys if (name, k) in lines_of), default=None)
 
-    def fail(section, key, msg):
-        raise ConfigError(msg, line(section, key), key)
+    grid = GridSpec(**section_values("grid"))
 
-    # grid
-    gdef = GridSpec(32, 32, 16)
-    try:
-        grid_spec = GridSpec(
-            nx=get("grid", "nx", gdef.nx),
-            ny=get("grid", "ny", gdef.ny),
-            nz=get("grid", "nz", gdef.nz),
-            lx=get("grid", "lx", gdef.lx),
-            ly=get("grid", "ly", gdef.ly),
-            h=get("grid", "h", gdef.h),
+    phys = section_values("phys")
+    if phys["coriolis_mode"] == "f_plane" and phys["l_slope"] != 0.0:
+        raise ConfigError(
+            "is ignored on the f-plane; set coriolis_mode = beta_plane",
+            lines_of[("phys", "l_slope")],
+            "l_slope",
         )
-    except ValueError as exc:
-        ln = next((line("grid", k) for k in ("nx", "ny", "nz", "lx", "ly", "h") if line("grid", k)), None)
-        raise ConfigError(str(exc), ln) from None
 
-    # phys
-    for key in ("nu1", "nu2", "nu3"):
-        v = get("phys", key, 1e-2)
-        if not (v > 0 and math.isfinite(v)):
-            fail("phys", key, f"{key} must be positive, got {v}")
-
-    # diffusion
-    if ("diffusion", "tensor_file") in values:
-        path = os.path.join(base_dir, values[("diffusion", "tensor_file")])
-        if not os.path.exists(path):
-            fail("diffusion", "tensor_file", f"file not found: {path}")
-        diffusion = _read_tensor_file(path, grid_spec, line("diffusion", "tensor_file"))
-    else:
+    entries = section_values("diffusion")
+    tensor_file = entries.pop("tensor_file")
+    if tensor_file is None:
         try:
-            diffusion = DiffusionTensor.from_upper(
-                get("diffusion", "m11", 1.0),
-                get("diffusion", "m12", 0.0),
-                get("diffusion", "m13", 0.0),
-                get("diffusion", "m22", 1.0),
-                get("diffusion", "m23", 0.0),
-                get("diffusion", "m33", 1.0),
-            )
+            diffusion = DiffusionTensor.from_upper(**entries)
         except ValueError as exc:
-            # Non-finite or non-coercive entries; the defaults are neither,
-            # so some m* key was given: report the first one.
-            ln, key = min(
-                (ln, key) for (sec, key), ln in lines_of.items() if sec == "diffusion"
+            # The defaults are coercive, so some m* key was given: report the first.
+            raise ConfigError(str(exc), *first_given("diffusion", entries)) from None
+    else:
+        ignored = first_given("diffusion", entries)
+        if ignored is not None:
+            raise ConfigError("is ignored when tensor_file sets the tensor", *ignored)
+        ln = lines_of[("diffusion", "tensor_file")]
+        cells = _read_cell_file(
+            os.path.join(base_dir, tensor_file), (grid.nx, grid.ny, grid.nz), 6, ln, "tensor_file"
+        )
+        try:
+            diffusion = DiffusionTensor.from_upper(*np.moveaxis(cells, -1, 0))
+        except ValueError as exc:
+            raise ConfigError(str(exc), ln, "tensor_file") from None
+
+    source = SourceConfig(**section_values("source"))
+    if source.intensity > 0:
+        try:
+            check_location(source.x_s, grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc), lines_of.get(("source", "x_s")), "x_s") from None
+
+    bc = section_values("bc")
+    theta = None
+    if bc["theta_mode"] == "constant":
+        theta = BoundaryForcing.constant(grid, bc["theta1"], bc["theta2"])
+    elif bc["theta_mode"] == "file":
+        if bc["theta_file"] is None:
+            raise ConfigError(
+                "theta_mode = file requires theta_file", lines_of[("bc", "theta_mode")], "theta_file"
             )
-            raise ConfigError(str(exc), ln, key) from None
-
-    # source
-    src_kind = get("source", "kind", "gaussian")
-    intensity = get("source", "intensity", 1.0)
-    if intensity < 0:
-        fail("source", "intensity", f"intensity must be >= 0, got {intensity}")
-    t_s = get("source", "t_s", 0.1)
-    if t_s < 0:
-        fail("source", "t_s", f"switch time must be >= 0, got {t_s}")
-    x_s = get("source", "x_s", (0.5, 0.5, 0.5))
-    width = get("source", "width", None)
-    if width is not None and not width > 0:
-        fail("source", "width", f"width must be positive, got {width}")
-    dgx, dgy, dgz = grid_spec.lx / grid_spec.nx, grid_spec.ly / grid_spec.ny, grid_spec.h / grid_spec.nz
-    margins = (
-        min(x_s[0], grid_spec.lx - x_s[0]) / dgx,
-        min(x_s[1], grid_spec.ly - x_s[1]) / dgy,
-        min(x_s[2], grid_spec.h - x_s[2]) / dgz,
-    )
-    if intensity > 0 and min(margins) < 2.0:
-        fail("source", "x_s", f"source location {x_s} closer than two cell widths to the boundary")
-    source = SourceConfig(src_kind, intensity, t_s, tuple(x_s), width)
-
-    # bc
-    theta_mode = get("bc", "theta_mode", "zero")
-    theta_file = get("bc", "theta_file", None)
-    if theta_mode == "file":
-        if theta_file is None:
-            raise ConfigError("theta_mode = file requires theta_file", line("bc", "theta_mode"), "theta_file")
-        path = os.path.join(base_dir, theta_file)
-        if not os.path.exists(path):
-            fail("bc", "theta_file", f"file not found: {path}")
-        theta_file = path
-    bc = BCConfig(theta_mode, get("bc", "theta1", 0.0), get("bc", "theta2", 0.0), theta_file)
-
-    # init
-    blob_center = tuple(get("init", "blob_center", (0.5, 0.5, 0.5)))
-    blob_width = get("init", "blob_width", 0.1)
-    if blob_width <= 0:
-        fail("init", "blob_width", f"blob width must be positive, got {blob_width}")
-    init = InitConfig(
-        velocity=get("init", "velocity", "zero"),
-        velocity_amp=get("init", "velocity_amp", 1.0),
-        concentration=get("init", "concentration", "zero"),
-        blob_amp=get("init", "blob_amp", 1.0),
-        blob_center=blob_center,
-        blob_width=blob_width,
-    )
-
-    # time
-    T = get("time", "T", 1.0)
-    if not T > 0:
-        fail("time", "T", f"T must be positive, got {T}")
-    cfl = get("time", "cfl", 0.5)
-    if not (0 < cfl <= 1):
-        fail("time", "cfl", f"cfl must lie in (0, 1], got {cfl}")
-    dt_max = get("time", "dt_max", math.inf)
-    if not dt_max > 0:
-        fail("time", "dt_max", f"dt_max must be positive, got {dt_max}")
-    snapshot_every = get("time", "snapshot_every", 4)
-    if snapshot_every < 1:
-        fail("time", "snapshot_every", f"snapshot_every must be >= 1, got {snapshot_every}")
-    time_cfg = TimeConfig(T, cfl, dt_max, snapshot_every)
-
-    # run
-    eps_list = tuple(get("run", "eps_list", (0.5,)))
-    if not eps_list:
-        fail("run", "eps_list", "eps_list must be nonempty")
-    for e in eps_list:
-        if not (0 < e <= 1):
-            fail("run", "eps_list", f"every eps must lie in (0, 1], got {e}")
-    tol = get("run", "tol", 1e-8)
-    if not tol > 0:
-        fail("run", "tol", f"tol must be positive, got {tol}")
-    run = RunBlock(
-        mode=get("run", "mode", "aniso"),
-        eps_list=eps_list,
-        output_dir=get("run", "output_dir", "out"),
-        tol=tol,
-    )
+        pairs = _read_cell_file(
+            os.path.join(base_dir, bc["theta_file"]),
+            (grid.nx, grid.ny),
+            2,
+            lines_of[("bc", "theta_file")],
+            "theta_file",
+        )
+        theta = BoundaryForcing(pairs[..., 0], pairs[..., 1])
 
     return RunConfig(
-        grid=grid_spec,
-        nu1=get("phys", "nu1", 1e-2),
-        nu2=get("phys", "nu2", 1e-2),
-        nu3=get("phys", "nu3", 1e-2),
-        f0=get("phys", "f0", 1.0),
-        coriolis_mode=get("phys", "coriolis_mode", "f_plane"),
-        l0=get("phys", "l0", math.pi / 4.0),
-        l_slope=get("phys", "l_slope", 0.0),
+        grid=grid,
+        **phys,
         diffusion=diffusion,
         source=source,
-        bc=bc,
-        init=init,
-        time=time_cfg,
-        run=run,
+        theta=theta,
+        init=InitConfig(**section_values("init")),
+        time=TimeConfig(**section_values("time")),
+        run=RunBlock(**section_values("run")),
     )
 
 
@@ -392,50 +318,32 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _read_tensor_file(path: str, spec: GridSpec, ln: int | None) -> DiffusionTensor:
-    """Per-cell tensor file: header 'nx ny nz', then nx*ny*nz rows of the six
-    upper-triangle entries m11 m12 m13 m22 m23 m33, k fastest, then j, then i."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ConfigError(f"tensor file {path} is truncated", ln, "tensor_file")
-    nx, ny, nz = (int(t) for t in tokens[:3])
-    if (nx, ny, nz) != (spec.nx, spec.ny, spec.nz):
-        raise ConfigError(
-            f"tensor file grid {(nx, ny, nz)} does not match config grid "
-            f"{(spec.nx, spec.ny, spec.nz)}",
-            ln,
-            "tensor_file",
-        )
-    need = nx * ny * nz * 6
-    data = tokens[3:]
-    if len(data) != need:
-        raise ConfigError(
-            f"tensor file has {len(data)} entries, expected {need}", ln, "tensor_file"
-        )
-    vals = np.array([float(t) for t in data]).reshape(nx, ny, nz, 6)
-    m = np.empty((nx, ny, nz, 3, 3))
-    m[..., 0, 0] = vals[..., 0]
-    m[..., 0, 1] = m[..., 1, 0] = vals[..., 1]
-    m[..., 0, 2] = m[..., 2, 0] = vals[..., 2]
-    m[..., 1, 1] = vals[..., 3]
-    m[..., 1, 2] = m[..., 2, 1] = vals[..., 4]
-    m[..., 2, 2] = vals[..., 5]
+def _read_cell_file(path: str, dims: tuple, width: int, ln: int, key: str) -> np.ndarray:
+    """Read a per-cell input file; return its values with shape dims + (width,).
+
+    The file holds a header equal to the grid's cell counts ``dims``, then
+    ``width`` finite values per cell, the last index of ``dims`` fastest:
+    'nx ny nz' and the six upper-triangle entries m11 m12 m13 m22 m23 m33 of a
+    tensor file, 'nx ny' and 'theta1 theta2' of a traction file.
+    """
+
+    def error(message):
+        return ConfigError(f"{path}: {message}", ln, key)
+
+    if not os.path.isfile(path):
+        raise error("file not found")
     try:
-        return DiffusionTensor(m)
-    except ValueError as exc:
-        raise ConfigError(str(exc), ln, "tensor_file") from None
-
-
-def _read_theta_file(path: str, grid: Grid):
-    """Traction file: header 'nx ny', then nx*ny rows 'theta1 theta2', j fastest."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    nx, ny = int(tokens[0]), int(tokens[1])
-    if (nx, ny) != (grid.nx, grid.ny):
-        raise ConfigError(f"traction file grid {(nx, ny)} does not match {(grid.nx, grid.ny)}")
-    data = np.array([float(t) for t in tokens[2:]])
-    if data.size != nx * ny * 2:
-        raise ConfigError(f"traction file has {data.size} values, expected {nx * ny * 2}")
-    pairs = data.reshape(nx, ny, 2)
-    return pairs[..., 0], pairs[..., 1]
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+        header = tuple(int(t) for t in tokens[: len(dims)])
+        vals = np.array(tokens[len(dims) :], dtype=float)
+    except (OSError, ValueError) as exc:
+        raise error(str(exc)) from None
+    if header != dims:
+        raise error(f"header {header} does not match the grid {dims}")
+    need = width * math.prod(dims)
+    if vals.size != need:
+        raise error(f"has {vals.size} values, expected {need}")
+    if not np.all(np.isfinite(vals)):
+        raise error("values must be finite")
+    return vals.reshape(dims + (width,))

@@ -227,13 +227,18 @@ class DiffusionTensor:
     ``m`` has shape (3,3) for the constant variant or (nx,ny,nz,3,3) for the
     spatially varying one.  Symmetry and coercivity (smallest eigenvalue > 0
     everywhere, see ``coercivity_constant``) are required at construction, so
-    the solvers never re-check them.
+    the solvers never re-check them.  ``m`` is a read-only copy, so the two
+    constants derived from it at construction stay valid: ``coercivity``, and
+    ``row_sums``, the max over cells of sum_j |M_dj| for d = 0, 1, 2 (the
+    explicit-diffusion stability bound).
     """
 
     m: np.ndarray
+    coercivity: float = field(init=False)
+    row_sums: tuple = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        m = np.array(self.m, dtype=float)
         if m.shape[-2:] != (3, 3) or m.ndim not in (2, 5):
             raise ValueError(f"tensor must have shape (3,3) or (nx,ny,nz,3,3), got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -242,8 +247,11 @@ class DiffusionTensor:
         asym = float(np.max(np.abs(m - np.swapaxes(m, -1, -2))))
         if asym > 1e-12 * scale:
             raise ValueError(f"tensor asymmetry {asym:.3e} exceeds 1e-12 relative")
+        m.flags.writeable = False
         object.__setattr__(self, "m", m)
-        coercivity_constant(self)
+        object.__setattr__(self, "coercivity", coercivity_constant(self))
+        rows = tuple(float(np.max(np.sum(np.abs(m[..., d, :]), axis=-1))) for d in range(3))
+        object.__setattr__(self, "row_sums", rows)
 
     @property
     def is_spatial(self) -> bool:
@@ -255,18 +263,15 @@ class DiffusionTensor:
             return self.m[..., i, j]
         return float(self.m[i, j])
 
-    def row_abs_sum(self, d: int) -> float:
-        """max over cells of sum_j |M_dj| (explicit-diffusion stability bound)."""
-        s = np.sum(np.abs(self.m[..., d, :]), axis=-1)
-        return float(np.max(s))
-
     @classmethod
     def identity(cls) -> "DiffusionTensor":
         return cls(np.eye(3))
 
     @classmethod
     def from_upper(cls, m11, m12, m13, m22, m23, m33) -> "DiffusionTensor":
-        return cls(np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]], dtype=float))
+        """From the six upper-triangle entries: floats, or (nx,ny,nz) arrays."""
+        rows = ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33))
+        return cls(np.stack([np.stack(r, axis=-1) for r in rows], axis=-2))
 
 
 def _sym3_eigen_min(m: np.ndarray) -> np.ndarray:
@@ -374,7 +379,7 @@ class BoundaryForcing:
         return cls(z, z.copy())
 
     @classmethod
-    def constant(cls, grid: Grid, c1: float, c2: float) -> "BoundaryForcing":
+    def constant(cls, grid: Grid | GridSpec, c1: float, c2: float) -> "BoundaryForcing":
         return cls(np.full((grid.nx, grid.ny), float(c1)), np.full((grid.nx, grid.ny), float(c2)))
 
 

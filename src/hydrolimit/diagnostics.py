@@ -23,7 +23,6 @@ from .core import (
     DiffusionTensor,
     Grid,
     PhysParams,
-    coercivity_constant,
     coriolis_at,
 )
 from .operators import (
@@ -234,7 +233,7 @@ def energy_balance(history: RunHistory) -> EnergyReport:
     params = history.params
     eps = params.eps
     aniso = history.mode == "aniso"
-    lam = coercivity_constant(history.M)
+    lam = history.M.coercivity
     dV = grid.cell_volume
 
     n = len(history.states)

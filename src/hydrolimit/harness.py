@@ -320,7 +320,7 @@ def run_simulation(
     grid = build_grid(cfg.grid)
     params = cfg.phys_params(eps)
     M = cfg.diffusion
-    theta = cfg.boundary_forcing(grid)
+    theta = cfg.theta
     source = cfg.source_spec(eps, mode)
 
     u0 = initial_velocity(cfg, grid)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid
+from .core import Grid, GridSpec
 
-__all__ = ["SourceSpec", "evaluate_source", "source_norm_bound", "GAUSSIAN_NORM"]
+__all__ = ["SourceSpec", "check_location", "evaluate_source", "source_norm_bound", "GAUSSIAN_NORM"]
 
 _KINDS = ("gaussian", "unit_impulse", "lorentzian", "delta_deposit")
 
@@ -61,18 +61,14 @@ class SourceSpec:
                 raise ValueError(f"{self.kind} source requires a positive width")
 
 
-def _check_location(spec: SourceSpec, grid: Grid) -> None:
-    xs = spec.x_s
-    for c, lo, hi, d in (
-        (xs[0], 0.0, grid.lx, grid.dx),
-        (xs[1], 0.0, grid.ly, grid.dy),
-        (xs[2], 0.0, grid.h, grid.dz),
-    ):
-        if not (lo < c < hi):
-            raise ValueError(f"source location {xs} lies outside the domain")
-        if min(c - lo, hi - c) < 2.0 * d:
+def check_location(x_s: tuple, grid: Grid | GridSpec) -> None:
+    """Require x_s inside the domain and at least two cell widths from its walls."""
+    for c, length, n in zip(x_s, (grid.lx, grid.ly, grid.h), (grid.nx, grid.ny, grid.nz)):
+        if not (0.0 < c < length):
+            raise ValueError(f"source location {x_s} lies outside the domain")
+        if min(c, length - c) < 2.0 * (length / n):
             raise ValueError(
-                f"source location {xs} is closer than two cell widths to the boundary"
+                f"source location {x_s} is closer than two cell widths to the boundary"
             )
 
 
@@ -143,7 +139,7 @@ def evaluate_source(spec: SourceSpec, t: float, grid: Grid) -> np.ndarray:
     """Source field at time t: I * H(t - t_s) * pulse(x), H(0) = 1."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    _check_location(spec, grid)
+    check_location(spec.x_s, grid)
     if t < spec.t_s or spec.intensity == 0.0:
         return np.zeros(grid.shape_cells)
     return spec.intensity * _spatial_profile(spec, grid)
@@ -157,7 +153,7 @@ def source_norm_bound(spec: SourceSpec, grid: Grid, T: float) -> float:
     """
     if not T > 0:
         raise ValueError(f"T must be positive, got {T!r}")
-    _check_location(spec, grid)
+    check_location(spec.x_s, grid)
     active = max(T - spec.t_s, 0.0)
     if active == 0.0 or spec.intensity == 0.0:
         return 0.0

@@ -153,6 +153,31 @@ def test_coercivity_homogeneous_in_scaling(c):
     assert lam2 == pytest.approx(c * lam1, rel=1e-10)
 
 
+def test_row_sums_match_per_cell_loop():
+    rng = np.random.default_rng(11)
+    cells = np.empty((4, 5, 3, 3, 3))
+    for idx in np.ndindex(cells.shape[:3]):
+        cells[idx] = random_spd_tensor(rng)[0].m
+    M = DiffusionTensor(cells)
+    for d in range(3):
+        loop = max(
+            abs(cells[idx][d, 0]) + abs(cells[idx][d, 1]) + abs(cells[idx][d, 2])
+            for idx in np.ndindex(cells.shape[:3])
+        )
+        assert M.row_sums[d] == loop
+    assert M.coercivity == coercivity_constant(M)
+
+
+def test_tensor_is_a_read_only_copy():
+    """The stored constants cannot go stale: M owns its entries and they are frozen."""
+    m = np.diag([2.0, 3.0, 4.0])
+    M = DiffusionTensor(m)
+    m[0, 0] = -1.0
+    assert M.m[0, 0] == 2.0 and M.coercivity == 2.0 and M.row_sums == (2.0, 3.0, 4.0)
+    with pytest.raises(ValueError, match="read-only"):
+        M.m[0, 0] = -1.0
+
+
 # ---------------------------------------------------------------------------
 # scale_diffusion
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hydrolimit.cli import main as cli_main
-from hydrolimit.config import ConfigError, parse_config
+from hydrolimit.config import _KEYS, ConfigError, parse_config
 from hydrolimit.core import GridSpec, build_grid
 from hydrolimit.diagnostics import APRIORI_NORM_NAMES
 from hydrolimit.harness import (
@@ -196,6 +196,105 @@ def test_config_rejection_is_total(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[run]\nmode = warp\n")
     rc = cli_main([str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert not (tmp_path / "out").exists()
+
+
+_NUMBER_KEYS = [
+    (section, key, kind)
+    for section, keys in _KEYS.items()
+    for key, (kind, _, _) in keys.items()
+    if kind in ("float", "float3", "floats")
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "section,key,kind", _NUMBER_KEYS, ids=[f"{s}.{k}" for s, k, _ in _NUMBER_KEYS]
+)
+def test_parse_rejects_nonfinite_numbers(section, key, kind, bad):
+    """Every float key, taken from the key table, refuses NaN and inf at parse."""
+    value = {"float": bad, "float3": f"{bad}, 0.5, 0.5", "floats": f"0.5, {bad}"}[kind]
+    with pytest.raises(ConfigError, match="finite") as err:
+        parse_config(f"# comment\n[{section}]\n{key} = {value}\n")
+    assert err.value.line == 3 and err.value.key == key
+
+
+GRID4 = "[grid]\nnx = 4\nny = 4\nnz = 4\n"
+
+# key -> (config after GRID4 naming cells.txt, a valid cells.txt for it, line of the key)
+_CELL_FILES = {
+    "tensor_file": (
+        "[diffusion]\ntensor_file = cells.txt\n",
+        ["4 4 4"] + ["2.0 0.1 0.0 1.5 0.0 1.0"] * 64,
+        6,
+    ),
+    "theta_file": (
+        "[bc]\ntheta_mode = file\ntheta_file = cells.txt\n",
+        ["4 4"] + [f"{0.01 * i} {-0.02 * i}" for i in range(16)],
+        7,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key,mangle,match",
+    [
+        ("tensor_file", lambda r: r[:5] + ["2.0 0.1 x 1.5 0.0 1.0"] + r[6:], "convert"),
+        ("tensor_file", lambda r: ["4 4 5"] + r[1:], "header"),
+        ("tensor_file", lambda r: r + ["1.0"], "expected"),
+        ("theta_file", lambda r: r[:3] + ["nan 0.0"] + r[4:], "finite"),
+        ("theta_file", lambda r: r[:-1], "expected"),
+        ("theta_file", lambda r: ["4 5"] + r[1:], "header"),
+    ],
+    ids=["tensor-token", "tensor-header", "tensor-count", "theta-nan", "theta-truncated", "theta-grid"],
+)
+def test_parse_rejects_bad_cell_file(tmp_path, key, mangle, match):
+    cfg, rows, line = _CELL_FILES[key]
+    (tmp_path / "cells.txt").write_text("\n".join(mangle(rows)) + "\n")
+    with pytest.raises(ConfigError, match=match) as err:
+        parse_config(GRID4 + cfg, base_dir=str(tmp_path))
+    assert err.value.line == line and err.value.key == key
+
+
+def test_theta_file_roundtrip(tmp_path):
+    cfg, rows, _ = _CELL_FILES["theta_file"]
+    (tmp_path / "cells.txt").write_text("\n".join(rows) + "\n")
+    theta = parse_config(GRID4 + cfg, base_dir=str(tmp_path)).theta
+    pairs = np.array([[float(v) for v in row.split()] for row in rows[1:]]).reshape(4, 4, 2)
+    assert np.array_equal(theta.theta1, pairs[..., 0])
+    assert np.array_equal(theta.theta2, pairs[..., 1])
+
+
+def test_parse_rejects_entries_beside_tensor_file(tmp_path):
+    """An m* entry would be ignored when a tensor file sets the tensor."""
+    (tmp_path / "cells.txt").write_text("\n".join(_CELL_FILES["tensor_file"][1]) + "\n")
+    text = GRID4 + "[diffusion]\nm33 = 2.0\ntensor_file = cells.txt\nm11 = 3.0\n"
+    with pytest.raises(ConfigError, match="tensor_file") as err:
+        parse_config(text, base_dir=str(tmp_path))
+    assert err.value.line == 6 and err.value.key == "m33"
+
+
+@pytest.mark.parametrize("mode", ["", "coriolis_mode = f_plane\n"])
+def test_parse_rejects_slope_on_f_plane(mode):
+    with pytest.raises(ConfigError, match="beta_plane") as err:
+        parse_config(f"[phys]\n{mode}l_slope = 0.5\n")
+    assert err.value.key == "l_slope" and err.value.line == 2 + bool(mode)
+    assert parse_config(f"[phys]\n{mode}l_slope = 0\n").l_slope == 0.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[phys]\nf0 = nan\n", "[time]\nT = inf\n", "[source]\nx_s = nan, 0.5, 0.5\n",
+     GRID4 + _CELL_FILES["theta_file"][0]],
+    ids=["f0-nan", "T-inf", "x_s-nan", "theta_file-nan"],
+)
+def test_cli_rejects_nonfinite_input_before_output(tmp_path, text):
+    rows = list(_CELL_FILES["theta_file"][1])
+    rows[2] = "nan 0.0"
+    (tmp_path / "cells.txt").write_text("\n".join(rows) + "\n")
+    (tmp_path / "bad.cfg").write_text(text)
+    rc = cli_main([str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 1
     assert not (tmp_path / "out").exists()
 
