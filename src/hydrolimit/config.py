@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryForcing, DiffusionTensor, GridSpec, PhysParams
+from .core import BoundaryForcing, DiffusionTensor, GridSpec, PhysParams, cell_size
 from .sources import SourceSpec, check_location
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -177,6 +177,14 @@ _KEYS = {
 }
 
 
+# theta_mode -> the [bc] keys it leaves unused.
+_IGNORED_BC_KEYS = {
+    "zero": ("theta1", "theta2", "theta_file"),
+    "constant": ("theta_file",),
+    "file": ("theta1", "theta2"),
+}
+
+
 def _convert(section: str, key: str, raw: str, line: int):
     kind, _, rule = _KEYS[section][key]
     try:
@@ -245,6 +253,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         return min(((lines_of[(name, k)], k) for k in keys if (name, k) in lines_of), default=None)
 
     grid = GridSpec(**section_values("grid"))
+    for key, n in (("lx", grid.nx), ("ly", grid.ny), ("h", grid.nz)):
+        try:
+            cell_size(getattr(grid, key), n)
+        except ValueError as exc:
+            raise ConfigError(str(exc), lines_of.get(("grid", key)), key) from None
 
     phys = section_values("phys")
     if phys["coriolis_mode"] == "f_plane" and phys["l_slope"] != 0.0:
@@ -276,6 +289,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             raise ConfigError(str(exc), ln, "tensor_file") from None
 
     source = SourceConfig(**section_values("source"))
+    if source.kind == "delta_deposit" and source.width is not None:
+        raise ConfigError("is ignored for kind = delta_deposit", *first_given("source", ["width"]))
     if source.intensity > 0:
         try:
             check_location(source.x_s, grid)
@@ -283,6 +298,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             raise ConfigError(str(exc), lines_of.get(("source", "x_s")), "x_s") from None
 
     bc = section_values("bc")
+    ignored = first_given("bc", _IGNORED_BC_KEYS[bc["theta_mode"]])
+    if ignored is not None:
+        raise ConfigError(f"is ignored under theta_mode = {bc['theta_mode']}", *ignored)
     theta = None
     if bc["theta_mode"] == "constant":
         theta = BoundaryForcing.constant(grid, bc["theta1"], bc["theta2"])

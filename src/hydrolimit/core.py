@@ -17,6 +17,7 @@ __all__ = [
     "GridSpec",
     "Grid",
     "build_grid",
+    "cell_size",
     "PhysParams",
     "coriolis_at",
     "DiffusionTensor",
@@ -150,14 +151,20 @@ class Grid:
         return (i, j, k)
 
 
+def cell_size(length: float, n: int) -> float:
+    """Width length/n of one of n cells; raises ValueError unless it is a
+    positive finite number (a tiny length underflows to 0)."""
+    d = length / n
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"degenerate cell size {length!r}/{n} = {d!r}")
+    return d
+
+
 def build_grid(spec: GridSpec) -> Grid:
     """Build the uniform staggered grid for a validated spec."""
-    dx = spec.lx / spec.nx
-    dy = spec.ly / spec.ny
-    dz = spec.h / spec.nz
-    for name, d in (("dx", dx), ("dy", dy), ("dz", dz)):
-        if not (math.isfinite(d) and d > 0):
-            raise ValueError(f"degenerate cell size {name}={d}")
+    dx = cell_size(spec.lx, spec.nx)
+    dy = cell_size(spec.ly, spec.ny)
+    dz = cell_size(spec.h, spec.nz)
     x1f = np.linspace(0.0, spec.lx, spec.nx + 1)
     x2f = np.linspace(0.0, spec.ly, spec.ny + 1)
     x3f = np.linspace(0.0, spec.h, spec.nz + 1)

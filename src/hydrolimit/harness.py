@@ -4,9 +4,10 @@ models, single runs, eps sweeps, field and report output.
 A run projects its initial velocity to the divergence-free space of its mode,
 steps with a fixed dt chosen once from the initial stability limit (so
 snapshots are uniformly spaced and schedules are shared across a sweep),
-writes legacy-VTK snapshots and the energy/norm CSV ledgers, and returns the
-in-memory history for diagnostics.  Outputs are deterministic for a fixed
-configuration; a numerical abort flushes the last good snapshot.
+writes binary legacy-VTK snapshots (for viewing) and the energy/norm CSV
+ledgers, and returns the in-memory history for diagnostics.  Outputs are
+deterministic for a fixed configuration; a numerical abort flushes the last
+good snapshot.
 """
 
 from __future__ import annotations
@@ -105,38 +106,37 @@ def read_csv(path: str):
     return header, rows
 
 
-def write_vtk(state: SimState, path: str, grid: Grid, title: str = "hydrolimit") -> None:
-    """Legacy ASCII VTK snapshot, STRUCTURED_POINTS on the cell centres.
+def _be_block(a: np.ndarray) -> bytes:
+    """One data block: the values as big-endian float64 bits, then a newline."""
+    return a.astype(">f8").tobytes() + b"\n"
 
-    Emits SCALARS C and p and VECTORS velocity (face values averaged to
-    centres) as POINT_DATA; point order is x-fastest per the VTK convention.
+
+def write_vtk(state: SimState, path: str, grid: Grid, title: str = "hydrolimit") -> None:
+    """Legacy BINARY VTK snapshot, STRUCTURED_POINTS on the cell centres.
+
+    An ASCII header, then SCALARS C and p and VECTORS velocity (face values
+    averaged to centres, the three components interleaved per point) as
+    POINT_DATA, each one block of big-endian float64 followed by a newline.
+    Point order is x-fastest per the VTK convention.  The values are stored
+    bit for bit, so the file is exact and deterministic.
     """
     nx, ny, nz = grid.nx, grid.ny, grid.nz
-    n = nx * ny * nz
     p3 = state.p if state.p.ndim == 3 else np.broadcast_to(state.p[:, :, None], (nx, ny, nz))
-    v1, v2, v3 = state.u.center_components()
-
-    parts = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET STRUCTURED_POINTS",
-        f"DIMENSIONS {nx} {ny} {nz}",
-        f"ORIGIN {_fmt(grid.dx / 2)} {_fmt(grid.dy / 2)} {_fmt(grid.dz / 2)}",
-        f"SPACING {_fmt(grid.dx)} {_fmt(grid.dy)} {_fmt(grid.dz)}",
-        f"POINT_DATA {n}",
-        "SCALARS C double 1",
-        "LOOKUP_TABLE default",
-    ]
-    parts.extend(_fmt(v) for v in state.C.ravel(order="F"))
-    parts.append("SCALARS p double 1")
-    parts.append("LOOKUP_TABLE default")
-    parts.extend(_fmt(v) for v in p3.ravel(order="F"))
-    parts.append("VECTORS velocity double")
-    f1, f2, f3 = (a.ravel(order="F") for a in (v1, v2, v3))
-    parts.extend(f"{_fmt(a)} {_fmt(b)} {_fmt(c)}" for a, b, c in zip(f1, f2, f3))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    velocity = np.stack([v.ravel(order="F") for v in state.u.center_components()], axis=1)
+    header = (
+        f"# vtk DataFile Version 3.0\n{title}\nBINARY\nDATASET STRUCTURED_POINTS\n"
+        f"DIMENSIONS {nx} {ny} {nz}\n"
+        f"ORIGIN {_fmt(grid.dx / 2)} {_fmt(grid.dy / 2)} {_fmt(grid.dz / 2)}\n"
+        f"SPACING {_fmt(grid.dx)} {_fmt(grid.dy)} {_fmt(grid.dz)}\n"
+        f"POINT_DATA {nx * ny * nz}\nSCALARS C double 1\nLOOKUP_TABLE default\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(_be_block(state.C.ravel(order="F")))
+        fh.write(b"SCALARS p double 1\nLOOKUP_TABLE default\n")
+        fh.write(_be_block(p3.ravel(order="F")))
+        fh.write(b"VECTORS velocity double\n")
+        fh.write(_be_block(velocity))
 
 
 def initial_velocity(cfg: RunConfig, grid: Grid) -> StaggeredVelocity:

@@ -11,6 +11,7 @@ from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
 from hydrolimit.core import GridSpec, build_grid
 from hydrolimit.diagnostics import APRIORI_NORM_NAMES
+from hydrolimit.operators import StaggeredVelocity
 from hydrolimit.harness import (
     epsilon_sweep,
     initial_velocity,
@@ -284,6 +285,39 @@ def test_parse_rejects_slope_on_f_plane(mode):
 
 
 @pytest.mark.parametrize(
+    "text,key,line",
+    [
+        ("[bc]\ntheta1 = 5\n", "theta1", 2),
+        ("[bc]\ntheta_file = cells.txt\ntheta_mode = zero\n", "theta_file", 2),
+        ("[bc]\ntheta_mode = constant\ntheta1 = 1\ntheta_file = cells.txt\n", "theta_file", 4),
+        ("[bc]\ntheta_mode = file\ntheta_file = cells.txt\ntheta2 = 1\n", "theta2", 4),
+        ("[source]\nkind = delta_deposit\nwidth = 0.1\n", "width", 3),
+    ],
+    ids=["theta1-zero", "theta_file-zero", "theta_file-constant", "theta2-file", "width-delta"],
+)
+def test_parse_rejects_ignored_keys(tmp_path, text, key, line):
+    """A key that another key makes irrelevant is an error at its own line."""
+    (tmp_path / "cells.txt").write_text("\n".join(_CELL_FILES["theta_file"][1]) + "\n")
+    with pytest.raises(ConfigError, match="is ignored") as err:
+        parse_config(GRID4 + text, base_dir=str(tmp_path))
+    assert err.value.key == key and err.value.line == 4 + line
+
+
+@pytest.mark.parametrize("key", ["lx", "ly", "h"])
+def test_parse_rejects_degenerate_cell_size(tmp_path, key):
+    """A positive length so small that length/n underflows to a zero cell
+    size is a config error at its line, and the CLI makes no output."""
+    text = f"[source]\nintensity = 0\n[grid]\n{key} = 5e-324\n"
+    with pytest.raises(ConfigError, match="degenerate cell size") as err:
+        parse_config(text)
+    assert err.value.key == key and err.value.line == 4
+    (tmp_path / "tiny.cfg").write_text(text)
+    rc = cli_main([str(tmp_path / "tiny.cfg"), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "text",
     ["[phys]\nf0 = nan\n", "[time]\nT = inf\n", "[source]\nx_s = nan, 0.5, 0.5\n",
      GRID4 + _CELL_FILES["theta_file"][0]],
@@ -352,43 +386,116 @@ def test_taylor_green_preset_nontrivial():
 # ---------------------------------------------------------------------------
 
 
+_VTK_HEADER = [
+    "# vtk DataFile Version 3.0",
+    None,  # the title
+    "BINARY",
+    "DATASET STRUCTURED_POINTS",
+    None,  # DIMENSIONS
+    None,  # ORIGIN
+    None,  # SPACING
+    None,  # POINT_DATA
+    "SCALARS C double 1",
+    "LOOKUP_TABLE default",
+]
+
+
+def _read_vtk(path, n):
+    """Test-only reader of a write_vtk file: its ten header lines and the C,
+    p and velocity (n x 3) blocks, checking every keyword and separator."""
+    raw = path.read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = raw.index(b"\n", pos)
+        text, pos = raw[pos:end].decode(), end + 1
+        return text
+
+    def block(count):
+        nonlocal pos
+        data = np.frombuffer(raw, ">f8", count, pos)
+        pos += 8 * count
+        assert raw[pos : pos + 1] == b"\n"
+        pos += 1
+        return data
+
+    header = [line() for _ in _VTK_HEADER]
+    assert all(want in (None, got) for want, got in zip(_VTK_HEADER, header))
+    assert header[7] == f"POINT_DATA {n}"
+    C = block(n)
+    assert [line(), line()] == ["SCALARS p double 1", "LOOKUP_TABLE default"]
+    p = block(n)
+    assert line() == "VECTORS velocity double"
+    velocity = block(3 * n).reshape(n, 3)
+    assert pos == len(raw)
+    return header, C, p, velocity
+
+
 def test_vtk_zero_state_header_and_bytes(tmp_path):
     g = build_grid(GridSpec(4, 4, 4))
     st = SimState.zeros(g)
     path = tmp_path / "snap.vtk"
     write_vtk(st, str(path), g, title="zero state")
-    text = path.read_text()
-    lines = text.split("\n")
-    assert lines[0] == "# vtk DataFile Version 3.0"
-    assert lines[1] == "zero state"
-    assert lines[2] == "ASCII"
-    assert lines[3] == "DATASET STRUCTURED_POINTS"
-    assert lines[4] == "DIMENSIONS 4 4 4"
+    raw = path.read_bytes()
+    lines = raw.split(b"\n", 10)[:10]
+    assert lines[0] == b"# vtk DataFile Version 3.0"
+    assert lines[1] == b"zero state"
+    assert lines[2] == b"BINARY"
+    assert lines[3] == b"DATASET STRUCTURED_POINTS"
+    assert lines[4] == b"DIMENSIONS 4 4 4"
+    assert lines[7] == b"POINT_DATA 64"
     n = 64
-    # byte count is predictable: fixed header + "0.0" per scalar entry
-    header = "\n".join(lines[:10]) + "\n"
+    # byte count is predictable: the header, two keyword blocks, and one
+    # float64 per value in each data block, each block closed by a newline
+    header = b"\n".join(lines) + b"\n"
     expected = (
         len(header)
-        + n * len("0.0\n")  # C
-        + len("SCALARS p double 1\nLOOKUP_TABLE default\n")
-        + n * len("0.0\n")  # p
-        + len("VECTORS velocity double\n")
-        + n * len("0.0 0.0 0.0\n")
+        + 8 * n + 1  # C
+        + len(b"SCALARS p double 1\nLOOKUP_TABLE default\n")
+        + 8 * n + 1  # p
+        + len(b"VECTORS velocity double\n")
+        + 24 * n + 1  # velocity
     )
-    assert len(text.encode()) == expected
+    assert len(raw) == expected
+    _, C, p, velocity = _read_vtk(path, n)
+    assert not C.any() and not p.any() and not velocity.any()
 
 
 def test_vtk_point_order_x_fastest(tmp_path):
     g = build_grid(GridSpec(4, 4, 4))
     C = np.zeros(g.shape_cells)
     C[1, 0, 0] = 7.0  # second point in VTK order
-    st = SimState(0.0, 0, __import__("hydrolimit").StaggeredVelocity.zeros(g), np.zeros(g.shape_cells), C)
+    st = SimState(0.0, 0, StaggeredVelocity.zeros(g), np.zeros(g.shape_cells), C)
     path = tmp_path / "o.vtk"
     write_vtk(st, str(path), g)
-    lines = path.read_text().split("\n")
-    data = lines[10 : 10 + 64]
-    assert float(data[1]) == 7.0
-    assert float(data[0]) == 0.0
+    raw = path.read_bytes()
+    start = raw.index(b"LOOKUP_TABLE default\n") + len(b"LOOKUP_TABLE default\n")
+    data = np.frombuffer(raw, ">f8", 64, start)
+    assert data[1] == 7.0
+    assert data[0] == 0.0
+    assert np.count_nonzero(data) == 1
+
+
+@pytest.mark.parametrize("mode", ["aniso", "hydro"])
+def test_vtk_roundtrip_exact(tmp_path, mode):
+    """Every value reads back with the bits of the state it came from; the
+    hydrostatic surface pressure is broadcast over z."""
+    g = build_grid(GridSpec(5, 4, 6, lx=1.5, ly=0.75, h=0.5))
+    rng = np.random.default_rng(11)
+    u = StaggeredVelocity(*(rng.normal(size=s) for s in (g.shape_u1, g.shape_u2, g.shape_u3)))
+    p = rng.normal(size=g.shape_cells if mode == "aniso" else (g.nx, g.ny))
+    C = rng.normal(size=g.shape_cells)
+    st = SimState(0.25, 3, u, p, C)
+    path = tmp_path / "r.vtk"
+    write_vtk(st, str(path), g, title=f"{mode} round trip")
+    header, C_back, p_back, vel_back = _read_vtk(path, g.nx * g.ny * g.nz)
+    assert header[1] == f"{mode} round trip"
+    assert header[4] == f"DIMENSIONS {g.nx} {g.ny} {g.nz}"
+    p3 = p if mode == "aniso" else np.broadcast_to(p[:, :, None], g.shape_cells)
+    pairs = [(C_back, C), (p_back, p3)] + list(zip(vel_back.T, u.center_components()))
+    for back, want in pairs:
+        assert back.astype("<f8").tobytes() == want.ravel(order="F").tobytes()
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -504,7 +611,8 @@ def test_numerical_abort_exit_code_and_flush(tmp_path):
     out = tmp_path / "aborted"
     rc = cli_main([str(cfgfile), "--out", str(out), "--quiet"])
     assert rc == 2
-    assert (out / "snapshots" / "last_good.vtk").exists()
+    header, _, _, _ = _read_vtk(out / "snapshots" / "last_good.vtk", 8 * 8 * 6)
+    assert header[1].endswith("aborted")
 
 
 def test_cli_config_error_exit_code(tmp_path):
