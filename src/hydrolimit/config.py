@@ -210,7 +210,7 @@ def _convert(section: str, key: str, raw: str, line: int):
             if rule is not None and not rule[0](v):
                 raise ValueError(f"{rule[1]}, got {v}")
         return value
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ConfigError(str(exc), line, key) from None
 
 

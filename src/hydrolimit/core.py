@@ -21,6 +21,7 @@ __all__ = [
     "PhysParams",
     "coriolis_at",
     "DiffusionTensor",
+    "face_average",
     "coercivity_constant",
     "scale_diffusion",
     "BoundaryForcing",
@@ -234,20 +235,35 @@ class DiffusionTensor:
     ``m`` has shape (3,3) for the constant variant or (nx,ny,nz,3,3) for the
     spatially varying one.  Symmetry and coercivity (smallest eigenvalue > 0
     everywhere, see ``coercivity_constant``) are required at construction, so
-    the solvers never re-check them.  ``m`` is a read-only copy, so the two
-    constants derived from it at construction stay valid: ``coercivity``, and
+    the solvers never re-check them.  ``m`` is a read-only copy, so what is
+    derived from it at construction stays valid: ``coercivity``;
     ``row_sums``, the max over cells of sum_j |M_dj| for d = 0, 1, 2 (the
-    explicit-diffusion stability bound).
+    explicit-diffusion stability bound); and the operands of the diffusion
+    stencil, ``entry(i, j)`` and ``face_diagonal``, M_dd averaged to the
+    faces normal to axis d (``face_average``).  A per-cell tensor keeps its
+    one copy as a C-contiguous (3,3,nx,ny,nz) array, so each entry is a
+    contiguous field, and ``m`` is the (nx,ny,nz,3,3) view of it.
     """
 
     m: np.ndarray
     coercivity: float = field(init=False)
     row_sums: tuple = field(init=False)
+    face_diagonal: tuple = field(init=False, repr=False)
+    _cells: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
+        m = np.asarray(self.m, dtype=float)
         if m.shape[-2:] != (3, 3) or m.ndim not in (2, 5):
             raise ValueError(f"tensor must have shape (3,3) or (nx,ny,nz,3,3), got {m.shape}")
+        if m.ndim == 5:
+            cells = np.array(np.moveaxis(m, (-2, -1), (0, 1)), order="C")
+            faces = tuple(face_average(cells[d, d], d) for d in range(3))
+            for a in (cells, *faces):
+                a.flags.writeable = False
+            m = np.moveaxis(cells, (0, 1), (-2, -1))
+        else:
+            cells, m = None, m.copy()
+            faces = tuple(float(m[d, d]) for d in range(3))
         if not np.all(np.isfinite(m)):
             raise ValueError("tensor entries must be finite")
         scale = max(float(np.max(np.abs(m))), 1e-300)
@@ -259,15 +275,18 @@ class DiffusionTensor:
         object.__setattr__(self, "coercivity", coercivity_constant(self))
         rows = tuple(float(np.max(np.sum(np.abs(m[..., d, :]), axis=-1))) for d in range(3))
         object.__setattr__(self, "row_sums", rows)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "face_diagonal", faces)
 
     @property
     def is_spatial(self) -> bool:
         return self.m.ndim == 5
 
     def entry(self, i: int, j: int):
-        """Entry M_ij: a float (constant) or an (nx,ny,nz) array (spatial)."""
-        if self.is_spatial:
-            return self.m[..., i, j]
+        """Entry M_ij: a float (constant) or a read-only C-contiguous
+        (nx,ny,nz) array (spatial)."""
+        if self._cells is not None:
+            return self._cells[i, j]
         return float(self.m[i, j])
 
     @classmethod
@@ -279,6 +298,24 @@ class DiffusionTensor:
         """From the six upper-triangle entries: floats, or (nx,ny,nz) arrays."""
         rows = ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33))
         return cls(np.stack([np.stack(r, axis=-1) for r in rows], axis=-2))
+
+
+def face_average(cell_field: np.ndarray, axis: int) -> np.ndarray:
+    """Average a cell-centred field to the faces normal to ``axis``.
+
+    Interior faces take the two-cell mean; boundary faces copy the single
+    adjacent cell (one-sided).
+    """
+    shape = list(cell_field.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    c = np.moveaxis(cell_field, axis, 0)
+    f = np.moveaxis(out, axis, 0)
+    np.add(c[:-1], c[1:], out=f[1:-1])
+    f[1:-1] *= 0.5
+    f[0] = c[0]
+    f[-1] = c[-1]
+    return out
 
 
 def _sym3_eigen_min(m: np.ndarray) -> np.ndarray:

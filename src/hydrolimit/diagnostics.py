@@ -665,7 +665,8 @@ def _solution_center_gradients(u: StaggeredVelocity, history: RunHistory):
     g21 = avg((e2[2:, 1:-1, 1:-1] - e2[:-2, 1:-1, 1:-1]) / (2 * dx), 1)
     g22 = (u.u2[:, 1:] - u.u2[:, :-1]) / dy
     g23 = avg((e2[1:-1, 1:-1, 2:] - e2[1:-1, 1:-1, :-2]) / (2 * dz), 1)
-    e3 = ext.u3e
+    # The hydrostatic u3 has no lateral condition: edge copies are its ghosts.
+    e3 = ext.u3e if history.mode == "aniso" else np.pad(u.u3, 1, mode="edge")
     g31 = avg((e3[2:, 1:-1, 1:-1] - e3[:-2, 1:-1, 1:-1]) / (2 * dx), 2)
     g32 = avg((e3[1:-1, 2:, 1:-1] - e3[1:-1, :-2, 1:-1]) / (2 * dy), 2)
     g33 = (u.u3[:, :, 1:] - u.u3[:, :, :-1]) / dz

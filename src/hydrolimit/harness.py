@@ -176,28 +176,40 @@ def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: G
     "aniso": the eps-weighted 3-D projection, p the 3-D pressure.  "hydro":
     the barotropic surface projection of (u1, u2) followed by the diagnosed
     u3 (u*'s own u3 is ignored), p the 2-D surface pressure.  Returns
-    (u, p, info) with the projection's info dict.
+    (u, p, info) with the projection's info dict; in both modes
+    info["max_abs_div"] is max|div u| of the returned 3-D field.
     """
     if mode == "aniso":
         return pressure_projection_anisotropic(u_star, eps, dt, grid, tol)
     u1, u2, ps, info = surface_pressure_projection(u_star.u1, u_star.u2, dt, grid, tol)
-    return StaggeredVelocity(u1, u2, diagnose_w(u1, u2, grid)), ps, info
+    u = StaggeredVelocity(u1, u2, diagnose_w(u1, u2, grid))
+    info["max_abs_div"] = float(np.max(np.abs(divergence(u, grid))))
+    return u, ps, info
+
+
+def _corner_average(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """0.25*(((a + b) + c) + d) in one fresh array."""
+    out = a + b
+    out += c
+    out += d
+    out *= 0.25
+    return out
 
 
 def _interp_u2_to_u1(u2: np.ndarray) -> np.ndarray:
-    return 0.25 * (u2[:-1, :-1] + u2[:-1, 1:] + u2[1:, :-1] + u2[1:, 1:])
+    return _corner_average(u2[:-1, :-1], u2[:-1, 1:], u2[1:, :-1], u2[1:, 1:])
 
 
 def _interp_u3_to_u1(u3: np.ndarray) -> np.ndarray:
-    return 0.25 * (u3[:-1, :, :-1] + u3[:-1, :, 1:] + u3[1:, :, :-1] + u3[1:, :, 1:])
+    return _corner_average(u3[:-1, :, :-1], u3[:-1, :, 1:], u3[1:, :, :-1], u3[1:, :, 1:])
 
 
 def _interp_u1_to_u2(u1: np.ndarray) -> np.ndarray:
-    return 0.25 * (u1[:-1, :-1] + u1[1:, :-1] + u1[:-1, 1:] + u1[1:, 1:])
+    return _corner_average(u1[:-1, :-1], u1[1:, :-1], u1[:-1, 1:], u1[1:, 1:])
 
 
 def _interp_u1_to_u3(u1: np.ndarray) -> np.ndarray:
-    return 0.25 * (u1[:-1, :, :-1] + u1[1:, :, :-1] + u1[:-1, :, 1:] + u1[1:, :, 1:])
+    return _corner_average(u1[:-1, :, :-1], u1[1:, :, :-1], u1[:-1, :, 1:], u1[1:, :, 1:])
 
 
 def step(
@@ -211,9 +223,9 @@ def step(
     mode: str,
     tol: float = 1e-8,
     forcing=None,
-) -> SimState:
+) -> tuple:
     """Advance the state of the ``mode`` ("aniso" | "hydro") model by one
-    explicit step.
+    explicit step; return (new state, the projection's info dict).
 
     Forward-Euler momentum predictor (advection, anisotropic diffusion,
     rotation), projection (``project``), then the concentration update with
@@ -226,60 +238,65 @@ def step(
 
     ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
     face/cell forcings (manufactured-solution hook); f3 acts only in "aniso".
+    Each right-hand side is summed in the order written above.
     """
     aniso = mode == "aniso"
     eps = params.eps
     if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
 
+    # u holds this step's own copies of the velocity (its boundary faces
+    # zeroed), so it becomes u* in place once every right-hand side has read
+    # it; only interior faces change, so u* keeps the boundary conditions.
     u = apply_velocity_bcs(state.u)
     ext = extend_velocity(u, theta, params.nu3, grid, mode)
     adv = advect_velocity(u, grid, ext=ext, components=(0, 1, 2) if aniso else (0, 1))
-    lap1 = anisotropic_laplacian(ext.u1e, params.nu, grid)
-    lap2 = anisotropic_laplacian(ext.u2e, params.nu, grid)
-
     alpha_c, beta_c = coriolis_at(params, grid.x2c)
     alpha_f, _ = coriolis_at(params, grid.x2f)
 
-    u1s = u.u1.copy()
-    u2s = u.u2.copy()
-    u3s = u.u3
-    rhs1 = -adv.u1[1:-1] + lap1[1:-1] + alpha_c[None, :, None] * _interp_u2_to_u1(u.u2)
+    rhs1 = anisotropic_laplacian(ext.u1e, params.nu, grid)[1:-1] - adv.u1[1:-1]
+    cor = _interp_u2_to_u1(u.u2)
+    cor *= alpha_c[None, :, None]
+    rhs1 += cor
     if aniso:
-        rhs1 = rhs1 - eps * beta_c[None, :, None] * _interp_u3_to_u1(u.u3)
-    u1s[1:-1] += dt * rhs1
-    u2s[:, 1:-1] += dt * (
-        -adv.u2[:, 1:-1] + lap2[:, 1:-1] - alpha_f[None, 1:-1, None] * _interp_u1_to_u2(u.u1)
-    )
+        cor = _interp_u3_to_u1(u.u3)
+        cor *= eps * beta_c[None, :, None]
+        rhs1 -= cor
+    rhs2 = anisotropic_laplacian(ext.u2e, params.nu, grid)[:, 1:-1] - adv.u2[:, 1:-1]
+    cor = _interp_u1_to_u2(u.u1)
+    cor *= alpha_f[None, 1:-1, None]
+    rhs2 -= cor
+    rhs = [rhs1, rhs2]
     if aniso:
-        lap3 = anisotropic_laplacian(ext.u3e, params.nu, grid)
-        u3s = u.u3.copy()
-        u3s[:, :, 1:-1] += dt * (
-            -adv.u3[:, :, 1:-1]
-            + lap3[:, :, 1:-1]
-            + (beta_c[None, :, None] / eps) * _interp_u1_to_u3(u.u1)
-        )
+        rhs3 = anisotropic_laplacian(ext.u3e, params.nu, grid)[:, :, 1:-1] - adv.u3[:, :, 1:-1]
+        cor = _interp_u1_to_u3(u.u1)
+        cor *= beta_c[None, :, None] / eps
+        rhs3 += cor
+        rhs.append(rhs3)
+    interior = (np.s_[1:-1], np.s_[:, 1:-1], np.s_[:, :, 1:-1])
+    for u_d, r, idx in zip(u.components(), rhs, interior):
+        r *= dt
+        u_d[idx] += r
     if forcing is not None:
-        f1, f2, f3, _ = forcing(state.t, grid)
-        u1s[1:-1] += dt * f1[1:-1]
-        u2s[:, 1:-1] += dt * f2[:, 1:-1]
-        if aniso:
-            u3s[:, :, 1:-1] += dt * f3[:, :, 1:-1]
+        *f, f_c = forcing(state.t, grid)
+        for u_d, f_d, idx in zip(u.components()[: len(rhs)], f, interior):
+            u_d[idx] += dt * f_d[idx]
 
-    u_star = apply_velocity_bcs(StaggeredVelocity(u1s, u2s, u3s))
-    u_new, p, _ = project(u_star, mode, eps, dt, grid, tol)
+    u_new, p, info = project(u, mode, eps, dt, grid, tol)
 
-    rhs_c = -advect_scalar(u_new, state.C, grid) + diffuse_concentration(state.C, M, grid)
+    c_new = advect_scalar(u_new, state.C, grid)
+    np.subtract(diffuse_concentration(state.C, M, grid), c_new, out=c_new)
     if source is not None:
-        rhs_c = rhs_c + evaluate_source(source, state.t, grid)
+        c_new += evaluate_source(source, state.t, grid)
     if forcing is not None:
-        rhs_c = rhs_c + forcing(state.t, grid)[3]
-    c_new = state.C + dt * rhs_c
+        c_new += f_c
+    c_new *= dt
+    c_new += state.C
 
     new = SimState(t=state.t + dt, step=state.step + 1, u=u_new, p=p, C=c_new)
     if not new.is_finite():
         raise NumericsError(f"non-finite state after step {new.step}")
-    return new
+    return new, info
 
 
 def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfig, grid: Grid):
@@ -355,8 +372,8 @@ def run_simulation(
     t0 = _time.perf_counter()
     try:
         for n in range(1, n_steps + 1):
-            state = step(state, params, M, theta, source, step_dt, grid, mode, tol=cfg.run.tol)
-            max_div = max(max_div, float(np.max(np.abs(divergence(state.u, grid)))))
+            state, info = step(state, params, M, theta, source, step_dt, grid, mode, tol=cfg.run.tol)
+            max_div = max(max_div, info["max_abs_div"])
             if n % cfg.time.snapshot_every == 0 or n == n_steps:
                 states.append(state)
                 snap(state)

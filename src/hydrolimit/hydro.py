@@ -14,7 +14,7 @@ import numpy as np
 
 from .aniso import ProjectionError
 from .core import Grid
-from .operators import solve_separable
+from .operators import horizontal_divergence, solve_separable
 
 __all__ = ["surface_pressure_projection", "diagnose_w"]
 
@@ -27,9 +27,12 @@ def diagnose_w(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> np.ndarray:
     construction telescopes the MAC divergence exactly; after the surface
     projection the top value is automatically at the projection tolerance.
     """
-    div_h = (u1[1:] - u1[:-1]) / grid.dx + (u2[:, 1:] - u2[:, :-1]) / grid.dy
+    div_h = horizontal_divergence(u1, u2, grid)
     u3 = np.zeros((grid.nx, grid.ny, grid.nz + 1))
-    u3[:, :, 1:] = -np.cumsum(div_h, axis=2) * grid.dz
+    w = u3[:, :, 1:]
+    np.cumsum(div_h, axis=2, out=w)
+    np.negative(w, out=w)
+    w *= grid.dz
     return u3
 
 
@@ -59,10 +62,11 @@ def surface_pressure_projection(
     dx, dy = grid.dx, grid.dy
 
     def depth_integrated(u1, u2):
-        int_u1 = np.sum(u1, axis=2) * grid.dz
-        int_u2 = np.sum(u2, axis=2) * grid.dz
-        div_h = (int_u1[1:] - int_u1[:-1]) / dx + (int_u2[:, 1:] - int_u2[:, :-1]) / dy
-        return int_u1, int_u2, div_h
+        int_u1 = np.sum(u1, axis=2)
+        int_u1 *= grid.dz
+        int_u2 = np.sum(u2, axis=2)
+        int_u2 *= grid.dz
+        return int_u1, int_u2, horizontal_divergence(int_u1, int_u2, grid)
 
     int_u1, int_u2, div_h = depth_integrated(u1_star, u2_star)
     mean = float(np.mean(div_h))
@@ -72,7 +76,10 @@ def surface_pressure_projection(
             f"incompatible right-hand side: mean divergence {mean:.3e} "
             f"(velocity divergence scale {scale:.3e})"
         )
-    b = -(div_h - mean) / dt
+    b = div_h  # b = -(div_h - mean)/dt, in div_h's buffer
+    b -= mean
+    np.negative(b, out=b)
+    b /= dt
     if np.max(np.abs(b)) <= tol / dt:
         ps, iters = np.zeros((grid.nx, grid.ny)), 0
     else:
@@ -81,10 +88,16 @@ def surface_pressure_projection(
 
     u1 = u1_star.copy()
     u2 = u2_star.copy()
-    u1[1:-1] -= dt * ((ps[1:] - ps[:-1]) / dx)[:, :, None]
-    u2[:, 1:-1] -= dt * ((ps[:, 1:] - ps[:, :-1]) / dy)[:, :, None]
+    # Every level, interior faces only: u_d -= dt*(ps[+1] - ps)/h_d.
+    for axis, (u_d, h) in enumerate(((u1, dx), (u2, dy))):
+        corr = np.diff(ps, axis=axis)
+        corr /= h
+        corr *= dt
+        u_d[(slice(None),) * axis + (slice(1, -1),)] -= corr[:, :, None]
     _, _, div_new = depth_integrated(u1, u2)
-    max_div = float(np.max(np.abs(div_new - mean)))
+    div_new -= mean
+    np.abs(div_new, out=div_new)
+    max_div = float(np.max(div_new))
     if max_div > tol:
         raise ProjectionError(
             f"projected depth-integrated divergence {max_div:.3e} exceeds tol {tol:.3e}"

@@ -1,8 +1,13 @@
 """Discrete vector calculus on the staggered grid.
 
 Scalar fields are plain ``(nx, ny, nz)`` ndarrays at cell centres; velocity
-components live on faces (see ``core.Grid``).  Stencil operators are pure:
-they allocate and return new arrays.
+components live on faces (see ``core.Grid``).  Stencil operators never
+write their inputs.  Each returns a freshly allocated array or a view of one:
+``anisotropic_laplacian`` and the diagonal-tensor branch of
+``diffuse_concentration`` run each pass over one contiguous window of the
+ghost-extended array's flat view and return the interior of their buffer.
+``divergence`` returns a C-contiguous array, because the projection's
+``np.mean`` over it must sum in the same order whatever produced the field.
 
 Boundary conditions enter through ghost layers.  ``extend_velocity`` /
 ``apply_concentration_bcs`` build ghost-extended arrays realising the model's
@@ -19,12 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BoundaryForcing, Grid
+from .core import BoundaryForcing, Grid, face_average
 
 __all__ = [
     "StaggeredVelocity",
     "VelocityExtension",
     "divergence",
+    "horizontal_divergence",
     "grad_pressure",
     "anisotropic_laplacian",
     "solve_separable",
@@ -36,9 +42,6 @@ __all__ = [
     "advect_scalar",
     "advect_velocity",
 ]
-
-_SCHEMES = ("upwind1", "centered2")
-
 
 @dataclass(frozen=True, eq=False)
 class StaggeredVelocity:
@@ -98,22 +101,41 @@ class StaggeredVelocity:
 
 
 class VelocityExtension(NamedTuple):
-    """Ghost-extended velocity components (one layer per side, every axis)."""
+    """Ghost-extended velocity components (one layer per side, every axis);
+    ``u3e`` is None for the hydrostatic model (see ``extend_velocity``)."""
 
     u1e: np.ndarray
     u2e: np.ndarray
-    u3e: np.ndarray
+    u3e: np.ndarray | None
+
+
+def horizontal_divergence(f1: np.ndarray, f2: np.ndarray, grid: Grid) -> np.ndarray:
+    """(f1[1:] - f1[:-1])/dx + (f2[:, 1:] - f2[:, :-1])/dy of x- and y-face
+    fields (3-D, or depth-integrated 2-D), summed in that order into one
+    fresh C-contiguous array."""
+    out = np.subtract(f1[1:], f1[:-1], order="C")
+    out /= grid.dx
+    t = f2[:, 1:] - f2[:, :-1]
+    t /= grid.dy
+    out += t
+    return out
+
+
+def _flux_divergence(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, grid: Grid) -> np.ndarray:
+    """``horizontal_divergence(f1, f2)`` + (f3[:, :, 1:] - f3[:, :, :-1])/dz,
+    summed in that order into one fresh C-contiguous array."""
+    out = horizontal_divergence(f1, f2, grid)
+    t = f3[:, :, 1:] - f3[:, :, :-1]
+    t /= grid.dz
+    out += t
+    return out
 
 
 def divergence(u: StaggeredVelocity, grid: Grid) -> np.ndarray:
-    """Cell-centred divergence of a staggered velocity field."""
+    """Cell-centred divergence of a staggered velocity field (C-contiguous)."""
     if u.u1.shape != grid.shape_u1:
         raise ValueError(f"velocity shaped {u.u1.shape} does not fit grid {grid.shape_u1}")
-    return (
-        (u.u1[1:] - u.u1[:-1]) / grid.dx
-        + (u.u2[:, 1:] - u.u2[:, :-1]) / grid.dy
-        + (u.u3[:, :, 1:] - u.u3[:, :, :-1]) / grid.dz
-    )
+    return _flux_divergence(u.u1, u.u2, u.u3, grid)
 
 
 def grad_pressure(p: np.ndarray, grid: Grid) -> tuple:
@@ -139,14 +161,40 @@ def anisotropic_laplacian(f_ext: np.ndarray, nu, grid: Grid) -> np.ndarray:
 
     ``f_ext`` carries one ghost layer on every side; the result has the
     unextended shape.  Ghost values encode whatever boundary condition the
-    caller is imposing.
+    caller is imposing.  Per axis d the term is nu_d*(f[+d] - 2f + f[-d])/h_d^2,
+    evaluated over the interior window of the flat view (``_interior_window``)
+    and summed in axis order; the result is the interior view of that buffer.
     """
-    c = f_ext[1:-1, 1:-1, 1:-1]
-    return (
-        nu[0] * (f_ext[2:, 1:-1, 1:-1] - 2.0 * c + f_ext[:-2, 1:-1, 1:-1]) / grid.dx**2
-        + nu[1] * (f_ext[1:-1, 2:, 1:-1] - 2.0 * c + f_ext[1:-1, :-2, 1:-1]) / grid.dy**2
-        + nu[2] * (f_ext[1:-1, 1:-1, 2:] - 2.0 * c + f_ext[1:-1, 1:-1, :-2]) / grid.dz**2
-    )
+    f = f_ext.ravel()
+    lo, hi, shifts = _interior_window(f_ext.shape)
+    buf = np.empty(f.size)
+    out = buf[lo:hi]
+    c2 = 2.0 * f[lo:hi]
+    t = np.empty_like(c2)
+    for d, (s, h) in enumerate(zip(shifts, grid.spacing)):
+        r = out if d == 0 else t
+        np.subtract(f[lo + s:hi + s], c2, out=r)
+        r += f[lo - s:hi - s]
+        r *= nu[d]
+        r /= h**2
+        if d > 0:
+            out += t
+    return buf.reshape(f_ext.shape)[1:-1, 1:-1, 1:-1]
+
+
+def _interior_window(shape: tuple) -> tuple:
+    """(lo, hi, (sx, sy, 1)) of a C-ordered ghost-extended array of ``shape``.
+
+    [lo, hi) is the flat index range from its first interior cell to its
+    last, and s_d the flat offset of one step along axis d.  Shifting the
+    window by +-s_d stays inside the array, so a stencil over the window is
+    one contiguous pass per operand.  Window entries on ghost rows hold
+    values nobody reads.
+    """
+    sy = shape[2]
+    sx = shape[1] * sy
+    lo = sx + sy + 1
+    return lo, shape[0] * sx - lo, (sx, sy, 1)
 
 
 # Diagonal change at an end cell of -D2: a Neumann end mirrors the cell value
@@ -258,11 +306,11 @@ def extend_velocity(
     (lateral, top); below the ground the ghost solves the one-sided traction
     relation nu3*(u_H[first interior] - u_H[ghost])/dz = theta_H, so theta = 0
     reduces to a homogeneous Neumann mirror.  u3 lateral ghosts are Dirichlet
-    reflections in mode "aniso"; in mode "hydro" u3 carries no lateral
-    condition and the ghosts are plain copies (the hydrostatic solver never
-    differentiates u3 across the walls).  Normal-direction ghosts are linear
-    extrapolations through the stored boundary faces; they only feed stencil
-    rows that the solvers discard.
+    reflections in mode "aniso"; in mode "hydro" u3 is diagnosed, carries no
+    lateral condition and no momentum stencil reads it, so it is not extended
+    and ``u3e`` is None.  Normal-direction ghosts are linear extrapolations
+    through the stored boundary faces; they only feed stencil rows that the
+    solvers discard.
     """
     if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -287,20 +335,16 @@ def extend_velocity(
     u2e[1:-1, 1:-1, -1] = -u2[:, :, -1]
     u2e[1:-1, 1:-1, 0] = u2[:, :, 0] - grid.dz * t2f / nu3
 
+    if mode == "hydro":
+        return VelocityExtension(u1e, u2e, None)
     u3e = np.zeros((u3.shape[0] + 2, u3.shape[1] + 2, u3.shape[2] + 2))
     u3e[1:-1, 1:-1, 1:-1] = u3
     u3e[1:-1, 1:-1, 0] = 2.0 * u3[:, :, 0] - u3[:, :, 1]
     u3e[1:-1, 1:-1, -1] = 2.0 * u3[:, :, -1] - u3[:, :, -2]
-    if mode == "aniso":
-        u3e[0, 1:-1, 1:-1] = -u3[0]
-        u3e[-1, 1:-1, 1:-1] = -u3[-1]
-        u3e[1:-1, 0, 1:-1] = -u3[:, 0]
-        u3e[1:-1, -1, 1:-1] = -u3[:, -1]
-    else:
-        u3e[0, 1:-1, 1:-1] = u3[0]
-        u3e[-1, 1:-1, 1:-1] = u3[-1]
-        u3e[1:-1, 0, 1:-1] = u3[:, 0]
-        u3e[1:-1, -1, 1:-1] = u3[:, -1]
+    u3e[0, 1:-1, 1:-1] = -u3[0]
+    u3e[-1, 1:-1, 1:-1] = -u3[-1]
+    u3e[1:-1, 0, 1:-1] = -u3[:, 0]
+    u3e[1:-1, -1, 1:-1] = -u3[:, -1]
     return VelocityExtension(u1e, u2e, u3e)
 
 
@@ -347,42 +391,6 @@ def apply_concentration_bcs(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     return Ce
 
 
-def _face_average(cell_field: np.ndarray, axis: int) -> np.ndarray:
-    """Average a cell-centred field to the faces along one axis.
-
-    Interior faces take the two-cell mean; boundary faces copy the single
-    adjacent cell (one-sided).
-    """
-    n = cell_field.shape[axis]
-    shape = list(cell_field.shape)
-    shape[axis] = n + 1
-    out = np.empty(shape)
-    lo = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    mid = [slice(None)] * 3
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = 0.5 * (cell_field[tuple(lo)] + cell_field[tuple(hi)])
-    first = [slice(None)] * 3
-    first[axis] = 0
-    last = [slice(None)] * 3
-    last[axis] = -1
-    cfirst = [slice(None)] * 3
-    cfirst[axis] = 0
-    clast = [slice(None)] * 3
-    clast[axis] = -1
-    out[tuple(first)] = cell_field[tuple(cfirst)]
-    out[tuple(last)] = cell_field[tuple(clast)]
-    return out
-
-
-def _maybe_face_average(entry, axis: int):
-    if np.ndim(entry) == 0:
-        return entry
-    return _face_average(entry, axis)
-
-
 def diffuse_concentration(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     """Conservative full-tensor diffusion div(M grad C).
 
@@ -390,79 +398,88 @@ def diffuse_concentration(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     difference (using the BC ghosts), cross derivatives are cell-centred
     central differences averaged onto the face.  The ground flux is imposed
     exactly zero (no-flux); Gamma_A fluxes see Dirichlet C = 0 ghosts.  M is
-    coercive by construction (``DiffusionTensor`` checks it once).
+    coercive by construction (``DiffusionTensor`` checks it once).  The face
+    values of the diagonal entries come from ``M.face_diagonal``.
     """
     Ce = apply_concentration_bcs(C, M, grid)
-    dx, dy, dz = grid.spacing
 
     if not M.is_spatial and np.count_nonzero(M.m - np.diag(np.diag(M.m))) == 0:
-        # diagonal tensor: the cross-derivative machinery contributes nothing
-        m1, m2, m3 = M.m[0, 0], M.m[1, 1], M.m[2, 2]
-        fx = m1 * (Ce[1:, 1:-1, 1:-1] - Ce[:-1, 1:-1, 1:-1]) / dx
-        fy = m2 * (Ce[1:-1, 1:, 1:-1] - Ce[1:-1, :-1, 1:-1]) / dy
-        fz = m3 * (Ce[1:-1, 1:-1, 1:] - Ce[1:-1, 1:-1, :-1]) / dz
-        fz[:, :, 0] = 0.0
-        return (
-            (fx[1:] - fx[:-1]) / dx
-            + (fy[:, 1:] - fy[:, :-1]) / dy
-            + (fz[:, :, 1:] - fz[:, :, :-1]) / dz
-        )
+        # Diagonal tensor: no cross derivatives.  The flux through the face
+        # below flat index p along axis d is m_d*(Ce[p] - Ce[p - s_d])/h_d,
+        # over the interior window extended by s_d; the ground faces are
+        # every sy-th entry of the z flux.
+        f = Ce.ravel()
+        lo, hi, shifts = _interior_window(Ce.shape)
+        buf = np.empty(f.size)
+        out = buf[lo:hi]
+        flux = np.empty(hi - lo + shifts[0])
+        t = np.empty_like(out)
+        for d, (s, m, h) in enumerate(zip(shifts, M.face_diagonal, grid.spacing)):
+            fd = flux[: hi - lo + s]
+            np.subtract(f[lo:hi + s], f[lo - s:hi], out=fd)
+            fd *= m
+            fd /= h
+            if d == 2:
+                fd[:: shifts[1]] = 0.0
+            r = out if d == 0 else t
+            np.subtract(fd[s:], fd[:-s], out=r)
+            r /= h
+            if d > 0:
+                out += t
+        return buf.reshape(Ce.shape)[1:-1, 1:-1, 1:-1]
 
-    dCdx_c = (Ce[2:, 1:-1, 1:-1] - Ce[:-2, 1:-1, 1:-1]) / (2.0 * dx)
-    dCdy_c = (Ce[1:-1, 2:, 1:-1] - Ce[1:-1, :-2, 1:-1]) / (2.0 * dy)
-    dCdz_c = (Ce[1:-1, 1:-1, 2:] - Ce[1:-1, 1:-1, :-2]) / (2.0 * dz)
-
-    dCdx_f = (Ce[1:, 1:-1, 1:-1] - Ce[:-1, 1:-1, 1:-1]) / dx
-    dCdy_f = (Ce[1:-1, 1:, 1:-1] - Ce[1:-1, :-1, 1:-1]) / dy
-    dCdz_f = (Ce[1:-1, 1:-1, 1:] - Ce[1:-1, 1:-1, :-1]) / dz
-
-    m11 = _maybe_face_average(M.entry(0, 0), 0)
-    m22 = _maybe_face_average(M.entry(1, 1), 1)
-    m33 = _maybe_face_average(M.entry(2, 2), 2)
-    m12 = M.entry(0, 1)
-    m13 = M.entry(0, 2)
-    m23 = M.entry(1, 2)
-
-    fx = m11 * dCdx_f + _face_average(m12 * dCdy_c + m13 * dCdz_c, 0)
-    fy = m22 * dCdy_f + _face_average(m12 * dCdx_c + m23 * dCdz_c, 1)
-    fz = m33 * dCdz_f + _face_average(m13 * dCdx_c + m23 * dCdy_c, 2)
-    fz[:, :, 0] = 0.0
-
-    return (
-        (fx[1:] - fx[:-1]) / dx
-        + (fy[:, 1:] - fy[:, :-1]) / dy
-        + (fz[:, :, 1:] - fz[:, :, :-1]) / dz
-    )
+    dC_c = []  # central differences at the cells
+    for d, h in enumerate(grid.spacing):
+        g = _inner(Ce, d, 2, None) - _inner(Ce, d, None, -2)
+        g /= 2.0 * h
+        dC_c.append(g)
+    # flux_d = M_dd*(face difference)/h_d + the face average of the two
+    # cross terms M_da*dC_c[a] + M_db*dC_c[b]
+    m12, m13, m23 = M.entry(0, 1), M.entry(0, 2), M.entry(1, 2)
+    crosses = ((m12, 1, m13, 2), (m12, 0, m23, 2), (m13, 0, m23, 1))
+    t = np.empty(grid.shape_cells)
+    fluxes = []
+    for d, (h, m_dd, (ma, a, mb, b)) in enumerate(zip(grid.spacing, M.face_diagonal, crosses)):
+        fd = _inner(Ce, d, 1, None) - _inner(Ce, d, None, -1)
+        fd /= h
+        fd *= m_dd
+        cross = ma * dC_c[a]
+        np.multiply(mb, dC_c[b], out=t)
+        cross += t
+        fd += face_average(cross, d)
+        fluxes.append(fd)
+    fluxes[2][:, :, 0] = 0.0  # no flux through the ground
+    return _flux_divergence(*fluxes, grid)
 
 
-def _donor(lo: np.ndarray, hi: np.ndarray, speed: np.ndarray, scheme: str) -> np.ndarray:
-    if scheme == "upwind1":
-        return np.where(speed > 0.0, lo, hi)
-    if scheme == "centered2":
-        return 0.5 * (lo + hi)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def _inner(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
+    """a[1:-1, 1:-1, 1:-1] of a ghost-extended array, with slice(start, stop)
+    on ``axis``."""
+    idx = [slice(1, -1)] * 3
+    idx[axis] = slice(start, stop)
+    return a[tuple(idx)]
 
 
-def advect_scalar(
-    u: StaggeredVelocity, C: np.ndarray, grid: Grid, scheme: str = "upwind1"
-) -> np.ndarray:
-    """Advection term u . grad C in conservative donor-cell form.
+def _donor_flux(speed: np.ndarray, C: np.ndarray, axis: int) -> np.ndarray:
+    """speed times the upwind cell value of C on each face normal to ``axis``;
+    a boundary face takes its one adjacent cell as donor."""
+    flux = np.empty(speed.shape)
+    f, s, c = (np.moveaxis(a, axis, 0) for a in (flux, speed, C))
+    f[1:-1] = np.where(s[1:-1] > 0.0, c[:-1], c[1:])
+    f[0] = c[0]
+    f[-1] = c[-1]
+    flux *= speed
+    return flux
+
+
+def advect_scalar(u: StaggeredVelocity, C: np.ndarray, grid: Grid) -> np.ndarray:
+    """Advection term u . grad C in conservative first-order upwind form.
 
     Returns div(u C); the two forms agree up to the divergence tolerance of
     the projected velocity.  Boundary-face fluxes use the edge cell as donor;
     they vanish identically once the velocity boundary conditions hold.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    Cp = np.pad(C, 1, mode="edge")
-    fx = u.u1 * _donor(Cp[:-1, 1:-1, 1:-1], Cp[1:, 1:-1, 1:-1], u.u1, scheme)
-    fy = u.u2 * _donor(Cp[1:-1, :-1, 1:-1], Cp[1:-1, 1:, 1:-1], u.u2, scheme)
-    fz = u.u3 * _donor(Cp[1:-1, 1:-1, :-1], Cp[1:-1, 1:-1, 1:], u.u3, scheme)
-    return (
-        (fx[1:] - fx[:-1]) / grid.dx
-        + (fy[:, 1:] - fy[:, :-1]) / grid.dy
-        + (fz[:, :, 1:] - fz[:, :, :-1]) / grid.dz
-    )
+    return _flux_divergence(*(_donor_flux(v, C, d) for d, v in enumerate(u.components())), grid)
 
 
 def _sl(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
@@ -477,25 +494,26 @@ def _advect_face_component(
     u_raw: tuple,
     f_ext: np.ndarray,
     grid: Grid,
-    scheme: str,
 ) -> np.ndarray:
-    """Donor-cell advection of one face component on its native control volume.
+    """Upwind advection of one face component on its native control volume.
 
     The advecting normal speed on a control-volume face is the two-point mean
     of the neighbouring stored values of the corresponding component; donor
     values of ``f`` across transverse directions come from the ghost-extended
-    array.  Output is zero on the component's own boundary faces.
+    array.  The terms of the three directions are summed in axis order into
+    the interior of the output, which is zero on the component's own
+    boundary faces.
     """
-    h = grid.spacing
-    total = None
-    for d in range(3):
+    adv = np.zeros_like(f)
+    total = _sl(adv, axis, 1, -1)
+    t = np.empty_like(total)
+    for d, h in enumerate(grid.spacing):
         if d == axis:
-            speed = 0.5 * (_sl(f, d, None, -1) + _sl(f, d, 1, None))
-            flux = speed * _donor(_sl(f, d, None, -1), _sl(f, d, 1, None), speed, scheme)
-            term = (_sl(flux, d, 1, None) - _sl(flux, d, None, -1)) / h[d]
+            lo, hi = _sl(f, d, None, -1), _sl(f, d, 1, None)
+            speed = lo + hi
         else:
             ud = u_raw[d]
-            speed = 0.5 * (_sl(ud, axis, None, -1) + _sl(ud, axis, 1, None))
+            speed = _sl(ud, axis, None, -1) + _sl(ud, axis, 1, None)
             idx_lo = [slice(1, -1)] * 3
             idx_lo[axis] = slice(2, -2)
             idx_hi = list(idx_lo)
@@ -503,31 +521,30 @@ def _advect_face_component(
             idx_hi[d] = slice(1, None)
             lo = f_ext[tuple(idx_lo)]
             hi = f_ext[tuple(idx_hi)]
-            flux = speed * _donor(lo, hi, speed, scheme)
-            term = (_sl(flux, d, 1, None) - _sl(flux, d, None, -1)) / h[d]
-        total = term if total is None else total + term
-    adv = np.zeros_like(f)
-    interior = [slice(None)] * 3
-    interior[axis] = slice(1, -1)
-    adv[tuple(interior)] = total
+        speed *= 0.5
+        flux = np.where(speed > 0.0, lo, hi)
+        flux *= speed
+        term = total if d == 0 else t
+        np.subtract(_sl(flux, d, 1, None), _sl(flux, d, None, -1), out=term)
+        term /= h
+        if d > 0:
+            total += t
     return adv
 
 
 def advect_velocity(
     u: StaggeredVelocity,
     grid: Grid,
-    scheme: str = "upwind1",
     ext: VelocityExtension | None = None,
     components: tuple = (0, 1, 2),
 ) -> StaggeredVelocity:
-    """Self-advection u . grad u, componentwise on face-native stencils.
+    """Self-advection u . grad u, componentwise on face-native stencils, in
+    first-order upwind form.
 
     ``ext`` supplies the ghost-extended components (from ``extend_velocity``);
     without it a constant edge extension is used, which is adequate for
     interior verification against analytic fields.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if ext is None:
         ext = _edge_extension(u)
     raw = u.components()
@@ -535,7 +552,7 @@ def advect_velocity(
     out = []
     for axis in range(3):
         if axis in components:
-            out.append(_advect_face_component(raw[axis], axis, raw, exts[axis], grid, scheme))
+            out.append(_advect_face_component(raw[axis], axis, raw, exts[axis], grid))
         else:
             out.append(np.zeros_like(raw[axis]))
     return StaggeredVelocity(*out)

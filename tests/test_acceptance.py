@@ -120,7 +120,7 @@ def test_criterion_02_energy_inequality():
                 dt = stable_dt(st, params, M, g, cfl=0.4)
                 states = [st]
                 for _ in range(40):
-                    st = step(st, params, M, None, None, dt, g, mode, tol=1e-11)
+                    st, _ = step(st, params, M, None, None, dt, g, mode, tol=1e-11)
                     states.append(st)
                 hist = RunHistory(mode, g, params, M, None, None, dt, states)
                 rep = energy_balance(hist)
@@ -254,7 +254,7 @@ def test_criterion_06_dense_oracle():
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
     dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
 
-    new = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
+    new, _ = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
 
     def relmax(a, b):
@@ -409,7 +409,7 @@ def test_criterion_10_weak_residuals():
         every = max(1, n_steps // 50)
         states = [st]
         for m in range(n_steps):
-            st = step(
+            st, _ = step(
                 st, params, M, None, None, dt, g, "hydro", tol=1e-10,
                 forcing=mfg.forcing_staggered,
             )
@@ -534,7 +534,7 @@ def test_manufactured_solution_tracked_by_solver():
     dt = stable_dt(st, params, M, g, cfl=0.4)
     n_steps = int(math.ceil(0.1 / dt))
     for _ in range(n_steps):
-        st = step(st, params, M, None, None, dt, g, "hydro", tol=1e-10,
+        st, _ = step(st, params, M, None, None, dt, g, "hydro", tol=1e-10,
                   forcing=mfg.forcing_staggered)
     err = mfg.velocity_error(st.t, st.u, g)
     assert err < 0.02  # O(dx) tracking at dx ~ 0.083

@@ -233,7 +233,7 @@ def test_zero_state_is_fixed_point(grid8):
     dt = stable_dt(st0, params, M, grid8, cfl=0.5)
     st = st0
     for _ in range(5):
-        st = step(st, params, M, None, None, dt, grid8, "aniso")
+        st, _ = step(st, params, M, None, None, dt, grid8, "aniso")
     assert np.max(np.abs(st.u.u1)) == 0.0
     assert np.max(np.abs(st.C)) == 0.0
     assert np.max(np.abs(st.p)) == 0.0
@@ -247,7 +247,7 @@ def test_one_way_coupling_velocity_stays_zero(grid8):
     st = SimState.zeros(grid8)
     dt = stable_dt(st, params, M, grid8, cfl=0.5)
     for _ in range(10):
-        st = step(st, params, M, None, src, dt, grid8, "aniso")
+        st, _ = step(st, params, M, None, src, dt, grid8, "aniso")
     assert np.max(np.abs(st.u.u1)) == 0.0
     assert np.max(np.abs(st.u.u3)) == 0.0
     assert st.C.max() > 0.0
@@ -262,7 +262,7 @@ def test_step_keeps_divergence_small(grid8):
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
     tol = 1e-9
     for _ in range(5):
-        st = step(st, params, M, None, None, dt, grid8, "aniso", tol=tol)
+        st, _ = step(st, params, M, None, None, dt, grid8, "aniso", tol=tol)
         assert np.max(np.abs(divergence(st.u, grid8))) <= 10.0 * tol
 
 
@@ -286,7 +286,7 @@ def test_energy_nonincreasing_unforced(grid8):
 
     e_prev = energy(st)
     for _ in range(30):
-        st = step(st, params, M, None, None, dt, grid8, "aniso", tol=1e-11)
+        st, _ = step(st, params, M, None, None, dt, grid8, "aniso", tol=1e-11)
         e = energy(st)
         assert e <= e_prev + 1e-12
         e_prev = e
@@ -605,7 +605,7 @@ def test_step_matches_dense_oracle():
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
     dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
 
-    new = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
+    new, _ = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
 
     def relmax(a, b):

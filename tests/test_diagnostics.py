@@ -58,7 +58,7 @@ def run_aniso(grid, params, M, steps, theta=None, source=None, cfl=0.4, seed=1, 
     dt = stable_dt(st, params, M, grid, cfl=cfl)
     states = [st]
     for _ in range(steps):
-        st = step(st, params, M, theta, source, dt, grid, "aniso", tol=tol)
+        st, _ = step(st, params, M, theta, source, dt, grid, "aniso", tol=tol)
         states.append(st)
     return make_history(grid, params, M, states, dt, "aniso", theta, source)
 

@@ -11,7 +11,7 @@ from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
 from hydrolimit.core import GridSpec, build_grid
 from hydrolimit.diagnostics import APRIORI_NORM_NAMES
-from hydrolimit.operators import StaggeredVelocity
+from hydrolimit.operators import StaggeredVelocity, divergence
 from hydrolimit.harness import (
     epsilon_sweep,
     initial_velocity,
@@ -317,6 +317,23 @@ def test_parse_rejects_degenerate_cell_size(tmp_path, key):
     assert not (tmp_path / "out").exists()
 
 
+_INT_KEYS = [(sec, key) for sec, keys in _KEYS.items() for key, spec in keys.items() if spec[0] == "int"]
+
+
+@pytest.mark.parametrize("section,key", _INT_KEYS, ids=[f"{s}.{k}" for s, k in _INT_KEYS])
+def test_parse_rejects_int_beyond_float_range(tmp_path, section, key):
+    """A 401-digit integer overflows the finiteness check's float conversion:
+    that is a config error at its line, and the CLI makes no output."""
+    text = f"[source]\nintensity = 0\n[{section}]\n{key} = {'9' * 401}\n"
+    with pytest.raises(ConfigError, match="too large") as err:
+        parse_config(text)
+    assert err.value.key == key and err.value.line == 4
+    (tmp_path / "huge.cfg").write_text(text)
+    rc = cli_main([str(tmp_path / "huge.cfg"), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ["[phys]\nf0 = nan\n", "[time]\nT = inf\n", "[source]\nx_s = nan, 0.5, 0.5\n",
@@ -371,6 +388,18 @@ def test_run_divergence_within_tolerance(tmp_path):
     cfg = parse_config(SMALL_RUN)
     res = run_simulation(cfg, 0.5, "aniso", out_dir=None)
     assert res.max_div <= 10.0 * cfg.run.tol
+
+
+@pytest.mark.parametrize("mode", ["aniso", "hydro"])
+def test_run_max_div_is_max_over_states(mode):
+    """max_div, taken from the projection of each step, equals the maximum
+    of max|div u| over every state when every state is recorded."""
+    cfg = parse_config(SMALL_RUN.replace("snapshot_every = 2", "snapshot_every = 1"))
+    res = run_simulation(cfg, 0.5, mode, out_dir=None)
+    assert len(res.history.states) == res.n_steps + 1
+    g = res.history.grid
+    want = max(float(np.max(np.abs(divergence(s.u, g)))) for s in res.history.states)
+    assert res.max_div == want
 
 
 def test_taylor_green_preset_nontrivial():

@@ -145,7 +145,7 @@ def test_hydro_zero_state_fixed_point(grid8):
     st = SimState.zeros(grid8, mode="hydro")
     dt = stable_dt(st, params, M, grid8, cfl=0.5)
     for _ in range(5):
-        st = step(st, params, M, None, None, dt, grid8, "hydro")
+        st, _ = step(st, params, M, None, None, dt, grid8, "hydro")
     assert np.max(np.abs(st.u.u1)) == 0.0
     assert np.max(np.abs(st.C)) == 0.0
 
@@ -165,7 +165,7 @@ def test_hydro_pure_decay_without_rotation(grid8):
 
     n_prev = uh_norm(st)
     for _ in range(25):
-        st = step(st, params, M, None, None, dt, grid8, "hydro", tol=1e-11)
+        st, _ = step(st, params, M, None, None, dt, grid8, "hydro", tol=1e-11)
         n = uh_norm(st)
         assert n <= n_prev + 1e-13
         n_prev = n
@@ -179,7 +179,7 @@ def test_hydro_pressure_is_2d_and_reconstruction_constant(grid8):
     u1n, u2n, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-11)
     st = hydro_state(grid8, u1n, u2n, smooth_field(rng, grid8))
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
-    st = step(st, params, M, None, None, dt, grid8, "hydro")
+    st, _ = step(st, params, M, None, None, dt, grid8, "hydro")
     assert st.p.shape == (grid8.nx, grid8.ny)
     p3 = np.broadcast_to(st.p[:, :, None], grid8.shape_cells)
     assert np.max(np.abs(np.diff(p3, axis=2))) == 0.0
@@ -194,7 +194,7 @@ def test_hydro_steps_preserve_exact_3d_divergence(grid8):
     st = hydro_state(grid8, u1n, u2n, smooth_field(rng, grid8))
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
     for _ in range(10):
-        st = step(st, params, M, None, None, dt, grid8, "hydro", tol=1e-10)
+        st, _ = step(st, params, M, None, None, dt, grid8, "hydro", tol=1e-10)
         assert np.max(np.abs(divergence(st.u, grid8))) < 1e-12
 
 
@@ -218,7 +218,7 @@ def test_hydro_differs_from_aniso_at_eps_one(grid8):
         stable_dt(st_a, params, M, grid8, cfl=1.0), stable_dt(st_h, params, M, grid8, cfl=1.0)
     )
     for _ in range(10):
-        st_a = step(st_a, params, M, None, None, dt, grid8, "aniso", tol=1e-11)
-        st_h = step(st_h, params, M, None, None, dt, grid8, "hydro", tol=1e-11)
+        st_a, _ = step(st_a, params, M, None, None, dt, grid8, "aniso", tol=1e-11)
+        st_h, _ = step(st_h, params, M, None, None, dt, grid8, "hydro", tol=1e-11)
     diff = np.max(np.abs(st_a.u.u1 - st_h.u.u1))
     assert diff > 1e-6
