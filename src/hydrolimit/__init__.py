@@ -16,8 +16,6 @@ from .core import (
     build_grid,
     coercivity_constant,
     coriolis_at,
-    scale_diffusion,
-    unscale_state,
 )
 from .operators import (
     StaggeredVelocity,
@@ -31,7 +29,7 @@ from .operators import (
     extend_velocity,
     grad_pressure,
 )
-from .sources import SourceSpec, evaluate_source, source_norm_bound
+from .sources import Source, SourceSpec, evaluate_source, source_norm_bound
 from .aniso import (
     CFLError,
     NumericsError,
@@ -46,7 +44,6 @@ from .diagnostics import (
     EnergyReport,
     RunHistory,
     apriori_norms,
-    convergence_metrics,
     convergence_report,
     energy_balance,
     translation_modulus,

@@ -48,10 +48,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             run_block = replace(run_block, output_dir=args.out)
         cfg = replace(cfg, run=run_block)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

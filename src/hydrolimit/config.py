@@ -253,6 +253,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         return min(((lines_of[(name, k)], k) for k in keys if (name, k) in lines_of), default=None)
 
     grid = GridSpec(**section_values("grid"))
+    if (grid.nx + 2) * (grid.ny + 2) * (grid.nz + 2) * 8 > np.iinfo(np.intp).max:
+        key = max(("nx", "ny", "nz"), key=lambda k: getattr(grid, k))
+        message = "makes a ghost-extended float64 field larger than numpy can index"
+        raise ConfigError(message, lines_of.get(("grid", key)), key)
     for key, n in (("lx", grid.nx), ("ly", grid.ny), ("h", grid.nz)):
         try:
             cell_size(getattr(grid, key), n)

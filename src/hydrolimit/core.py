@@ -1,9 +1,10 @@
-"""Domain geometry, physical parameters, and the aspect-ratio rescaling maps.
+"""Domain geometry, physical parameters, the diffusion tensor and the ground
+traction.
 
 Everything downstream lives on the rescaled box Omega = (0,lx) x (0,ly) x (0,h)
 discretised by a uniform staggered (MAC) grid: scalars at cell centres,
-velocity components on cell faces.  Physical (unscaled) quantities appear only
-through ``unscale_state`` / ``rescale_state``.
+velocity components on cell faces.  Nothing maps back to physical units: the
+certificates are all stated on the rescaled box.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ __all__ = [
     "DiffusionTensor",
     "face_average",
     "coercivity_constant",
-    "scale_diffusion",
     "BoundaryForcing",
-    "PhysicalFields",
-    "unscale_state",
-    "rescale_state",
 ]
 
 
@@ -122,11 +119,6 @@ class Grid:
     @property
     def spacing(self) -> tuple:
         return (self.dx, self.dy, self.dz)
-
-    @property
-    def cache_key(self) -> tuple:
-        s = self.spec
-        return (s.nx, s.ny, s.nz, s.lx, s.ly, s.h)
 
     def centers(self):
         """Sparse broadcastable (X1, X2, X3) at cell centres."""
@@ -381,21 +373,6 @@ def coercivity_constant(M: DiffusionTensor) -> float:
     return lam
 
 
-def scale_diffusion(M: DiffusionTensor, eps: float) -> np.ndarray:
-    """Physical diffusivity matrix K for aspect ratio eps.
-
-    The horizontal block is untouched, the 13/23 (and symmetric) entries pick
-    up one factor of eps, the 33 entry eps^2.  Reporting/round-trip use only;
-    the solvers operate on M directly.
-    """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-    s = np.array(
-        [[1.0, 1.0, eps], [1.0, 1.0, eps], [eps, eps, eps**2]]
-    )
-    return M.m * s
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryForcing:
     """Steady wind-traction components theta_H on the ground Gamma_G.
@@ -418,48 +395,5 @@ class BoundaryForcing:
         object.__setattr__(self, "theta2", t2)
 
     @classmethod
-    def zero(cls, grid: Grid) -> "BoundaryForcing":
-        z = np.zeros((grid.nx, grid.ny))
-        return cls(z, z.copy())
-
-    @classmethod
     def constant(cls, grid: Grid | GridSpec, c1: float, c2: float) -> "BoundaryForcing":
         return cls(np.full((grid.nx, grid.ny), float(c1)), np.full((grid.nx, grid.ny), float(c2)))
-
-
-@dataclass(frozen=True, eq=False)
-class PhysicalFields:
-    """Unscaled velocity/pressure-like concentration fields plus the physical
-    vertical coordinate z = eps * x3."""
-
-    vx: np.ndarray
-    vy: np.ndarray
-    vz: np.ndarray
-    P: np.ndarray
-    z_centers: np.ndarray
-    z_faces: np.ndarray
-
-
-def unscale_state(u, C: np.ndarray, eps: float, grid: Grid) -> PhysicalFields:
-    """Map rescaled (u, C) back to physical variables.
-
-    v_x = u1, v_y = u2, v_z = eps*u3 and P = C/eps; the vertical coordinate
-    is annotated as z = eps*x3.  Reporting-only inverse of the model scaling.
-    """
-    if eps == 0:
-        raise ValueError("eps = 0 has no inverse scaling")
-    return PhysicalFields(
-        vx=u.u1.copy(),
-        vy=u.u2.copy(),
-        vz=eps * u.u3,
-        P=C / eps,
-        z_centers=eps * grid.x3c,
-        z_faces=eps * grid.x3f,
-    )
-
-
-def rescale_state(phys: PhysicalFields, eps: float):
-    """Forward scaling map: physical (v, P) to rescaled (u1, u2, u3, C)."""
-    if eps == 0:
-        raise ValueError("eps = 0 is not a valid aspect ratio")
-    return phys.vx.copy(), phys.vy.copy(), phys.vz / eps, eps * phys.P

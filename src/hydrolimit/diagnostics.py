@@ -4,17 +4,18 @@ All checks the analysis provides are computed here as runnable numbers: the
 energy-inequality ledger, a-priori norm tables (uniform-in-eps boundedness),
 the time-translation modulus in a computable dual-norm surrogate, residuals
 of the weak-form identities against analytic test functions, and the
-eps-convergence metrics between anisotropic runs and the hydrostatic
-reference.
+space-time distances between anisotropic runs and the hydrostatic reference
+with their fitted eps-rates.
 
 Space quadrature is midpoint (cell centres, face fields averaged to centres
-where needed); time quadrature is trapezoidal at snapshot resolution.
+where needed); time quadrature is trapezoidal at snapshot resolution.  A
+history carries its run's sampled ``Source``, so no diagnostic resamples it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .operators import (
     solve_separable,
     theta_faces,
 )
-from .sources import SourceSpec, evaluate_source
+from .sources import Source
 
 __all__ = [
     "RunHistory",
@@ -57,20 +58,20 @@ __all__ = [
     "ConvergenceReport",
     "spacetime_errors",
     "convergence_report",
-    "convergence_metrics",
 ]
 
 
 @dataclass
 class RunHistory:
-    """Uniformly spaced snapshots of one run plus everything diagnostics need."""
+    """Uniformly spaced snapshots of one run plus everything diagnostics need,
+    including the source as the run sampled it."""
 
     mode: str  # "aniso" | "hydro"
     grid: Grid
     params: PhysParams
     M: DiffusionTensor
     theta: BoundaryForcing | None
-    source: SourceSpec | None
+    source: Source | None
     dt: float
     states: list
 
@@ -210,9 +211,6 @@ class EnergyReport:
     W: np.ndarray
     Q: np.ndarray
     slack: np.ndarray
-    dE: np.ndarray
-    diss_integrand: np.ndarray
-    coercivity_bound: np.ndarray  # lambda*|grad C|^2, reported lower bound
 
     def rows(self):
         return list(zip(self.t, self.E, self.D, self.W, self.Q, self.slack))
@@ -227,13 +225,10 @@ def energy_balance(history: RunHistory) -> EnergyReport:
     absolute value, source work pairs S(t) with C(t); time integrals are
     trapezoidal at snapshot spacing.
     """
-    if not history.states:
-        raise ValueError("empty history")
     grid = history.grid
     params = history.params
     eps = params.eps
     aniso = history.mode == "aniso"
-    lam = history.M.coercivity
     dV = grid.cell_volume
 
     n = len(history.states)
@@ -241,7 +236,6 @@ def energy_balance(history: RunHistory) -> EnergyReport:
     diss = np.zeros(n)
     work = np.zeros(n)
     src = np.zeros(n)
-    coer = np.zeros(n)
     for m, s in enumerate(history.states):
         e = 0.5 * (_l2sq(s.u.u1, dV) + _l2sq(s.u.u2, dV) + _l2sq(s.C, dV))
         if aniso:
@@ -254,10 +248,7 @@ def energy_balance(history: RunHistory) -> EnergyReport:
         diss[m] = d
         work[m] = abs(boundary_pairing(s.u, history.theta, grid))
         if history.source is not None:
-            S = evaluate_source(history.source, s.t, grid)
-            src[m] = float(np.sum(S * s.C) * dV)
-        _, qg = diffusion_quadratic_form(s.C, history.M, grid)
-        coer[m] = lam * qg
+            src[m] = float(np.sum(history.source.at(s.t) * s.C) * dV)
 
     D = _trapz_cumsum(diss, history.dt)
     W = _trapz_cumsum(work, history.dt)
@@ -270,9 +261,6 @@ def energy_balance(history: RunHistory) -> EnergyReport:
         W=W,
         Q=Q,
         slack=slack,
-        dE=np.diff(E),
-        diss_integrand=diss,
-        coercivity_bound=coer,
     )
 
 
@@ -310,8 +298,6 @@ def apriori_norms(history: RunHistory) -> dict:
     L2-in-time L2 of u3 itself.  Cross-eps tabulation of these values is the
     checkable boundedness claim.
     """
-    if not history.states:
-        raise ValueError("empty history")
     grid = history.grid
     eps = history.params.eps
     dV = grid.cell_volume
@@ -358,9 +344,7 @@ class TranslationReport:
     exponent: float
 
 
-def translation_modulus(
-    C_history: list, dt: float, grid: Grid, h_list, T: float | None = None
-) -> TranslationReport:
+def translation_modulus(C_history: list, dt: float, grid: Grid, h_list) -> TranslationReport:
     """Time-translation modulus of the concentration in an H^2-dual surrogate.
 
     For each shift h: solve (I - Lap_h) N = C(t+h) - C(t), with Dirichlet
@@ -372,8 +356,7 @@ def translation_modulus(
     if len(h_list) < 3:
         raise ValueError("need at least 3 shift values h")
     n = len(C_history)
-    if T is None:
-        T = (n - 1) * dt
+    T = (n - 1) * dt
     dV = grid.cell_volume
     walls = ("dirichlet", "dirichlet")
     axes = (
@@ -688,7 +671,6 @@ def weak_residual(
     velocity_tests=None,
     scalar_tests=None,
     forcing=None,
-    stride: int = 1,
 ) -> list:
     """Residuals of the weak-form identities against analytic test functions.
 
@@ -711,12 +693,11 @@ def weak_residual(
     nu = params.nu
 
     if velocity_tests is None or scalar_tests is None:
-        vel_def, sca_def = default_test_family(history.T, history.dt * stride)
+        vel_def, sca_def = default_test_family(history.T, history.dt)
         velocity_tests = vel_def if velocity_tests is None else velocity_tests
         scalar_tests = sca_def if scalar_tests is None else scalar_tests
 
-    states = history.states[::stride]
-    dt = history.dt * stride
+    states = history.states
     times = [s.t for s in states]
     T_end = times[-1]
 
@@ -727,7 +708,7 @@ def weak_residual(
     t2c = history.theta.theta2 if history.theta is not None else None
 
     def tw(m):
-        return dt * (0.5 if m in (0, len(states) - 1) else 1.0)
+        return history.dt * (0.5 if m in (0, len(states) - 1) else 1.0)
 
     records = []
 
@@ -841,13 +822,12 @@ def weak_residual(
             lhs["diffusion"] += w * float(np.sum(mg1 * tg[0] + mg2 * tg[1] + mg3 * tg[2]) * dV)
 
             if history.source is not None:
-                src = history.source
+                src = history.source.spec
                 if src.kind == "delta_deposit":
                     if s.t >= src.t_s:
                         rhs["source"] += w * src.intensity * c.value_at(src.x_s, grid, s.t)
                 else:
-                    S = evaluate_source(src, s.t, grid)
-                    rhs["source"] += w * float(np.sum(S * tv) * dV)
+                    rhs["source"] += w * float(np.sum(history.source.at(s.t) * tv) * dV)
 
             if forcing is not None:
                 rhs["forcing"] += w * float(np.sum(forcing(s.t, grid)["fC"] * tv) * dV)
@@ -862,7 +842,7 @@ def weak_residual(
 
 
 # --------------------------------------------------------------------------
-# eps-convergence metrics
+# eps-convergence
 # --------------------------------------------------------------------------
 
 
@@ -881,9 +861,6 @@ class ConvergenceReport:
     rate_u3: float
     rate_C: float
 
-    def sorted_eps(self) -> np.ndarray:
-        return np.array([r.eps for r in self.rows])
-
 
 def spacetime_errors(run: RunHistory, ref: RunHistory) -> tuple:
     """L^2((0,T) x Omega) distances (u_H, u3, C) between two runs.
@@ -892,7 +869,7 @@ def spacetime_errors(run: RunHistory, ref: RunHistory) -> tuple:
     """
     if len(run.states) != len(ref.states) or abs(run.dt - ref.dt) > 1e-12 * max(run.dt, 1.0):
         raise ValueError("histories have mismatched snapshot schedules")
-    if run.grid.cache_key != ref.grid.cache_key:
+    if run.grid.spec != ref.grid.spec:
         raise ValueError("histories live on different grids")
     dV = run.grid.cell_volume
     n = len(run.states)
@@ -936,10 +913,3 @@ def convergence_report(rows) -> ConvergenceReport:
         rate_C=fit([r.err_C for r in rows]),
     )
 
-
-def convergence_metrics(aniso_runs, hydro_run: RunHistory) -> ConvergenceReport:
-    """Per-eps space-time errors against the hydrostatic reference, as a
-    ``convergence_report``."""
-    return convergence_report(
-        [ConvergenceRow(run.params.eps, *spacetime_errors(run, hydro_run)) for run in aniso_runs]
-    )

@@ -40,7 +40,7 @@ from .diagnostics import (
     translation_modulus,
     APRIORI_NORM_NAMES,
 )
-from .hydro import diagnose_w, surface_pressure_projection
+from .hydro import hydrostatic_velocity, surface_pressure_projection
 from .operators import (
     StaggeredVelocity,
     advect_scalar,
@@ -51,7 +51,7 @@ from .operators import (
     divergence,
     extend_velocity,
 )
-from .sources import SourceSpec, evaluate_source
+from .sources import Source
 
 __all__ = [
     "project",
@@ -182,8 +182,7 @@ def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: G
     if mode == "aniso":
         return pressure_projection_anisotropic(u_star, eps, dt, grid, tol)
     u1, u2, ps, info = surface_pressure_projection(u_star.u1, u_star.u2, dt, grid, tol)
-    u = StaggeredVelocity(u1, u2, diagnose_w(u1, u2, grid))
-    info["max_abs_div"] = float(np.max(np.abs(divergence(u, grid))))
+    u, info["max_abs_div"] = hydrostatic_velocity(u1, u2, grid)
     return u, ps, info
 
 
@@ -217,7 +216,7 @@ def step(
     params: PhysParams,
     M: DiffusionTensor,
     theta: BoundaryForcing | None,
-    source: SourceSpec | None,
+    source: Source | None,
     dt: float,
     grid: Grid,
     mode: str,
@@ -229,7 +228,8 @@ def step(
 
     Forward-Euler momentum predictor (advection, anisotropic diffusion,
     rotation), projection (``project``), then the concentration update with
-    the projected velocity:  C += dt * (-u.grad C + div(M grad C) + S(t)).
+    the projected velocity:  C += dt * (-u.grad C + div(M grad C) + S(t)),
+    with S(t) = ``source.at(t)`` sampled once per run.
     Predictor signs follow the momentum equations: the u1 equation carries
     -alpha*u2 + eps*beta*u3, the u2 equation +alpha*u1.  Only the
     anisotropic model advances u3: its equation (divided through by eps^2)
@@ -287,7 +287,7 @@ def step(
     c_new = advect_scalar(u_new, state.C, grid)
     np.subtract(diffuse_concentration(state.C, M, grid), c_new, out=c_new)
     if source is not None:
-        c_new += evaluate_source(source, state.t, grid)
+        c_new += source.at(state.t)
     if forcing is not None:
         c_new += f_c
     c_new *= dt
@@ -305,12 +305,29 @@ def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfi
     return u, np.zeros(grid.shape_cells if mode == "aniso" else (grid.nx, grid.ny))
 
 
+def _schedule(T: float, limit: float, dt: float | None = None) -> tuple:
+    """(n_steps, dt) of a run to T: the fewest equal steps no longer than
+    ``limit``, or a given ``dt <= limit`` taken round(T/dt) times.  More than
+    2**53 steps is a NumericsError: past that, t + dt stops advancing."""
+    if dt is not None and dt > limit * (1.0 + 1e-12):
+        raise NumericsError(f"requested dt {dt} exceeds the initial limit {limit}")
+    steps = T / (limit if dt is None else dt)
+    if not steps <= 2.0**53:
+        raise NumericsError(
+            f"T = {T!r} takes {steps:.3e} steps of dt <= {limit if dt is None else dt!r}, "
+            "more than 2**53: t + dt would stop advancing"
+        )
+    if dt is None:
+        n_steps = max(1, math.ceil(steps - 1e-12))
+        return n_steps, T / n_steps
+    return max(1, round(steps)), dt
+
+
 @dataclass
 class RunResult:
     history: RunHistory
     energy: EnergyReport
     norms: dict
-    out_dir: str | None
     dt: float
     n_steps: int
     max_div: float
@@ -338,21 +355,15 @@ def run_simulation(
     params = cfg.phys_params(eps)
     M = cfg.diffusion
     theta = cfg.theta
-    source = cfg.source_spec(eps, mode)
+    spec = cfg.source_spec(eps, mode)
+    source = Source(spec, grid) if spec is not None else None
 
     u0 = initial_velocity(cfg, grid)
     u0, p0 = _project_initial(u0, mode, eps, cfg, grid)
     state = SimState(0.0, 0, u0, p0, initial_concentration(cfg, grid))
 
     limit = stable_dt(state, params, M, grid, cfl=cfg.time.cfl, dt_max=cfg.time.dt_max)
-    if dt is not None:
-        if dt > limit * (1.0 + 1e-12):
-            raise NumericsError(f"requested dt {dt} exceeds the initial limit {limit}")
-        step_dt = dt
-        n_steps = max(1, int(round(cfg.time.T / dt)))
-    else:
-        n_steps = max(1, int(math.ceil(cfg.time.T / limit - 1e-12)))
-        step_dt = cfg.time.T / n_steps
+    n_steps, step_dt = _schedule(cfg.time.T, limit, dt)
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
@@ -445,7 +456,7 @@ def run_simulation(
             f"[{mode} eps={eps:g}] {n_steps} steps, dt={step_dt:.3e}, "
             f"max|div|={max_div:.3e}, {runtime:.1f}s"
         )
-    return RunResult(history, energy, norms, out_dir, step_dt, n_steps, max_div, runtime)
+    return RunResult(history, energy, norms, step_dt, n_steps, max_div, runtime)
 
 
 def _write_manifest(path: str, entries: dict) -> None:
@@ -488,13 +499,9 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
                 cfl=cfg.time.cfl, dt_max=cfg.time.dt_max,
             )
         )
-    limit = min(dts)
-    n_steps = max(1, int(math.ceil(cfg.time.T / limit - 1e-12)))
-    dt = cfg.time.T / n_steps
+    _, dt = _schedule(cfg.time.T, min(dts))
 
     hydro_dir = os.path.join(out_dir, "hydro") if out_dir is not None else None
-    if hydro_dir is not None:
-        os.makedirs(hydro_dir, exist_ok=True)
     hydro = run_simulation(cfg, eps_list[0], "hydro", out_dir=hydro_dir, dt=dt, quiet=quiet)
 
     sweep_rows = []
@@ -504,8 +511,6 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     translation = None
     for eps in eps_list:
         run_dir = os.path.join(out_dir, f"aniso_eps{eps:g}") if out_dir is not None else None
-        if run_dir is not None:
-            os.makedirs(run_dir, exist_ok=True)
         res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, dt=dt, quiet=quiet)
         errs = spacetime_errors(res.history, hydro.history)
         errors[eps] = errs

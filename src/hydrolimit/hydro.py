@@ -14,9 +14,9 @@ import numpy as np
 
 from .aniso import ProjectionError
 from .core import Grid
-from .operators import horizontal_divergence, solve_separable
+from .operators import StaggeredVelocity, horizontal_divergence, solve_separable
 
-__all__ = ["surface_pressure_projection", "diagnose_w"]
+__all__ = ["surface_pressure_projection", "diagnose_w", "hydrostatic_velocity"]
 
 
 def diagnose_w(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> np.ndarray:
@@ -27,13 +27,27 @@ def diagnose_w(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> np.ndarray:
     construction telescopes the MAC divergence exactly; after the surface
     projection the top value is automatically at the projection tolerance.
     """
-    div_h = horizontal_divergence(u1, u2, grid)
+    return hydrostatic_velocity(u1, u2, grid)[0].u3
+
+
+def hydrostatic_velocity(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> tuple:
+    """(u, max|div u|): the 3-D velocity (u1, u2, diagnosed u3) and the
+    largest magnitude of its divergence.
+
+    The divergence reuses the horizontal divergence that u3 integrates and
+    adds (u3[k+1] - u3[k])/dz to it, in the order ``divergence`` sums, so the
+    figure equals max|divergence(u)| bit for bit.
+    """
+    div = horizontal_divergence(u1, u2, grid)
     u3 = np.zeros((grid.nx, grid.ny, grid.nz + 1))
     w = u3[:, :, 1:]
-    np.cumsum(div_h, axis=2, out=w)
+    np.cumsum(div, axis=2, out=w)
     np.negative(w, out=w)
     w *= grid.dz
-    return u3
+    t = u3[:, :, 1:] - u3[:, :, :-1]
+    t /= grid.dz
+    div += t
+    return StaggeredVelocity(u1, u2, u3), float(np.max(np.abs(div)))
 
 
 def surface_pressure_projection(

@@ -71,9 +71,6 @@ class StaggeredVelocity:
             np.zeros(grid.shape_u1), np.zeros(grid.shape_u2), np.zeros(grid.shape_u3)
         )
 
-    def copy(self) -> "StaggeredVelocity":
-        return StaggeredVelocity(self.u1.copy(), self.u2.copy(), self.u3.copy())
-
     def components(self) -> tuple:
         return (self.u1, self.u2, self.u3)
 

@@ -11,25 +11,28 @@ H(0) = 1) at location x_s.  The pulse shape is one of
                 grows as eps -> 0, so it is excluded from convergence runs),
   delta_deposit I/cell_volume in the single cell containing x_s: the discrete
                 stand-in for the limit Dirac source of the hydrostatic model.
+
+A run samples its source once: ``Source(spec, grid)`` checks the location and
+holds I * pulse(x) at the cell centres, and ``Source.at(t)`` switches it on.
+``evaluate_source`` and ``source_norm_bound`` are one-off uses of the same
+sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .core import Grid, GridSpec
 
-__all__ = ["SourceSpec", "check_location", "evaluate_source", "source_norm_bound", "GAUSSIAN_NORM"]
+__all__ = ["SourceSpec", "Source", "check_location", "evaluate_source", "source_norm_bound",
+           "GAUSSIAN_NORM"]
 
 _KINDS = ("gaussian", "unit_impulse", "lorentzian", "delta_deposit")
 
 GAUSSIAN_NORM = math.pi ** (-1.5)
-
-_profile_cache: dict = {}
-_lorentz_norm_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,8 @@ def _lorentzian_domain_integral(eps: float, x_s: tuple, grid: Grid, nq: int = 20
     The vertical integral has the closed form arctan(z*sqrt(a/b))/sqrt(a*b)
     with a = pi^2 eps^2 and b = 1 + a*rho^2; the horizontal integral is a fine
     midpoint rule.  The integrand is filled in blocks of rows, so only one
-    nq x nq array is alive, and summed once.  Cached per (eps, x_s, domain).
+    nq x nq array is alive, and summed once.
     """
-    key = (round(eps, 15), x_s, grid.spec.lx, grid.spec.ly, grid.spec.h)
-    hit = _lorentz_norm_cache.get(key)
-    if hit is not None:
-        return hit
     a = (math.pi * eps) ** 2
     x = (np.arange(nq) + 0.5) * (grid.lx / nq)
     y = (np.arange(nq) + 0.5) * (grid.ly / nq)
@@ -102,47 +101,61 @@ def _lorentzian_domain_integral(eps: float, x_s: tuple, grid: Grid, nq: int = 20
         zpart[i : i + 64] = (
             np.arctan((grid.h - x_s[2]) * np.sqrt(a / b)) + np.arctan(x_s[2] * np.sqrt(a / b))
         ) / sab
-    val = float(eps * np.sum(zpart) * (grid.lx / nq) * (grid.ly / nq))
-    _lorentz_norm_cache[key] = val
-    return val
+    return float(eps * np.sum(zpart) * (grid.lx / nq) * (grid.ly / nq))
 
 
 def _spatial_profile(spec: SourceSpec, grid: Grid) -> np.ndarray:
-    """Unit-intensity pulse sampled at cell centres (cached, do not mutate)."""
-    key = (spec.kind, spec.x_s, spec.width, grid.cache_key)
-    hit = _profile_cache.get(key)
-    if hit is not None:
-        return hit
+    """Unit-intensity pulse sampled at cell centres."""
     if spec.kind == "delta_deposit":
-        field = np.zeros(grid.shape_cells)
-        field[grid.cell_index(spec.x_s)] = 1.0 / grid.cell_volume
+        pulse = np.zeros(grid.shape_cells)
+        pulse[grid.cell_index(spec.x_s)] = 1.0 / grid.cell_volume
     elif spec.kind == "gaussian":
         eps = spec.width
-        field = GAUSSIAN_NORM * eps**-3 * np.exp(-_r2_at_centers(spec, grid) / eps**2)
+        pulse = GAUSSIAN_NORM * eps**-3 * np.exp(-_r2_at_centers(spec, grid) / eps**2)
     elif spec.kind == "lorentzian":
         eps = spec.width
         raw = eps / (1.0 + (math.pi * eps) ** 2 * _r2_at_centers(spec, grid))
-        field = raw / _lorentzian_domain_integral(eps, spec.x_s, grid)
+        pulse = raw / _lorentzian_domain_integral(eps, spec.x_s, grid)
     elif spec.kind == "unit_impulse":
         eps = spec.width
         inside = _r2_at_centers(spec, grid) < (1.0 / eps) ** 2
-        field = np.where(inside, eps / 2.0, 0.0)
+        pulse = np.where(inside, eps / 2.0, 0.0)
     else:  # pragma: no cover
         raise ValueError(spec.kind)
-    if len(_profile_cache) > 64:
-        _profile_cache.clear()
-    _profile_cache[key] = field
-    return field
+    return pulse
+
+
+@dataclass(frozen=True, eq=False)
+class Source:
+    """A source spec sampled once on a grid.
+
+    Construction checks the location (``check_location``) and stores
+    ``values``, the read-only field I * pulse(x) at the cell centres.
+    """
+
+    spec: SourceSpec
+    grid: InitVar[Grid]
+    values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, grid: Grid):
+        check_location(self.spec.x_s, grid)
+        values = self.spec.intensity * _spatial_profile(self.spec, grid)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def at(self, t: float) -> np.ndarray:
+        """Source field at time t: I * H(t - t_s) * pulse(x), H(0) = 1; a
+        fresh zero field before t_s, ``values`` itself from t_s on."""
+        if t < 0:
+            raise ValueError(f"time must be >= 0, got {t!r}")
+        if t < self.spec.t_s:
+            return np.zeros(self.values.shape)
+        return self.values
 
 
 def evaluate_source(spec: SourceSpec, t: float, grid: Grid) -> np.ndarray:
     """Source field at time t: I * H(t - t_s) * pulse(x), H(0) = 1."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t!r}")
-    check_location(spec.x_s, grid)
-    if t < spec.t_s or spec.intensity == 0.0:
-        return np.zeros(grid.shape_cells)
-    return spec.intensity * _spatial_profile(spec, grid)
+    return Source(spec, grid).at(t)
 
 
 def source_norm_bound(spec: SourceSpec, grid: Grid, T: float) -> float:
@@ -153,9 +166,6 @@ def source_norm_bound(spec: SourceSpec, grid: Grid, T: float) -> float:
     """
     if not T > 0:
         raise ValueError(f"T must be positive, got {T!r}")
-    check_location(spec.x_s, grid)
+    values = Source(spec, grid).values
     active = max(T - spec.t_s, 0.0)
-    if active == 0.0 or spec.intensity == 0.0:
-        return 0.0
-    field = spec.intensity * _spatial_profile(spec, grid)
-    return float(np.sqrt(active * np.sum(field**2) * grid.cell_volume))
+    return float(np.sqrt(active * np.sum(values**2) * grid.cell_volume))

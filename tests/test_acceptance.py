@@ -26,7 +26,7 @@ from hydrolimit.operators import (
     apply_velocity_bcs,
     diffuse_concentration,
 )
-from hydrolimit.sources import SourceSpec, evaluate_source, source_norm_bound
+from hydrolimit.sources import Source, SourceSpec, evaluate_source, source_norm_bound
 from hydrolimit.aniso import (
     SimState,
     pressure_projection_anisotropic,
@@ -254,7 +254,7 @@ def test_criterion_06_dense_oracle():
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
     dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
 
-    new, _ = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
+    new, _ = step(st, params, M, theta, Source(src, g), dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
 
     def relmax(a, b):

@@ -18,7 +18,7 @@ from hydrolimit.operators import (
     grad_pressure,
     theta_faces,
 )
-from hydrolimit.sources import SourceSpec, evaluate_source
+from hydrolimit.sources import Source, SourceSpec, evaluate_source
 from hydrolimit.aniso import (
     CFLError,
     ProjectionError,
@@ -247,7 +247,7 @@ def test_one_way_coupling_velocity_stays_zero(grid8):
     st = SimState.zeros(grid8)
     dt = stable_dt(st, params, M, grid8, cfl=0.5)
     for _ in range(10):
-        st, _ = step(st, params, M, None, src, dt, grid8, "aniso")
+        st, _ = step(st, params, M, None, Source(src, grid8), dt, grid8, "aniso")
     assert np.max(np.abs(st.u.u1)) == 0.0
     assert np.max(np.abs(st.u.u3)) == 0.0
     assert st.C.max() > 0.0
@@ -605,7 +605,7 @@ def test_step_matches_dense_oracle():
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
     dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
 
-    new, _ = step(st, params, M, theta, src, dt, g, "aniso", tol=1e-13)
+    new, _ = step(st, params, M, theta, Source(src, g), dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
 
     def relmax(a, b):

@@ -1,4 +1,4 @@
-"""Grid construction, eigenvalue/coercivity machinery, and rescaling maps."""
+"""Grid construction, eigenvalue/coercivity machinery, and physical parameters."""
 
 import math
 
@@ -14,11 +14,7 @@ from hydrolimit.core import (
     build_grid,
     coercivity_constant,
     coriolis_at,
-    scale_diffusion,
-    unscale_state,
-    rescale_state,
 )
-from hydrolimit.operators import StaggeredVelocity
 
 from conftest import random_spd_tensor
 
@@ -179,44 +175,6 @@ def test_tensor_is_a_read_only_copy():
 
 
 # ---------------------------------------------------------------------------
-# scale_diffusion
-# ---------------------------------------------------------------------------
-
-
-def test_scale_diffusion_paper_entries():
-    M = DiffusionTensor(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]))
-    K = scale_diffusion(M, 0.1)
-    assert K[0, 2] == pytest.approx(0.1)
-    assert K[2, 0] == pytest.approx(0.1)
-    assert K[1, 2] == pytest.approx(0.1)
-    assert K[2, 2] == pytest.approx(0.02)
-    assert K[0, 0] == 2.0 and K[0, 1] == 1.0 and K[1, 1] == 2.0
-
-
-def test_scale_diffusion_identity_eps_one():
-    M = DiffusionTensor(np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]]))
-    assert np.allclose(scale_diffusion(M, 1.0), M.m)
-
-
-def test_scale_diffusion_homogeneous_air_limit():
-    M = DiffusionTensor.identity()
-    K = scale_diffusion(M, 1e-8)
-    assert np.allclose(K[:2, :2], np.eye(2))
-    assert K[2, 2] == pytest.approx(0.0, abs=1e-15)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    e1=st.floats(1e-3, 1.0),
-    e2=st.floats(1e-3, 1.0),
-)
-def test_scale_diffusion_monotone_in_eps(e1, e2):
-    lo, hi = sorted((e1, e2))
-    M = DiffusionTensor(np.abs(np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])))
-    assert np.all(scale_diffusion(M, lo) <= scale_diffusion(M, hi) + 1e-15)
-
-
-# ---------------------------------------------------------------------------
 # coriolis_at
 # ---------------------------------------------------------------------------
 
@@ -249,53 +207,6 @@ def test_phys_params_validation():
         PhysParams(1.0, 1.0, 1.0, eps=0.0)
     with pytest.raises(ValueError):
         PhysParams(1.0, 1.0, 1.0, eps=1.5)
-
-
-# ---------------------------------------------------------------------------
-# unscale_state / rescale_state
-# ---------------------------------------------------------------------------
-
-
-def test_unscale_vertical_velocity():
-    g = build_grid(GridSpec(4, 4, 4))
-    u = StaggeredVelocity(
-        np.zeros(g.shape_u1), np.zeros(g.shape_u2), np.ones(g.shape_u3)
-    )
-    phys = unscale_state(u, np.zeros(g.shape_cells), 0.1, g)
-    assert np.allclose(phys.vz, 0.1)
-    assert np.allclose(phys.z_centers, 0.1 * g.x3c)
-
-
-def test_unscale_zero_concentration():
-    g = build_grid(GridSpec(4, 4, 4))
-    u = StaggeredVelocity.zeros(g)
-    phys = unscale_state(u, np.zeros(g.shape_cells), 0.3, g)
-    assert np.all(phys.P == 0.0)
-
-
-def test_unscale_rejects_zero_eps():
-    g = build_grid(GridSpec(4, 4, 4))
-    with pytest.raises(ValueError):
-        unscale_state(StaggeredVelocity.zeros(g), np.zeros(g.shape_cells), 0.0, g)
-
-
-@settings(max_examples=25, deadline=None)
-@given(eps=st.floats(1e-6, 1.0))
-def test_unscale_rescale_round_trip(eps):
-    g = build_grid(GridSpec(4, 5, 6))
-    rng = np.random.default_rng(11)
-    u = StaggeredVelocity(
-        rng.normal(size=g.shape_u1),
-        rng.normal(size=g.shape_u2),
-        rng.normal(size=g.shape_u3),
-    )
-    C = rng.normal(size=g.shape_cells)
-    phys = unscale_state(u, C, eps, g)
-    u1, u2, u3, C2 = rescale_state(phys, eps)
-    assert np.allclose(u1, u.u1, rtol=1e-14, atol=0)
-    assert np.allclose(u2, u.u2, rtol=1e-14, atol=0)
-    assert np.allclose(u3, u.u3, rtol=1e-14, atol=1e-300)
-    assert np.allclose(C2, C, rtol=1e-14, atol=1e-300)
 
 
 def test_boundary_forcing_validation():

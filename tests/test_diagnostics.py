@@ -16,6 +16,7 @@ from hydrolimit.operators import (
 from hydrolimit.aniso import SimState, stable_dt
 from hydrolimit.harness import step
 from hydrolimit.diagnostics import (
+    ConvergenceRow,
     RunHistory,
     ScalarTestFunction,
     StreamTestVelocity,
@@ -23,7 +24,7 @@ from hydrolimit.diagnostics import (
     apriori_norms,
     boundary_pairing,
     concentration_dissipation,
-    convergence_metrics,
+    convergence_report,
     diffusion_quadratic_form,
     energy_balance,
     spacetime_errors,
@@ -31,7 +32,7 @@ from hydrolimit.diagnostics import (
     velocity_dissipation,
     weak_residual,
 )
-from hydrolimit.sources import SourceSpec
+from hydrolimit.sources import Source, SourceSpec
 
 from conftest import default_params, projected_velocity, random_spd_tensor, smooth_field, smooth_velocity
 
@@ -149,14 +150,6 @@ def test_energy_slack_nonnegative_unforced(grid8):
     assert np.min(rep.slack) >= -1e-13
 
 
-def test_energy_ledger_consistency(grid8):
-    """Sum of the recorded per-step increments reproduces E(T) - E(0)."""
-    params = default_params(eps=0.5, nu=0.02)
-    hist = run_aniso(grid8, params, DiffusionTensor.identity(), steps=15)
-    rep = energy_balance(hist)
-    assert float(np.sum(rep.dE)) == pytest.approx(rep.E[-1] - rep.E[0], rel=1e-12)
-
-
 def test_energy_coercivity_bound_below_dissipation_term(grid8):
     """(M grad C, grad C) >= lambda |grad C|^2 holds for the reported pair."""
     from hydrolimit.core import coercivity_constant
@@ -240,7 +233,7 @@ def test_translation_modulus_linear_growth_closed_form(grid8):
     T = (n - 1) * dt
     history = [m * dt * g for m in range(n)]
     hs = [dt, 2 * dt, 4 * dt]
-    rep = translation_modulus(history, dt, grid8, hs, T=T)
+    rep = translation_modulus(history, dt, grid8, hs)
     walls = ("dirichlet", "dirichlet")
     axes = (
         (1.0 / grid8.dx**2, *walls),
@@ -323,7 +316,7 @@ def test_weak_residual_delta_source_uses_point_value(grid8):
         for m in range(n)
     ]
     hist = make_history(grid8, params, DiffusionTensor.identity(), states, dt, "hydro",
-                        source=src)
+                        source=Source(src, grid8))
     tc = hist.T - dt
     c = ScalarTestFunction(t_cut=tc, kx=1, ky=1)
     (rec,) = [r for r in weak_residual(hist, [], [c]) if r.kind == "concentration"]
@@ -358,7 +351,7 @@ def test_convergence_self_comparison_zero(grid8):
     hist = run_aniso(grid8, params, DiffusionTensor.identity(), steps=8)
     errs = spacetime_errors(hist, hist)
     assert errs == (0.0, 0.0, 0.0)
-    rep = convergence_metrics([hist], hist)
+    rep = convergence_report([ConvergenceRow(hist.params.eps, *errs)])
     assert rep.rows[0].err_uH == 0.0
 
 
@@ -370,7 +363,9 @@ def test_convergence_rows_sorted_and_schedule_checked(grid8):
     hb = run_aniso(grid8, params_b, M, steps=8, seed=3)
     # identical schedule required by the metric: force matching dt
     hb.dt = ha.dt
-    rep = convergence_metrics([hb, ha], ha)
+    rep = convergence_report(
+        [ConvergenceRow(h.params.eps, *spacetime_errors(h, ha)) for h in (hb, ha)]
+    )
     assert rep.rows[0].eps == 0.5
     assert rep.rows[1].eps == 0.25
     bad = make_history(grid8, params_b, M, hb.states[:-2], ha.dt)

@@ -10,7 +10,7 @@ import pytest
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
 from hydrolimit.core import GridSpec, build_grid
-from hydrolimit.diagnostics import APRIORI_NORM_NAMES
+from hydrolimit.diagnostics import APRIORI_NORM_NAMES, energy_balance, weak_residual
 from hydrolimit.operators import StaggeredVelocity, divergence
 from hydrolimit.harness import (
     epsilon_sweep,
@@ -20,7 +20,7 @@ from hydrolimit.harness import (
     write_csv,
     write_vtk,
 )
-from hydrolimit.aniso import SimState
+from hydrolimit.aniso import NumericsError, SimState
 
 
 SMALL_RUN = """
@@ -334,6 +334,21 @@ def test_parse_rejects_int_beyond_float_range(tmp_path, section, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["nx", "ny", "nz"])
+def test_parse_rejects_grid_beyond_index_range(tmp_path, key):
+    """A cell count that converts finitely but whose ghost-extended float64
+    field numpy cannot index is a config error at its line, and the CLI
+    makes no output."""
+    text = f"[source]\nintensity = 0\n[grid]\n{key} = 1{'0' * 300}\n"
+    with pytest.raises(ConfigError, match="numpy can index") as err:
+        parse_config(text)
+    assert err.value.key == key and err.value.line == 4
+    (tmp_path / "vast.cfg").write_text(text)
+    rc = cli_main([str(tmp_path / "vast.cfg"), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ["[phys]\nf0 = nan\n", "[time]\nT = inf\n", "[source]\nx_s = nan, 0.5, 0.5\n",
@@ -400,6 +415,46 @@ def test_run_max_div_is_max_over_states(mode):
     g = res.history.grid
     want = max(float(np.max(np.abs(divergence(s.u, g)))) for s in res.history.states)
     assert res.max_div == want
+
+
+def test_run_refuses_schedule_beyond_2_53_steps(tmp_path):
+    """T = 1e300 would take about 1e302 steps, past the 2**53 at which
+    t + dt stops advancing: the run refuses to start and the CLI exits 2
+    without writing a snapshot."""
+    text = "[grid]\nnx = 4\nny = 4\nnz = 4\n[source]\nintensity = 0\n[time]\nT = 1e300\n"
+    with pytest.raises(NumericsError, match=r"T = 1e\+300 takes .* steps of dt <= .*2\*\*53"):
+        run_simulation(parse_config(text), 0.5, "aniso")
+    (tmp_path / "endless.cfg").write_text(text)
+    out = tmp_path / "out"
+    for mode in ("aniso", "hydro", "sweep"):
+        rc = cli_main([str(tmp_path / "endless.cfg"), "--mode", mode, "--out", str(out), "--quiet"])
+        assert rc == 2
+    assert not any(f.endswith(".vtk") for _, _, fs in os.walk(out) for f in fs)
+
+
+def test_lorentzian_normaliser_computed_once_per_run(monkeypatch):
+    """A run samples its source once; the ledger and the weak residuals
+    reuse that sample instead of recomputing the Lorentzian normaliser."""
+    from hydrolimit import sources
+
+    calls = []
+    integral = sources._lorentzian_domain_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integral(*args, **kwargs)
+
+    monkeypatch.setattr(sources, "_lorentzian_domain_integral", counted)
+    cfg = parse_config(
+        "[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nkind = lorentzian\nwidth = 0.3\nt_s = 0\n"
+        "[init]\nvelocity = taylor_green_h\n[time]\nT = 0.05\nsnapshot_every = 2\n"
+    )
+    res = run_simulation(cfg, 0.5, "hydro")
+    again = energy_balance(res.history)
+    records = weak_residual(res.history)
+    assert len(calls) == 1
+    assert np.array_equal(again.slack, res.energy.slack)
+    assert any(r.rhs["source"] != 0.0 for r in records if r.kind == "concentration")
 
 
 def test_taylor_green_preset_nontrivial():

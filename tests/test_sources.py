@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hydrolimit.core import GridSpec, build_grid
-from hydrolimit.sources import GAUSSIAN_NORM, SourceSpec, evaluate_source, source_norm_bound
+from hydrolimit.sources import GAUSSIAN_NORM, Source, SourceSpec, evaluate_source, source_norm_bound
 
 
 def centered_grid(n=5):
@@ -123,6 +123,31 @@ def test_source_rejects_outside_domain():
 
 
 # ---------------------------------------------------------------------------
+# Source: one sample per run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "unit_impulse", "lorentzian", "delta_deposit"])
+def test_source_samples_once_and_switches_on(kind):
+    g = build_grid(GridSpec(8, 8, 8))
+    spec = SourceSpec(kind, 2.0, 0.5, (0.5, 0.5, 0.5), None if kind == "delta_deposit" else 0.3)
+    src = Source(spec, g)
+    assert not src.values.flags.writeable
+    assert np.array_equal(src.values, evaluate_source(spec, 0.5, g))
+    assert src.at(0.5) is src.values and src.at(0.7) is src.values
+    before = src.at(0.49)
+    assert before.shape == g.shape_cells and np.all(before == 0.0) and before.flags.writeable
+    with pytest.raises(ValueError, match="time"):
+        src.at(-1.0)
+
+
+def test_source_checks_location_at_construction():
+    g = build_grid(GridSpec(8, 8, 8))
+    with pytest.raises(ValueError, match="two cell widths"):
+        Source(SourceSpec("gaussian", 1.0, 0.0, (0.1, 0.5, 0.5), 0.2), g)
+
+
+# ---------------------------------------------------------------------------
 # source_norm_bound
 # ---------------------------------------------------------------------------
 
@@ -186,14 +211,13 @@ def _lorentzian_integral_full_array(eps, x_s, grid, nq=2048):
 
 
 @pytest.mark.parametrize("eps, x_s", [(0.5, (0.5, 0.5, 0.5)), (0.0625, (0.3, 0.7, 0.4))])
-def test_lorentzian_normaliser_blocked_memory(monkeypatch, eps, x_s):
+def test_lorentzian_normaliser_blocked_memory(eps, x_s):
     """The blocked quadrature keeps one 2048^2 array alive (32 MiB) and gives
     the same value, bit for bit, as the full-array evaluation."""
     import tracemalloc
 
     from hydrolimit import sources
 
-    monkeypatch.setattr(sources, "_lorentz_norm_cache", {})
     g = build_grid(GridSpec(8, 8, 8))
     tracemalloc.start()
     try:
