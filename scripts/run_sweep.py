@@ -20,7 +20,6 @@ def main() -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     cfg = load_config(os.path.join(here, "sweep.cfg"))
     out = sys.argv[1] if len(sys.argv) > 1 else cfg.run.output_dir
-    os.makedirs(out, exist_ok=True)
 
     print(f"sweep -> {out}  (eps = {list(cfg.run.eps_list)})")
     result = epsilon_sweep(cfg, out_dir=out, quiet=False)

@@ -38,7 +38,7 @@ from .aniso import (
     pressure_projection_anisotropic,
     stable_dt,
 )
-from .hydro import diagnose_w, surface_pressure_projection
+from .hydro import surface_pressure_projection
 from .diagnostics import (
     ConvergenceReport,
     EnergyReport,

@@ -55,7 +55,6 @@ def main(argv=None) -> int:
     out = cfg.run.output_dir
     try:
         if cfg.run.mode == "sweep":
-            os.makedirs(out, exist_ok=True)
             result = epsilon_sweep(cfg, out_dir=out, quiet=args.quiet)
             if not args.quiet:
                 for row in result.report.rows:
@@ -70,7 +69,6 @@ def main(argv=None) -> int:
                     if len(cfg.run.eps_list) > 1
                     else out
                 )
-                os.makedirs(run_dir, exist_ok=True)
                 run_simulation(cfg, eps, cfg.run.mode, out_dir=run_dir, quiet=args.quiet)
     except NumericsError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

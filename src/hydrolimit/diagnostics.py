@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "StreamTestVelocity",
     "VerticalTestVelocity",
     "ScalarTestFunction",
+    "max_divergence",
     "default_test_family",
     "WeakResidualRecord",
     "weak_residual",
@@ -78,8 +80,8 @@ class RunHistory:
     def __post_init__(self):
         if self.mode not in ("aniso", "hydro"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.states:
-            raise ValueError("empty history")
+        if len(self.states) < 2:
+            raise ValueError(f"a history needs at least two states, got {len(self.states)}")
 
     @property
     def times(self) -> np.ndarray:
@@ -96,9 +98,13 @@ def _l2sq(f: np.ndarray, dV: float) -> float:
 
 def _trapz_cumsum(values: np.ndarray, dt: float) -> np.ndarray:
     out = np.zeros_like(values)
-    if len(values) > 1:
-        out[1:] = np.cumsum(0.5 * dt * (values[:-1] + values[1:]))
+    out[1:] = np.cumsum(0.5 * dt * (values[:-1] + values[1:]))
     return out
+
+
+def _l2_in_time(values, dt: float) -> float:
+    """sqrt of the trapezoid integral of squared norms sampled every dt."""
+    return float(np.sqrt(np.trapezoid(values, dx=dt)))
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +174,17 @@ def concentration_dissipation(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> 
     return -float(np.sum(C * diffuse_concentration(C, M, grid)) * grid.cell_volume)
 
 
+def _concentration_center_gradient(C: np.ndarray, M: DiffusionTensor, grid: Grid):
+    """Central-difference grad C at cell centres, with the model's BC ghosts."""
+    Ce = apply_concentration_bcs(C, M, grid)
+    dx, dy, dz = grid.spacing
+    return (
+        (Ce[2:, 1:-1, 1:-1] - Ce[:-2, 1:-1, 1:-1]) / (2 * dx),
+        (Ce[1:-1, 2:, 1:-1] - Ce[1:-1, :-2, 1:-1]) / (2 * dy),
+        (Ce[1:-1, 1:-1, 2:] - Ce[1:-1, 1:-1, :-2]) / (2 * dz),
+    )
+
+
 def diffusion_quadratic_form(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> tuple:
     """Cell-centred ((M grad C, grad C), |grad C|^2) pair.
 
@@ -175,11 +192,7 @@ def diffusion_quadratic_form(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> t
     ghosts), so the coercivity bound (M g, g) >= lambda |g|^2 holds cellwise
     for any SPD tensor, up to roundoff.
     """
-    Ce = apply_concentration_bcs(C, M, grid)
-    dx, dy, dz = grid.spacing
-    g1 = (Ce[2:, 1:-1, 1:-1] - Ce[:-2, 1:-1, 1:-1]) / (2.0 * dx)
-    g2 = (Ce[1:-1, 2:, 1:-1] - Ce[1:-1, :-2, 1:-1]) / (2.0 * dy)
-    g3 = (Ce[1:-1, 1:-1, 2:] - Ce[1:-1, 1:-1, :-2]) / (2.0 * dz)
+    g1, g2, g3 = _concentration_center_gradient(C, M, grid)
     qm = (
         M.entry(0, 0) * g1 * g1
         + M.entry(1, 1) * g2 * g2
@@ -317,7 +330,7 @@ def apriori_norms(history: RunHistory) -> dict:
         return float(np.sqrt(np.max(v)))
 
     def l2t(v):
-        return float(np.sqrt(np.trapezoid(v, dx=dt))) if len(v) > 1 else 0.0
+        return _l2_in_time(v, dt)
 
     return {
         "sup_L2_u1": sup(l2["u1"]),
@@ -378,9 +391,8 @@ def translation_modulus(C_history: list, dt: float, grid: Grid, h_list) -> Trans
             d = C_history[m + s] - C_history[m]
             nn = solve_separable(d, axes, shift=1.0)
             vals[m] = np.sum(nn * nn) * dV
-        modulus = math.sqrt(float(np.trapezoid(vals, dx=dt))) if len(vals) > 1 else math.sqrt(vals[0] * dt)
         hs.append(h)
-        moduli.append(modulus)
+        moduli.append(_l2_in_time(vals, dt))
 
     hs = np.array(hs)
     moduli = np.array(moduli)
@@ -396,20 +408,50 @@ def translation_modulus(C_history: list, dt: float, grid: Grid, h_list) -> Trans
 # --------------------------------------------------------------------------
 
 
-def _envelope(t: float, t_cut: float) -> float:
-    if t >= t_cut:
-        return 0.0
-    return (1.0 - t / t_cut) ** 2
+class VelocityFields(NamedTuple):
+    """A test velocity's spatial factor at unit amplitude, at cell centres.
+
+    ``grad_uH`` is ((d1, d2, d3) u~1, (d1, d2, d3) u~2), ``ground_uH`` the
+    pair u~_H on the ground; zero components are broadcastable zeros.
+    """
+
+    uH: tuple
+    u3: np.ndarray
+    grad_uH: tuple
+    grad_u3: tuple
+    ground_uH: tuple
 
 
-def _envelope_dt(t: float, t_cut: float) -> float:
-    if t >= t_cut:
-        return 0.0
-    return -2.0 * (1.0 - t / t_cut) / t_cut
+class ScalarFields(NamedTuple):
+    """A scalar test function's spatial factor at unit amplitude."""
+
+    value: np.ndarray
+    grad: tuple
 
 
 @dataclass(frozen=True)
-class StreamTestVelocity:
+class _AnalyticTest:
+    """amp * eta(t) times a spatial factor with horizontal wave numbers
+    (kx, ky); eta = (1 - t/t_cut)^2 vanishes from t_cut on."""
+
+    t_cut: float
+    kx: int = 1
+    ky: int = 1
+    amp: float = 1.0
+
+    def envelope(self, t: float) -> tuple:
+        """(amp * eta(t), amp * eta'(t))."""
+        if t >= self.t_cut:
+            return 0.0, 0.0
+        r = 1.0 - t / self.t_cut
+        return self.amp * r**2, self.amp * (-2.0 * r / self.t_cut)
+
+    def _waves(self, grid: Grid) -> tuple:
+        """(kx pi / lx, ky pi / ly, X1, X2, X3) with the cell centres X."""
+        return (self.kx * math.pi / grid.lx, self.ky * math.pi / grid.ly, *grid.centers())
+
+
+class StreamTestVelocity(_AnalyticTest):
     """Divergence-free test velocity from a horizontal streamfunction.
 
     u~_H = (d2 psi, -d1 psi) * phi(x3) * eta(t) with psi built from squared
@@ -419,16 +461,9 @@ class StreamTestVelocity:
     pointwise and lies in both test spaces.
     """
 
-    t_cut: float
-    kx: int = 1
-    ky: int = 1
-    amp: float = 1.0
-
-    def _pieces(self, grid: Grid):
-        a = self.kx * math.pi / grid.lx
-        b = self.ky * math.pi / grid.ly
+    def fields(self, grid: Grid) -> VelocityFields:
+        a, b, X1, X2, X3 = self._waves(grid)
         q = math.pi / (2.0 * grid.h)
-        X1, X2, X3 = grid.centers()
         A = np.sin(a * X1) ** 2
         dA = a * np.sin(2.0 * a * X1)
         d2A = 2.0 * a**2 * np.cos(2.0 * a * X1)
@@ -437,53 +472,20 @@ class StreamTestVelocity:
         d2B = 2.0 * b**2 * np.cos(2.0 * b * X2)
         phi = np.cos(q * X3) ** 2
         dphi = -q * np.sin(2.0 * q * X3)
-        return A, dA, d2A, B, dB, d2B, phi, dphi
-
-    def uH(self, grid: Grid, t: float):
-        A, dA, _, B, dB, _, phi, _ = self._pieces(grid)
-        e = self.amp * _envelope(t, self.t_cut)
-        return e * A * dB * phi, -e * dA * B * phi
-
-    def dt_uH(self, grid: Grid, t: float):
-        A, dA, _, B, dB, _, phi, _ = self._pieces(grid)
-        de = self.amp * _envelope_dt(t, self.t_cut)
-        return de * A * dB * phi, -de * dA * B * phi
-
-    def u3(self, grid: Grid, t: float):
-        return np.zeros((1, 1, 1))
-
-    def dt_u3(self, grid: Grid, t: float):
-        return np.zeros((1, 1, 1))
-
-    def grad_uH(self, grid: Grid, t: float):
-        A, dA, d2A, B, dB, d2B, phi, dphi = self._pieces(grid)
-        e = self.amp * _envelope(t, self.t_cut)
-        g1 = (e * dA * dB * phi, e * A * d2B * phi, e * A * dB * dphi)
-        g2 = (-e * d2A * B * phi, -e * dA * dB * phi, -e * dA * B * dphi)
-        return g1, g2
-
-    def grad_u3(self, grid: Grid, t: float):
         z = np.zeros((1, 1, 1))
-        return (z, z, z)
-
-    def ground_uH(self, grid: Grid, t: float):
-        a = self.kx * math.pi / grid.lx
-        b = self.ky * math.pi / grid.ly
-        x1 = grid.x1c[:, None]
-        x2 = grid.x2c[None, :]
-        e = self.amp * _envelope(t, self.t_cut)  # phi(0) = 1
-        return (
-            e * np.sin(a * x1) ** 2 * b * np.sin(2.0 * b * x2),
-            -e * a * np.sin(2.0 * a * x1) * np.sin(b * x2) ** 2,
+        return VelocityFields(
+            uH=(A * dB * phi, -dA * B * phi),
+            u3=z,
+            grad_uH=(
+                (dA * dB * phi, A * d2B * phi, A * dB * dphi),
+                (-d2A * B * phi, -dA * dB * phi, -dA * B * dphi),
+            ),
+            grad_u3=(z, z, z),
+            ground_uH=((A * dB)[..., 0], (-dA * B)[..., 0]),  # phi(0) = 1
         )
 
-    def max_divergence(self, grid: Grid, t: float) -> float:
-        (g11, _, _), (_, g22, _) = self.grad_uH(grid, t)
-        return float(np.max(np.abs(g11 + g22)))
 
-
-@dataclass(frozen=True)
-class VerticalTestVelocity:
+class VerticalTestVelocity(_AnalyticTest):
     """Test velocity with active vertical component, u~ = curl(chi, 0, 0).
 
     chi = g(x1) s(x2) q(x3) with squared-sine factors gives
@@ -492,16 +494,9 @@ class VerticalTestVelocity:
     eps^2-weighted vertical terms of the anisotropic identity.
     """
 
-    t_cut: float
-    kx: int = 1
-    ky: int = 1
-    amp: float = 1.0
-
-    def _pieces(self, grid: Grid):
-        a = self.kx * math.pi / grid.lx
-        b = self.ky * math.pi / grid.ly
+    def fields(self, grid: Grid) -> VelocityFields:
+        a, b, X1, X2, X3 = self._waves(grid)
         c = math.pi / grid.h
-        X1, X2, X3 = grid.centers()
         g = np.sin(a * X1) ** 2
         dg = a * np.sin(2.0 * a * X1)
         s = np.sin(b * X2) ** 2
@@ -510,84 +505,31 @@ class VerticalTestVelocity:
         q = np.sin(c * X3) ** 2
         dq = c * np.sin(2.0 * c * X3)
         d2q = 2.0 * c**2 * np.cos(2.0 * c * X3)
-        return g, dg, s, ds, d2s, q, dq, d2q
-
-    def uH(self, grid: Grid, t: float):
-        g, _, s, _, _, _, dq, _ = self._pieces(grid)
-        e = self.amp * _envelope(t, self.t_cut)
-        return np.zeros((1, 1, 1)), e * g * s * dq
-
-    def dt_uH(self, grid: Grid, t: float):
-        g, _, s, _, _, _, dq, _ = self._pieces(grid)
-        de = self.amp * _envelope_dt(t, self.t_cut)
-        return np.zeros((1, 1, 1)), de * g * s * dq
-
-    def u3(self, grid: Grid, t: float):
-        g, _, _, ds, _, q, _, _ = self._pieces(grid)
-        e = self.amp * _envelope(t, self.t_cut)
-        return -e * g * ds * q
-
-    def dt_u3(self, grid: Grid, t: float):
-        g, _, _, ds, _, q, _, _ = self._pieces(grid)
-        de = self.amp * _envelope_dt(t, self.t_cut)
-        return -de * g * ds * q
-
-    def grad_uH(self, grid: Grid, t: float):
-        g, dg, s, ds, _, _, dq, d2q = self._pieces(grid)
-        e = self.amp * _envelope(t, self.t_cut)
         z = np.zeros((1, 1, 1))
-        g1 = (z, z, z)
-        g2 = (e * dg * s * dq, e * g * ds * dq, e * g * s * d2q)
-        return g1, g2
-
-    def grad_u3(self, grid: Grid, t: float):
-        g, dg, _, ds, d2s, q, dq, _ = self._pieces(grid)
-        e = self.amp * _envelope(t, self.t_cut)
-        return (-e * dg * ds * q, -e * g * d2s * q, -e * g * ds * dq)
-
-    def ground_uH(self, grid: Grid, t: float):
-        # q'(0) = 0: both horizontal components vanish at the ground.
-        z = np.zeros((grid.nx, grid.ny))
-        return z, z
-
-    def max_divergence(self, grid: Grid, t: float) -> float:
-        _, (_, g22, _) = self.grad_uH(grid, t)
-        g3 = self.grad_u3(grid, t)[2]
-        return float(np.max(np.abs(g22 + g3)))
+        return VelocityFields(
+            uH=(z, g * s * dq),
+            u3=-g * ds * q,
+            grad_uH=((z, z, z), (dg * s * dq, g * ds * dq, g * s * d2q)),
+            grad_u3=(-dg * ds * q, -g * d2s * q, -g * ds * dq),
+            ground_uH=(z[..., 0], z[..., 0]),  # q'(0) = 0
+        )
 
 
-@dataclass(frozen=True)
-class ScalarTestFunction:
-    """Scalar test function, zero on Gamma_A, active at the ground."""
+class ScalarTestFunction(_AnalyticTest):
+    """Scalar test function sin(a x1) sin(b x2) cos(pi x3 / 2h): zero on
+    Gamma_A, active at the ground."""
 
-    t_cut: float
-    kx: int = 1
-    ky: int = 1
-    amp: float = 1.0
-
-    def _pieces(self, grid: Grid):
-        a = self.kx * math.pi / grid.lx
-        b = self.ky * math.pi / grid.ly
+    def fields(self, grid: Grid) -> ScalarFields:
+        a, b, X1, X2, X3 = self._waves(grid)
         q = math.pi / (2.0 * grid.h)
-        X1, X2, X3 = grid.centers()
-        return a, b, q, np.sin(a * X1), np.sin(b * X2), np.cos(q * X3)
-
-    def value(self, grid: Grid, t: float):
-        _, _, _, sx, sy, cz = self._pieces(grid)
-        return self.amp * _envelope(t, self.t_cut) * sx * sy * cz
-
-    def dt_value(self, grid: Grid, t: float):
-        _, _, _, sx, sy, cz = self._pieces(grid)
-        return self.amp * _envelope_dt(t, self.t_cut) * sx * sy * cz
-
-    def grad(self, grid: Grid, t: float):
-        a, b, q, sx, sy, cz = self._pieces(grid)
-        X1, X2, X3 = grid.centers()
-        e = self.amp * _envelope(t, self.t_cut)
-        return (
-            e * a * np.cos(a * X1) * sy * cz,
-            e * b * sx * np.cos(b * X2) * cz,
-            -e * q * sx * sy * np.sin(q * X3),
+        sx, sy, cz = np.sin(a * X1), np.sin(b * X2), np.cos(q * X3)
+        return ScalarFields(
+            sx * sy * cz,
+            (
+                a * np.cos(a * X1) * sy * cz,
+                b * sx * np.cos(b * X2) * cz,
+                -q * sx * sy * np.sin(q * X3),
+            ),
         )
 
     def value_at(self, point, grid: Grid, t: float) -> float:
@@ -595,12 +537,17 @@ class ScalarTestFunction:
         b = self.ky * math.pi / grid.ly
         q = math.pi / (2.0 * grid.h)
         return (
-            self.amp
-            * _envelope(t, self.t_cut)
+            self.envelope(t)[0]
             * math.sin(a * point[0])
             * math.sin(b * point[1])
             * math.cos(q * point[2])
         )
+
+
+def max_divergence(f: VelocityFields) -> float:
+    """Largest |div u~| of a test velocity's fields."""
+    (g11, _, _), (_, g22, _) = f.grad_uH
+    return float(np.max(np.abs(g11 + g22 + f.grad_u3[2])))
 
 
 def default_test_family(T: float, dt_snap: float) -> tuple:
@@ -625,6 +572,11 @@ class WeakResidualRecord:
     lhs: dict
     rhs: dict
     residual: float
+
+
+def _dot(a, b):
+    """sum_i a_i * b_i of two sequences of arrays."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _solution_center_gradients(u: StaggeredVelocity, history: RunHistory):
@@ -656,16 +608,6 @@ def _solution_center_gradients(u: StaggeredVelocity, history: RunHistory):
     return (g11, g12, g13), (g21, g22, g23), (g31, g32, g33)
 
 
-def _concentration_center_gradient(C: np.ndarray, M, grid: Grid):
-    Ce = apply_concentration_bcs(C, M, grid)
-    dx, dy, dz = grid.spacing
-    return (
-        (Ce[2:, 1:-1, 1:-1] - Ce[:-2, 1:-1, 1:-1]) / (2 * dx),
-        (Ce[1:-1, 2:, 1:-1] - Ce[1:-1, :-2, 1:-1]) / (2 * dy),
-        (Ce[1:-1, 1:-1, 2:] - Ce[1:-1, 1:-1, :-2]) / (2 * dz),
-    )
-
-
 def weak_residual(
     history: RunHistory,
     velocity_tests=None,
@@ -681,6 +623,11 @@ def weak_residual(
     t -> dict with keys "f1","f2","f3","fC" of centre-evaluated extra
     forcings, added to the right-hand sides (manufactured solutions).
 
+    Each test is sampled once as its spatial ``fields``; one walk over the
+    snapshots computes the solution's centre values and gradients and
+    M grad C, and each term is an inner product with those fields weighted
+    by the test's envelope or its time derivative.
+
     Test functions must satisfy their constraints (vanish at the final time,
     solenoidal velocity); both are checked numerically.
     """
@@ -691,154 +638,122 @@ def weak_residual(
     dV = grid.cell_volume
     dA = grid.dx * grid.dy
     nu = params.nu
+    M = history.M
+    source = history.source
+    theta = history.theta
 
     if velocity_tests is None or scalar_tests is None:
         vel_def, sca_def = default_test_family(history.T, history.dt)
         velocity_tests = vel_def if velocity_tests is None else velocity_tests
         scalar_tests = sca_def if scalar_tests is None else scalar_tests
 
+    def integral(f) -> float:
+        return float(np.sum(f) * dV)
+
+    def peak(arrays) -> float:
+        return max(float(np.max(np.abs(f))) for f in arrays)
+
     states = history.states
-    times = [s.t for s in states]
-    T_end = times[-1]
+    vel = [(v, v.fields(grid)) for v in velocity_tests]
+    sca = [(c, c.fields(grid)) for c in scalar_tests]
+    for iv, (v, f) in enumerate(vel):
+        dv = abs(v.amp) * max_divergence(f)
+        if dv > 1e-10 * max(1.0, abs(v.amp)):
+            raise ValueError(f"velocity test {iv} is not divergence-free: max div {dv:.3e}")
+        if abs(v.envelope(history.T)[0]) * peak(f.uH) > 1e-12:
+            raise ValueError(f"velocity test {iv} does not vanish at the final time")
+    for ic, (c, f) in enumerate(sca):
+        if abs(c.envelope(history.T)[0]) * peak([f.value]) > 1e-12:
+            raise ValueError(f"scalar test {ic} does not vanish at the final time")
 
     alpha_c, beta_c = coriolis_at(params, grid.x2c)
     alpha_3d = alpha_c[None, :, None]
     beta_3d = beta_c[None, :, None]
-    t1c = history.theta.theta1 if history.theta is not None else None
-    t2c = history.theta.theta2 if history.theta is not None else None
+    delta = source is not None and source.spec.kind == "delta_deposit"
 
-    def tw(m):
-        return history.dt * (0.5 if m in (0, len(states) - 1) else 1.0)
+    extra = ("forcing",) if forcing is not None else ()
+    vel_keys = ("time", "viscous", "advection", "coriolis")
+    if aniso:
+        vel_keys += ("beta", "w_time", "w_advection", "w_viscous")
+    vel_sums = [
+        (dict.fromkeys(vel_keys, 0.0), dict.fromkeys(("initial", "traction") + extra, 0.0))
+        for _ in vel
+    ]
+    sca_sums = [
+        (dict.fromkeys(("time", "advection", "diffusion"), 0.0),
+         dict.fromkeys(("initial", "source") + extra, 0.0))
+        for _ in sca
+    ]
 
-    records = []
+    for m, s in enumerate(states):
+        w = history.dt * (0.5 if m in (0, len(states) - 1) else 1.0)
+        u1c, u2c, u3c = uc = s.u.center_components()
+        g1, g2, g3 = _solution_center_gradients(s.u, history)
+        cg = _concentration_center_gradient(s.C, M, grid)
+        mg = (
+            M.entry(0, 0) * cg[0] + M.entry(0, 1) * cg[1] + M.entry(0, 2) * cg[2],
+            M.entry(0, 1) * cg[0] + M.entry(1, 1) * cg[1] + M.entry(1, 2) * cg[2],
+            M.entry(0, 2) * cg[0] + M.entry(1, 2) * cg[1] + M.entry(2, 2) * cg[2],
+        )
+        S = source.at(s.t) if source is not None and not delta else None
+        fs = forcing(s.t, grid) if forcing is not None else None
 
-    for iv, v in enumerate(velocity_tests):
-        dv = v.max_divergence(grid, 0.0)
-        if dv > 1e-10 * max(1.0, abs(v.amp)):
-            raise ValueError(f"velocity test {iv} is not divergence-free: max div {dv:.3e}")
-        vT1, vT2 = v.uH(grid, T_end)
-        if max(float(np.max(np.abs(vT1))), float(np.max(np.abs(vT2)))) > 1e-12:
-            raise ValueError(f"velocity test {iv} does not vanish at the final time")
-
-        lhs = {"time": 0.0, "viscous": 0.0, "advection": 0.0, "coriolis": 0.0}
-        if aniso:
-            lhs.update({"beta": 0.0, "w_time": 0.0, "w_advection": 0.0, "w_viscous": 0.0})
-        rhs = {"initial": 0.0, "traction": 0.0}
-        if forcing is not None:
-            rhs["forcing"] = 0.0
-
-        for m, s in enumerate(states):
-            w = tw(m)
-            u1c, u2c, u3c = s.u.center_components()
-            te1, te2 = v.uH(grid, s.t)
-            dte1, dte2 = v.dt_uH(grid, s.t)
-            (tg1, tg2) = v.grad_uH(grid, s.t)
-
-            lhs["time"] += -w * float(np.sum(u1c * dte1 + u2c * dte2) * dV)
-
-            g1, g2, g3 = _solution_center_gradients(s.u, history)
-            lhs["viscous"] += w * float(
-                np.sum(
-                    nu[0] * (g1[0] * tg1[0] + g2[0] * tg2[0])
-                    + nu[1] * (g1[1] * tg1[1] + g2[1] * tg2[1])
-                    + nu[2] * (g1[2] * tg1[2] + g2[2] * tg2[2])
-                )
-                * dV
+        for (v, f), (lhs, rhs) in zip(vel, vel_sums):
+            e, de = v.envelope(s.t)
+            (te1, te2), te3 = f.uH, f.u3
+            tg1, tg2 = f.grad_uH
+            uH_test = integral(_dot(uc[:2], f.uH))
+            if m == 0:
+                rhs["initial"] = e * uH_test
+            lhs["time"] -= w * de * uH_test
+            lhs["viscous"] += w * e * integral(
+                _dot(nu, [g1[k] * tg1[k] + g2[k] * tg2[k] for k in range(3)])
             )
-
-            adv1 = u1c * tg1[0] + u2c * tg1[1] + u3c * tg1[2]
-            adv2 = u1c * tg2[0] + u2c * tg2[1] + u3c * tg2[2]
-            lhs["advection"] += -w * float(np.sum(u1c * adv1 + u2c * adv2) * dV)
-
-            lhs["coriolis"] += w * float(
-                np.sum(alpha_3d * (-u2c * te1 + u1c * te2)) * dV
-            )
-
+            lhs["advection"] -= w * e * integral(_dot(uc[:2], (_dot(uc, tg1), _dot(uc, tg2))))
+            lhs["coriolis"] += w * e * integral(alpha_3d * (-u2c * te1 + u1c * te2))
             if aniso:
-                te3 = v.u3(grid, s.t)
-                dte3 = v.dt_u3(grid, s.t)
-                tg3 = v.grad_u3(grid, s.t)
-                lhs["beta"] += w * eps * float(
-                    np.sum(beta_3d * (u3c * te1 - u1c * te3)) * dV
+                u3_test = eps**2 * integral(u3c * te3)
+                if m == 0:
+                    rhs["initial"] += e * u3_test
+                lhs["beta"] += w * e * eps * integral(beta_3d * (u3c * te1 - u1c * te3))
+                lhs["w_time"] -= w * de * u3_test
+                lhs["w_advection"] += w * e * eps**2 * integral(_dot(uc, g3) * te3)
+                lhs["w_viscous"] += w * e * eps**2 * integral(
+                    _dot(nu, [g3[k] * f.grad_u3[k] for k in range(3)])
                 )
-                lhs["w_time"] += -w * eps**2 * float(np.sum(u3c * dte3) * dV)
-                adv3 = u1c * g3[0] + u2c * g3[1] + u3c * g3[2]
-                lhs["w_advection"] += w * eps**2 * float(np.sum(adv3 * te3) * dV)
-                lhs["w_viscous"] += w * eps**2 * float(
-                    np.sum(nu[0] * g3[0] * tg3[0] + nu[1] * g3[1] * tg3[1] + nu[2] * g3[2] * tg3[2])
-                    * dV
-                )
-
-            if t1c is not None:
-                tr1, tr2 = v.ground_uH(grid, s.t)
-                rhs["traction"] += -w * float(np.sum(t1c * tr1 + t2c * tr2) * dA)
-
-            if forcing is not None:
-                f = forcing(s.t, grid)
-                val = float(np.sum(f["f1"] * te1 + f["f2"] * te2) * dV)
+            if theta is not None:
+                ground = _dot((theta.theta1, theta.theta2), f.ground_uH)
+                rhs["traction"] -= w * e * float(np.sum(ground) * dA)
+            if fs is not None:
+                val = integral(_dot((fs["f1"], fs["f2"]), f.uH))
                 if aniso:
-                    val += eps**2 * float(np.sum(f["f3"] * v.u3(grid, s.t)) * dV)
-                rhs["forcing"] += w * val
+                    val += eps**2 * integral(fs["f3"] * te3)
+                rhs["forcing"] += w * e * val
 
-        u0 = states[0].u
-        u01c, u02c, u03c = u0.center_components()
-        te1, te2 = v.uH(grid, times[0])
-        rhs["initial"] = float(np.sum(u01c * te1 + u02c * te2) * dV)
-        if aniso:
-            rhs["initial"] += eps**2 * float(np.sum(u03c * v.u3(grid, times[0])) * dV)
+        for (c, f), (lhs, rhs) in zip(sca, sca_sums):
+            e, de = c.envelope(s.t)
+            C_test = integral(s.C * f.value)
+            if m == 0:
+                rhs["initial"] = e * C_test
+            lhs["time"] -= w * de * C_test
+            lhs["advection"] -= w * e * integral(s.C * _dot(uc, f.grad))
+            lhs["diffusion"] += w * e * integral(_dot(mg, f.grad))
+            if delta:
+                if s.t >= source.spec.t_s:
+                    point = c.value_at(source.spec.x_s, grid, s.t)
+                    rhs["source"] += w * source.spec.intensity * point
+            elif S is not None:
+                rhs["source"] += w * e * integral(S * f.value)
+            if fs is not None:
+                rhs["forcing"] += w * e * integral(fs["fC"] * f.value)
 
-        residual = abs(sum(lhs.values()) - sum(rhs.values()))
-        records.append(
-            WeakResidualRecord("velocity", f"velocity[{iv}]", lhs, rhs, residual)
+    return [
+        WeakResidualRecord(
+            kind, f"{kind}[{i}]", lhs, rhs, abs(sum(lhs.values()) - sum(rhs.values()))
         )
-
-    for ic, c in enumerate(scalar_tests):
-        vT = c.value(grid, T_end)
-        if float(np.max(np.abs(vT))) > 1e-12:
-            raise ValueError(f"scalar test {ic} does not vanish at the final time")
-
-        lhs = {"time": 0.0, "advection": 0.0, "diffusion": 0.0}
-        rhs = {"initial": 0.0, "source": 0.0}
-        if forcing is not None:
-            rhs["forcing"] = 0.0
-
-        for m, s in enumerate(states):
-            w = tw(m)
-            u1c, u2c, u3c = s.u.center_components()
-            tv = c.value(grid, s.t)
-            dtv = c.dt_value(grid, s.t)
-            tg = c.grad(grid, s.t)
-
-            lhs["time"] += -w * float(np.sum(s.C * dtv) * dV)
-            lhs["advection"] += -w * float(
-                np.sum(s.C * (u1c * tg[0] + u2c * tg[1] + u3c * tg[2])) * dV
-            )
-
-            cg = _concentration_center_gradient(s.C, history.M, grid)
-            M = history.M
-            mg1 = M.entry(0, 0) * cg[0] + M.entry(0, 1) * cg[1] + M.entry(0, 2) * cg[2]
-            mg2 = M.entry(0, 1) * cg[0] + M.entry(1, 1) * cg[1] + M.entry(1, 2) * cg[2]
-            mg3 = M.entry(0, 2) * cg[0] + M.entry(1, 2) * cg[1] + M.entry(2, 2) * cg[2]
-            lhs["diffusion"] += w * float(np.sum(mg1 * tg[0] + mg2 * tg[1] + mg3 * tg[2]) * dV)
-
-            if history.source is not None:
-                src = history.source.spec
-                if src.kind == "delta_deposit":
-                    if s.t >= src.t_s:
-                        rhs["source"] += w * src.intensity * c.value_at(src.x_s, grid, s.t)
-                else:
-                    rhs["source"] += w * float(np.sum(history.source.at(s.t) * tv) * dV)
-
-            if forcing is not None:
-                rhs["forcing"] += w * float(np.sum(forcing(s.t, grid)["fC"] * tv) * dV)
-
-        rhs["initial"] = float(np.sum(states[0].C * c.value(grid, times[0])) * dV)
-        residual = abs(sum(lhs.values()) - sum(rhs.values()))
-        records.append(
-            WeakResidualRecord("concentration", f"concentration[{ic}]", lhs, rhs, residual)
-        )
-
-    return records
+        for kind, sums in (("velocity", vel_sums), ("concentration", sca_sums))
+        for i, (lhs, rhs) in enumerate(sums)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -880,12 +795,7 @@ def spacetime_errors(run: RunHistory, ref: RunHistory) -> tuple:
         eh[m] = _l2sq(a.u.u1 - b.u.u1, dV) + _l2sq(a.u.u2 - b.u.u2, dV)
         e3[m] = _l2sq(a.u.u3 - b.u.u3, dV)
         ec[m] = _l2sq(a.C - b.C, dV)
-    dt = run.dt
-
-    def tint(v):
-        return float(np.sqrt(np.trapezoid(v, dx=dt))) if n > 1 else float(np.sqrt(v[0] * dt))
-
-    return tint(eh), tint(e3), tint(ec)
+    return tuple(_l2_in_time(v, run.dt) for v in (eh, e3, ec))
 
 
 def convergence_report(rows) -> ConvergenceReport:

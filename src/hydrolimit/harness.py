@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -305,22 +305,18 @@ def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfi
     return u, np.zeros(grid.shape_cells if mode == "aniso" else (grid.nx, grid.ny))
 
 
-def _schedule(T: float, limit: float, dt: float | None = None) -> tuple:
+def _schedule(T: float, limit: float) -> tuple:
     """(n_steps, dt) of a run to T: the fewest equal steps no longer than
-    ``limit``, or a given ``dt <= limit`` taken round(T/dt) times.  More than
-    2**53 steps is a NumericsError: past that, t + dt stops advancing."""
-    if dt is not None and dt > limit * (1.0 + 1e-12):
-        raise NumericsError(f"requested dt {dt} exceeds the initial limit {limit}")
-    steps = T / (limit if dt is None else dt)
+    ``limit``.  More than 2**53 steps is a NumericsError: past that, t + dt
+    stops advancing."""
+    steps = T / limit
     if not steps <= 2.0**53:
         raise NumericsError(
-            f"T = {T!r} takes {steps:.3e} steps of dt <= {limit if dt is None else dt!r}, "
+            f"T = {T!r} takes {steps:.3e} steps of dt <= {limit!r}, "
             "more than 2**53: t + dt would stop advancing"
         )
-    if dt is None:
-        n_steps = max(1, math.ceil(steps - 1e-12))
-        return n_steps, T / n_steps
-    return max(1, round(steps)), dt
+    n_steps = max(1, math.ceil(steps - 1e-12))
+    return n_steps, T / n_steps
 
 
 @dataclass
@@ -339,14 +335,14 @@ def run_simulation(
     eps: float,
     mode: str,
     out_dir: str | None = None,
-    dt: float | None = None,
     quiet: bool = True,
 ) -> RunResult:
     """Run one simulation to T and persist its artifacts.
 
     The time step is fixed up front: dt = T/N with N chosen so dt does not
-    exceed the initial stability limit (or the supplied override); every step
-    re-checks the limit and a violation aborts the run.  Snapshots are taken
+    exceed the initial stability limit; every step re-checks the limit and a
+    violation aborts the run.  ``out_dir`` is created only once the run is
+    scheduled, so a refused run leaves no directory.  Snapshots are taken
     every ``snapshot_every`` steps (plus the initial and final states).
     """
     if mode not in ("aniso", "hydro"):
@@ -363,7 +359,7 @@ def run_simulation(
     state = SimState(0.0, 0, u0, p0, initial_concentration(cfg, grid))
 
     limit = stable_dt(state, params, M, grid, cfl=cfg.time.cfl, dt_max=cfg.time.dt_max)
-    n_steps, step_dt = _schedule(cfg.time.T, limit, dt)
+    n_steps, step_dt = _schedule(cfg.time.T, limit)
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
@@ -478,9 +474,10 @@ class SweepResult:
 def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True) -> SweepResult:
     """Hydrostatic reference plus one anisotropic run per eps in eps_list.
 
-    All runs share dt (the minimum of the per-run initial limits) so the
-    snapshot schedules line up for the convergence metrics.  Writes sweep.csv
-    with one row per eps; partial results are flushed per completed run.
+    All runs share dt: each is capped at the minimum of the per-run initial
+    limits, so all take the same T/n steps and their snapshot schedules line
+    up for the convergence metrics.  Writes sweep.csv with one row per eps;
+    partial results are flushed per completed run.
     """
     grid = build_grid(cfg.grid)
     eps_list = sorted(cfg.run.eps_list, reverse=True)
@@ -499,10 +496,10 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
                 cfl=cfg.time.cfl, dt_max=cfg.time.dt_max,
             )
         )
-    _, dt = _schedule(cfg.time.T, min(dts))
+    cfg = replace(cfg, time=replace(cfg.time, dt_max=min(dts)))
 
     hydro_dir = os.path.join(out_dir, "hydro") if out_dir is not None else None
-    hydro = run_simulation(cfg, eps_list[0], "hydro", out_dir=hydro_dir, dt=dt, quiet=quiet)
+    hydro = run_simulation(cfg, eps_list[0], "hydro", out_dir=hydro_dir, quiet=quiet)
 
     sweep_rows = []
     aniso_results = {}
@@ -511,7 +508,7 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     translation = None
     for eps in eps_list:
         run_dir = os.path.join(out_dir, f"aniso_eps{eps:g}") if out_dir is not None else None
-        res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, dt=dt, quiet=quiet)
+        res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, quiet=quiet)
         errs = spacetime_errors(res.history, hydro.history)
         errors[eps] = errs
         norm_table[eps] = res.norms

@@ -16,23 +16,17 @@ from .aniso import ProjectionError
 from .core import Grid
 from .operators import StaggeredVelocity, horizontal_divergence, solve_separable
 
-__all__ = ["surface_pressure_projection", "diagnose_w", "hydrostatic_velocity"]
-
-
-def diagnose_w(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> np.ndarray:
-    """Diagnostic vertical velocity from the horizontal components.
-
-    u3 at level interface k is minus the cumulative sum of the horizontal
-    divergence below, times dz, starting from u3 = 0 at the ground.  The
-    construction telescopes the MAC divergence exactly; after the surface
-    projection the top value is automatically at the projection tolerance.
-    """
-    return hydrostatic_velocity(u1, u2, grid)[0].u3
+__all__ = ["surface_pressure_projection", "hydrostatic_velocity"]
 
 
 def hydrostatic_velocity(u1: np.ndarray, u2: np.ndarray, grid: Grid) -> tuple:
     """(u, max|div u|): the 3-D velocity (u1, u2, diagnosed u3) and the
     largest magnitude of its divergence.
+
+    u3 at level interface k is minus the cumulative sum of the horizontal
+    divergence below, times dz, starting from u3 = 0 at the ground.  The
+    construction telescopes the MAC divergence exactly; after the surface
+    projection the top value is automatically at the projection tolerance.
 
     The divergence reuses the horizontal divergence that u3 integrates and
     adds (u3[k+1] - u3[k])/dz to it, in the order ``divergence`` sums, so the

@@ -32,14 +32,13 @@ from hydrolimit.aniso import (
     pressure_projection_anisotropic,
     stable_dt,
 )
-from hydrolimit.hydro import diagnose_w, surface_pressure_projection
 from hydrolimit.diagnostics import (
     RunHistory,
     diffusion_quadratic_form,
     energy_balance,
     weak_residual,
 )
-from hydrolimit.harness import epsilon_sweep, read_csv, run_simulation, step
+from hydrolimit.harness import epsilon_sweep, project, read_csv, run_simulation, step
 
 from conftest import random_spd_tensor, smooth_field, smooth_velocity
 from mms import ManufacturedHydro
@@ -113,10 +112,8 @@ def test_criterion_02_energy_inequality():
                     up, _, _ = pressure_projection_anisotropic(u, eps, 1.0, g, tol=1e-11)
                     st = SimState(0.0, 0, up, np.zeros(g.shape_cells), C0)
                 else:
-                    u1, u2, ps, _ = surface_pressure_projection(u.u1, u.u2, 1.0, g, tol=1e-11)
-                    st = SimState(
-                        0.0, 0, StaggeredVelocity(u1, u2, diagnose_w(u1, u2, g)), ps, C0
-                    )
+                    up, ps, _ = project(u, "hydro", eps, 1.0, g, 1e-11)
+                    st = SimState(0.0, 0, up, ps, C0)
                 dt = stable_dt(st, params, M, g, cfl=0.4)
                 states = [st]
                 for _ in range(40):
@@ -399,9 +396,8 @@ def test_criterion_10_weak_residuals():
         params = PhysParams(0.04, 0.04, 0.04, eps=0.5, f0=1.0, l0=math.pi / 4)
         mfg = ManufacturedHydro(g, params, M)
         st = mfg.initial_state(g)
-        u1, u2, _, _ = surface_pressure_projection(st.u.u1, st.u.u2, 1.0, g, tol=1e-11)
-        st = SimState(0.0, 0, StaggeredVelocity(u1, u2, diagnose_w(u1, u2, g)),
-                      np.zeros((g.nx, g.ny)), st.C)
+        u, _, _ = project(st.u, "hydro", params.eps, 1.0, g, 1e-11)
+        st = SimState(0.0, 0, u, np.zeros((g.nx, g.ny)), st.C)
         dt = stable_dt(st, params, M, g, cfl=0.4)
         T = 0.2
         n_steps = int(math.ceil(T / dt))
@@ -528,9 +524,8 @@ def test_manufactured_solution_tracked_by_solver():
     M = DiffusionTensor(np.diag([0.1, 0.1, 0.1]))
     mfg = ManufacturedHydro(g, params, M)
     st = mfg.initial_state(g)
-    u1, u2, _, _ = surface_pressure_projection(st.u.u1, st.u.u2, 1.0, g, tol=1e-11)
-    st = SimState(0.0, 0, StaggeredVelocity(u1, u2, diagnose_w(u1, u2, g)),
-                  np.zeros((g.nx, g.ny)), st.C)
+    u, _, _ = project(st.u, "hydro", params.eps, 1.0, g, 1e-11)
+    st = SimState(0.0, 0, u, np.zeros((g.nx, g.ny)), st.C)
     dt = stable_dt(st, params, M, g, cfl=0.4)
     n_steps = int(math.ceil(0.1 / dt))
     for _ in range(n_steps):

@@ -27,6 +27,7 @@ from hydrolimit.diagnostics import (
     convergence_report,
     diffusion_quadratic_form,
     energy_balance,
+    max_divergence,
     spacetime_errors,
     translation_modulus,
     velocity_dissipation,
@@ -137,9 +138,12 @@ def test_energy_zero_history(grid8):
 
 
 def test_energy_empty_history_rejected(grid8):
-    with pytest.raises(ValueError, match="empty"):
-        RunHistory("aniso", grid8, default_params(), DiffusionTensor.identity(),
-                   None, None, 0.1, [])
+    """A history needs two states: no time integral exists over one."""
+    one = zero_history(grid8, default_params(), DiffusionTensor.identity(), n=2).states[:1]
+    for states in ([], one):
+        with pytest.raises(ValueError, match="at least two states"):
+            RunHistory("aniso", grid8, default_params(), DiffusionTensor.identity(),
+                       None, None, 0.1, states)
 
 
 def test_energy_slack_nonnegative_unforced(grid8):
@@ -338,7 +342,7 @@ def test_weak_residual_rejects_bad_test_function(grid8):
 
 def test_test_velocities_divergence_free(grid8):
     for v in (StreamTestVelocity(t_cut=1.0), VerticalTestVelocity(t_cut=1.0, kx=2)):
-        assert v.max_divergence(grid8, 0.3) < 1e-12
+        assert max_divergence(v.fields(grid8)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

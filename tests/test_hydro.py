@@ -7,24 +7,25 @@ from hydrolimit.core import DiffusionTensor, PhysParams
 from hydrolimit.operators import StaggeredVelocity, apply_velocity_bcs, divergence
 from hydrolimit.aniso import ProjectionError, SimState, stable_dt
 from hydrolimit.harness import step
-from hydrolimit.hydro import diagnose_w, surface_pressure_projection
+from hydrolimit.hydro import hydrostatic_velocity, surface_pressure_projection
 
 from conftest import default_params, smooth_field, smooth_velocity
 
 
 def hydro_state(grid, u1, u2, C=None):
-    u3 = diagnose_w(u1, u2, grid)
+    u3 = hydrostatic_velocity(u1, u2, grid)[0].u3
     C = np.zeros(grid.shape_cells) if C is None else C
     return SimState(0.0, 0, StaggeredVelocity(u1, u2, u3), np.zeros((grid.nx, grid.ny)), C)
 
 
 # ---------------------------------------------------------------------------
-# diagnose_w
+# diagnosed w
 # ---------------------------------------------------------------------------
 
 
 def test_diagnose_w_zero(grid8):
-    u3 = diagnose_w(np.zeros(grid8.shape_u1), np.zeros(grid8.shape_u2), grid8)
+    u1, u2 = np.zeros(grid8.shape_u1), np.zeros(grid8.shape_u2)
+    u3 = hydrostatic_velocity(u1, u2, grid8)[0].u3
     assert np.max(np.abs(u3)) == 0.0
 
 
@@ -34,7 +35,7 @@ def test_diagnose_w_linear_profile(grid8):
     X = grid8.u1_positions()
     u1 = np.broadcast_to(-c * X[0] + 0 * X[1], grid8.shape_u1).copy()
     u2 = np.zeros(grid8.shape_u2)
-    u3 = diagnose_w(u1, u2, grid8)
+    u3 = hydrostatic_velocity(u1, u2, grid8)[0].u3
     want = np.broadcast_to(c * grid8.x3f[None, None, :], grid8.shape_u3)
     assert np.allclose(u3, want, atol=1e-13)
 
@@ -45,14 +46,14 @@ def test_diagnose_w_solenoidal_horizontal(grid8):
     u1 = np.broadcast_to(-(X[1]) + 0 * X[0], grid8.shape_u1).copy()
     Y = grid8.u2_positions()
     u2 = np.broadcast_to(Y[0] + 0 * Y[1], grid8.shape_u2).copy()
-    u3 = diagnose_w(u1, u2, grid8)
+    u3 = hydrostatic_velocity(u1, u2, grid8)[0].u3
     assert np.max(np.abs(u3)) < 1e-13
 
 
 def test_diagnose_w_exact_3d_divergence(grid8):
     rng = np.random.default_rng(40)
     u = smooth_velocity(rng, grid8)
-    u3 = diagnose_w(u.u1, u.u2, grid8)
+    u3 = hydrostatic_velocity(u.u1, u.u2, grid8)[0].u3
     full = StaggeredVelocity(u.u1, u.u2, u3)
     assert np.max(np.abs(divergence(full, grid8))) < 1e-12
 
@@ -115,7 +116,7 @@ def test_surface_projection_divergence_tolerance(grid8):
     div_h = _depth_integrated_divergence(u1n, u2n, grid8)
     assert np.max(np.abs(div_h)) <= 10.0 * tol
     # diagnosed top interface value inherits the projection tolerance
-    u3 = diagnose_w(u1n, u2n, grid8)
+    u3 = hydrostatic_velocity(u1n, u2n, grid8)[0].u3
     assert np.max(np.abs(u3[:, :, -1])) <= 10.0 * tol / grid8.h
 
 
