@@ -305,6 +305,18 @@ def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfi
     return u, np.zeros(grid.shape_cells if mode == "aniso" else (grid.nx, grid.ny))
 
 
+def _sample_source(cfg: RunConfig, eps: float, mode: str, grid: Grid) -> Source | None:
+    """The run's source sampled on ``grid``; a width whose sample is not
+    finite is a NumericsError, like a run too long to schedule."""
+    spec = cfg.source_spec(eps, mode)
+    if spec is None:
+        return None
+    try:
+        return Source(spec, grid)
+    except ValueError as exc:
+        raise NumericsError(str(exc)) from None
+
+
 def _schedule(T: float, limit: float) -> tuple:
     """(n_steps, dt) of a run to T: the fewest equal steps no longer than
     ``limit``.  More than 2**53 steps is a NumericsError: past that, t + dt
@@ -341,9 +353,10 @@ def run_simulation(
 
     The time step is fixed up front: dt = T/N with N chosen so dt does not
     exceed the initial stability limit; every step re-checks the limit and a
-    violation aborts the run.  ``out_dir`` is created only once the run is
-    scheduled, so a refused run leaves no directory.  Snapshots are taken
-    every ``snapshot_every`` steps (plus the initial and final states).
+    violation aborts the run.  ``out_dir`` is created only once the source is
+    sampled and the run scheduled, so a refused run leaves no directory.
+    Snapshots are taken every ``snapshot_every`` steps (plus the initial and
+    final states).
     """
     if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -351,8 +364,7 @@ def run_simulation(
     params = cfg.phys_params(eps)
     M = cfg.diffusion
     theta = cfg.theta
-    spec = cfg.source_spec(eps, mode)
-    source = Source(spec, grid) if spec is not None else None
+    source = _sample_source(cfg, eps, mode, grid)
 
     u0 = initial_velocity(cfg, grid)
     u0, p0 = _project_initial(u0, mode, eps, cfg, grid)
@@ -481,13 +493,17 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     """
     grid = build_grid(cfg.grid)
     eps_list = sorted(cfg.run.eps_list, reverse=True)
+    runs = [(e, "aniso") for e in eps_list] + [(eps_list[0], "hydro")]
+    # Refuse a source that some run cannot sample before any run writes.
+    for eps, mode in runs:
+        _sample_source(cfg, eps, mode, grid)
 
     # Common schedule: all runs start from the same initial data, so their
     # limits differ only through the eps-dependent rotation bound and the
     # mode of the initial projection.
     c0 = initial_concentration(cfg, grid)
     dts = []
-    for eps, mode in [(e, "aniso") for e in eps_list] + [(eps_list[0], "hydro")]:
+    for eps, mode in runs:
         u0p, _ = _project_initial(initial_velocity(cfg, grid), mode, eps, cfg, grid)
         s0 = SimState(0.0, 0, u0p, np.zeros(grid.shape_cells), c0)
         dts.append(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hydrolimit.core import BoundaryForcing, DiffusionTensor
+from hydrolimit.core import BoundaryForcing, DiffusionTensor, GridSpec, build_grid
 from hydrolimit.operators import (
     StaggeredVelocity,
     anisotropic_laplacian,
@@ -262,6 +262,32 @@ def test_translation_modulus_time_reversal_symmetric(grid8):
     a = translation_modulus(history, dt, grid8, hs)
     b = translation_modulus(history[::-1], dt, grid8, hs)
     assert np.allclose(a.modulus, b.modulus, rtol=1e-12)
+
+
+def test_translation_modulus_matches_per_pair_solves():
+    """Differencing one smoothing solve per snapshot gives the moduli of one
+    solve per pair of snapshots, (I - Lap) N = C(t+h) - C(t)."""
+    grid = build_grid(GridSpec(16, 16, 8))
+    rng = np.random.default_rng(60)
+    dt = 0.05
+    steps = 0.1 * rng.standard_normal((40,) + grid.shape_cells)
+    history = [smooth_field(rng, grid)]
+    for d in steps:
+        history.append(history[-1] + d)
+    rep = translation_modulus(history, dt, grid, [dt, 2 * dt, 4 * dt, 8 * dt])
+    walls = ("dirichlet", "dirichlet")
+    axes = (
+        (1.0 / grid.dx**2, *walls),
+        (1.0 / grid.dy**2, *walls),
+        (1.0 / grid.dz**2, "neumann", "dirichlet"),
+    )
+    for k, s in enumerate((1, 2, 4, 8)):
+        vals = [
+            np.sum(solve_separable(history[m + s] - history[m], axes, shift=1.0) ** 2)
+            * grid.cell_volume
+            for m in range(len(history) - s)
+        ]
+        assert rep.modulus[k] == pytest.approx(math.sqrt(np.trapezoid(vals, dx=dt)), rel=1e-12)
 
 
 def test_translation_modulus_requires_three_shifts(grid8):

@@ -432,6 +432,51 @@ def test_run_refuses_schedule_beyond_2_53_steps(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, width, mode",
+    [
+        ("lorentzian", 1e200, "hydro"),
+        ("lorentzian", 1e150, "hydro"),
+        ("lorentzian", 1e-200, "hydro"),
+        ("gaussian", 1e-110, "aniso"),
+        ("unit_impulse", 1e-200, "hydro"),
+    ],
+)
+def test_run_refuses_source_without_finite_sample(tmp_path, capsys, kind, width, mode):
+    """A source width whose sample is not finite is refused before any
+    output exists: run_simulation raises NumericsError, and the CLI, in the
+    run's mode and as a sweep, exits 2 with a numerical abort, no traceback
+    and no output directory."""
+    text = (
+        f"[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nkind = {kind}\nwidth = {width!r}\n"
+        "t_s = 0\n[init]\nvelocity = taylor_green_h\n[time]\nT = 0.01\n"
+    )
+    with pytest.raises(NumericsError, match=f"{kind} source of width .* has no finite sample"):
+        run_simulation(parse_config(text), 0.5, mode)
+    (tmp_path / "wide.cfg").write_text(text)
+    out = tmp_path / "out"
+    for cli_mode in (mode, "sweep"):
+        rc = cli_main([str(tmp_path / "wide.cfg"), "--mode", cli_mode, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numerical abort: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_sweep_refuses_unsampleable_member_before_any_run(tmp_path):
+    """The Gaussian width defaults to each run's eps, and only the
+    eps = 1e-110 run cannot sample it; the sweep refuses before the
+    hydrostatic run and the eps = 0.5 run write anything."""
+    text = (
+        "[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nt_s = 0\n[time]\nT = 0.01\n"
+        "[run]\neps_list = 0.5, 1e-110\n"
+    )
+    out = tmp_path / "out"
+    with pytest.raises(NumericsError, match="gaussian source of width 1e-110"):
+        epsilon_sweep(parse_config(text), out_dir=str(out))
+    assert not out.exists()
+
+
 def test_lorentzian_normaliser_computed_once_per_run(monkeypatch):
     """A run samples its source once; the ledger and the weak residuals
     reuse that sample instead of recomputing the Lorentzian normaliser."""

@@ -1,6 +1,7 @@
 """Pulse shapes, normalisation, switch-on behaviour, and norm bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,7 +200,8 @@ def test_norm_bound_linear_in_intensity(kind, width, i0):
 
 
 def _lorentzian_integral_full_array(eps, x_s, grid, nq=2048):
-    """Reference: the normaliser's quadrature evaluated on one nq x nq array."""
+    """Oracle: the closed vertical integral under a 2048^2 horizontal midpoint
+    rule on one array, independent of the normaliser's graded rule."""
     a = (math.pi * eps) ** 2
     x = (np.arange(nq) + 0.5) * (grid.lx / nq)
     y = (np.arange(nq) + 0.5) * (grid.ly / nq)
@@ -210,20 +212,56 @@ def _lorentzian_integral_full_array(eps, x_s, grid, nq=2048):
     return float(eps * np.sum(zpart) * (grid.lx / nq) * (grid.ly / nq))
 
 
-@pytest.mark.parametrize("eps, x_s", [(0.5, (0.5, 0.5, 0.5)), (0.0625, (0.3, 0.7, 0.4))])
-def test_lorentzian_normaliser_blocked_memory(eps, x_s):
-    """The blocked quadrature keeps one 2048^2 array alive (32 MiB) and gives
-    the same value, bit for bit, as the full-array evaluation."""
+@pytest.mark.parametrize("x_s", [(1.0, 0.25, 0.15), (0.5, 0.125, 0.075)], ids=["centre", "margin"])
+@pytest.mark.parametrize("eps", [1e-12, 1e-3, 0.0625, 0.5, 2.0, 8.0, 64.0, 1e3, 1e6])
+def test_lorentzian_normaliser_converged_in_small_memory(monkeypatch, eps, x_s):
+    """On a 2 x 0.5 x 0.3 box, with x_s at the centre or two cells from the
+    walls, the graded Gauss-Legendre normaliser agrees within 1e-12 with
+    itself at twice the order and half the grading ratio, and its arrays
+    peak under 8 MiB (the 2048^2 midpoint rule it replaced held 32 MiB)."""
     import tracemalloc
 
     from hydrolimit import sources
 
-    g = build_grid(GridSpec(8, 8, 8))
+    g = build_grid(GridSpec(8, 8, 8, lx=2.0, ly=0.5, h=0.3))
     tracemalloc.start()
     try:
         val = sources._lorentzian_domain_integral(eps, x_s, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert val == _lorentzian_integral_full_array(eps, x_s, g)
+    monkeypatch.setattr(sources, "_GL_ORDER", 2 * sources._GL_ORDER)
+    monkeypatch.setattr(sources, "_GL_RATIO", sources._GL_RATIO / 2)
+    assert val == pytest.approx(sources._lorentzian_domain_integral(eps, x_s, g), rel=1e-12)
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("eps, x_s", [(0.5, (0.5, 0.5, 0.5)), (0.0625, (0.3, 0.7, 0.4))])
+def test_lorentzian_normaliser_matches_midpoint_oracle(eps, x_s):
+    """The graded rule agrees with the 2048^2 midpoint oracle within 1e-7,
+    the oracle's own error being 1.5e-9 to 5e-8 at these widths."""
+    from hydrolimit import sources
+
+    g = build_grid(GridSpec(8, 8, 8))
+    want = _lorentzian_integral_full_array(eps, x_s, g)
+    assert sources._lorentzian_domain_integral(eps, x_s, g) == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind, width",
+    [
+        ("lorentzian", 1e200),  # (pi eps)^2 overflows
+        ("lorentzian", 1e150),  # the normaliser's a*b overflows: an inf pulse
+        ("lorentzian", 1e-200),  # (pi eps)^2 underflows: a 0/0 normaliser
+        ("gaussian", 1e-110),  # eps^-3 overflows
+        ("unit_impulse", 1e-200),  # (1/eps)^2 overflows
+    ],
+)
+def test_source_refuses_width_without_finite_sample(kind, width):
+    """A width whose sample overflows or is not finite is a ValueError that
+    names the kind and the width, raised without a warning."""
+    g = build_grid(GridSpec(8, 8, 6))
+    spec = SourceSpec(kind, 1.0, 0.0, (0.5, 0.5, 0.5), width)
+    with pytest.raises(ValueError, match=re.escape(f"{kind} source of width {width!r} has no finite")):
+        Source(spec, g)
