@@ -35,10 +35,8 @@ from .aniso import (
     NumericsError,
     ProjectionError,
     SimState,
-    pressure_projection_anisotropic,
     stable_dt,
 )
-from .hydro import surface_pressure_projection
 from .diagnostics import (
     ConvergenceReport,
     EnergyReport,

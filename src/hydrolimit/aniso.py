@@ -1,13 +1,11 @@
-"""Run state, time-step limit and pressure projection of the rescaled
-anisotropic system.
+"""Run state, time-step limit and numerical errors of both models.
 
-The epsilon^2 factor multiplying the vertical momentum equation is divided
-out (legitimate for eps > 0), which moves the stiffness into the projection:
-the pressure Poisson problem acquires the mobility A = diag(1, 1, eps^-2).
-On the uniform grid with Neumann walls that operator is separable, so a
-direct tensor-product eigen-solve (``operators.solve_separable``) handles it
-at a cost independent of eps.  The stepper shared with the hydrostatic model
-is ``harness.step``.
+The epsilon^2 factor multiplying the vertical momentum equation of the
+rescaled anisotropic system is divided out (legitimate for eps > 0), which
+moves the stiffness into the projection: the pressure Poisson problem
+acquires the mobility A = diag(1, 1, eps^-2).  That projection, and the
+surface one of the hydrostatic model, is ``harness.project``; the stepper
+shared by both models is ``harness.step``.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DiffusionTensor, Grid, PhysParams, coriolis_at
-from .operators import StaggeredVelocity, divergence, solve_separable
+from .operators import StaggeredVelocity
 
 __all__ = [
     "SimState",
@@ -26,7 +24,6 @@ __all__ = [
     "ProjectionError",
     "CFLError",
     "stable_dt",
-    "pressure_projection_anisotropic",
 ]
 
 
@@ -106,79 +103,3 @@ def stable_dt(
         limits.append(1.0 / denom_r)
 
     return min(cfl * min(limits), dt_max)
-
-
-# --------------------------------------------------------------------------
-# Anisotropic pressure projection
-# --------------------------------------------------------------------------
-
-
-def pressure_projection_anisotropic(
-    u_star: StaggeredVelocity,
-    eps: float,
-    dt: float,
-    grid: Grid,
-    tol: float = 1e-8,
-):
-    """Project u* onto the discretely divergence-free space.
-
-    Solves div(A grad p) = div(u*)/dt with A = diag(1, 1, eps^-2) and
-    homogeneous Neumann walls, then corrects u1 -= dt*d1p, u2 -= dt*d2p,
-    u3 -= dt*eps^-2*d3p on interior faces.  p is returned mean-zero.  The
-    solve is direct (``solve_separable``); ``tol`` bounds the post-correction
-    divergence, recomputed from the returned velocity, and a larger one raises
-    ProjectionError.  An input whose divergence already lies within tol of its
-    mean is returned unchanged with p = 0.
-
-    Returns (u, p, info) with info = {"iterations", "max_div",
-    "max_abs_div"}: iterations is 0 for that pass-through and 1 for a solve;
-    max_div is max|div u - mean| of the returned u, and max_abs_div its raw
-    max|div u|.
-    """
-    if not (tol > 0 and dt > 0 and 0 < eps <= 1):
-        raise ValueError("tol, dt must be positive and eps in (0, 1]")
-    dx, dy, dz = grid.spacing
-
-    div_star = divergence(u_star, grid)
-    mean = float(np.mean(div_star))
-    # Compatibility: the mean divergence is the net boundary flux per volume.
-    # Measure it against the natural divergence magnitude of an O(|u|) field,
-    # so an already-projected input (divergence at roundoff) still passes.
-    m1, m2, m3 = u_star.max_abs()
-    scale = m1 / grid.dx + m2 / grid.dy + m3 / grid.dz
-    if scale > 0 and abs(mean) > 1e-10 * scale:
-        raise ProjectionError(
-            f"incompatible right-hand side: mean divergence {mean:.3e} "
-            f"(velocity divergence scale {scale:.3e})"
-        )
-
-    b = div_star  # b = -(div_star - mean)/dt, in div_star's buffer
-    b -= mean
-    np.negative(b, out=b)
-    b /= dt
-    if np.max(np.abs(b)) <= tol / dt:
-        p, iters = np.zeros(grid.shape_cells), 0
-    else:
-        weights = (1.0 / dx**2, 1.0 / dy**2, 1.0 / (eps * dz) ** 2)
-        p, iters = solve_separable(b, [(c, "neumann", "neumann") for c in weights]), 1
-
-    u1 = u_star.u1.copy()
-    u2 = u_star.u2.copy()
-    u3 = u_star.u3.copy()
-    # Interior faces only: u_d -= dt*(p[+1] - p)/h_d along axis d.
-    for axis, (u_d, h) in enumerate(((u1, dx), (u2, dy), (u3, eps**2 * dz))):
-        corr = np.diff(p, axis=axis)
-        corr *= dt
-        corr /= h
-        u_d[(slice(None),) * axis + (slice(1, -1),)] -= corr
-    u_new = StaggeredVelocity(u1, u2, u3)
-    div = divergence(u_new, grid)
-    max_abs_div = float(np.max(np.abs(div)))
-    div -= mean
-    np.abs(div, out=div)
-    max_div = float(np.max(div))
-    if max_div > tol:
-        raise ProjectionError(
-            f"projected divergence {max_div:.3e} exceeds tol {tol:.3e} at eps={eps:g}"
-        )
-    return u_new, p, {"iterations": iters, "max_div": max_div, "max_abs_div": max_abs_div}

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .aniso import NumericsError
 from .config import ConfigError, load_config
-from .harness import epsilon_sweep, run_simulation
+from .harness import epsilon_sweep, preflight, run_simulation
 
 __all__ = ["main"]
 
@@ -63,6 +63,7 @@ def main(argv=None) -> int:
                         f"err_u3={row.err_u3:.6e} err_C={row.err_C:.6e}"
                     )
         else:
+            preflight(cfg, [(eps, cfg.run.mode) for eps in cfg.run.eps_list])
             for eps in cfg.run.eps_list:
                 run_dir = (
                     os.path.join(out, f"{cfg.run.mode}_eps{eps:g}")

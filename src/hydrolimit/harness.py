@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aniso import (
-    CFLError,
-    NumericsError,
-    SimState,
-    pressure_projection_anisotropic,
-    stable_dt,
-)
+from .aniso import CFLError, NumericsError, ProjectionError, SimState, stable_dt
 from .config import RunConfig
 from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, build_grid, coriolis_at
 from .diagnostics import (
@@ -40,7 +34,7 @@ from .diagnostics import (
     translation_modulus,
     APRIORI_NORM_NAMES,
 )
-from .hydro import hydrostatic_velocity, surface_pressure_projection
+from .hydro import hydrostatic_velocity
 from .operators import (
     StaggeredVelocity,
     advect_scalar,
@@ -48,8 +42,9 @@ from .operators import (
     anisotropic_laplacian,
     apply_velocity_bcs,
     diffuse_concentration,
-    divergence,
     extend_velocity,
+    flux_divergence,
+    solve_separable,
 )
 from .sources import Source
 
@@ -60,6 +55,7 @@ __all__ = [
     "SweepResult",
     "initial_velocity",
     "initial_concentration",
+    "preflight",
     "run_simulation",
     "epsilon_sweep",
     "write_vtk",
@@ -173,17 +169,87 @@ def initial_concentration(cfg: RunConfig, grid: Grid) -> np.ndarray:
 def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: Grid, tol: float):
     """Project u* onto the divergence-free space of ``mode``.
 
-    "aniso": the eps-weighted 3-D projection, p the 3-D pressure.  "hydro":
-    the barotropic surface projection of (u1, u2) followed by the diagnosed
-    u3 (u*'s own u3 is ignored), p the 2-D surface pressure.  Returns
-    (u, p, info) with the projection's info dict; in both modes
-    info["max_abs_div"] is max|div u| of the returned 3-D field.
+    Both models constrain a flux F of the velocity: one Neumann solve
+    div(A grad p) = div(F*)/dt, then u_d -= dt*(p[+1] - p)/s_d on interior
+    faces.  p is mean-zero.
+      "aniso": F = u, A = diag(1, 1, eps^-2), s = (dx, dy, eps^2*dz), and p
+        is the 3-D rescaled pressure.
+      "hydro": F = (dz*sum_k u1, dz*sum_k u2), the depth integral of the
+        horizontal velocity, A = the depth h, s = (dx, dy), and p is the
+        2-D surface pressure; its correction is the same on every level
+        (d3 p = 0).  u*'s own u3 is ignored: u3 is diagnosed afterwards
+        (``hydrostatic_velocity``).
+    The solve is direct (``solve_separable``); ``tol`` bounds the
+    post-correction divergence of F, recomputed from the returned velocity,
+    and a larger one raises ProjectionError.  An input whose divergence of F
+    already lies within tol of its mean is returned unchanged with p = 0.
+
+    Returns (u, p, info) with info = {"iterations", "max_div",
+    "max_abs_div"}: iterations is 0 for that pass-through and 1 for a solve;
+    max_div is max|div F - mean| of the returned u, and max_abs_div is
+    max|div u| of the returned 3-D field.
     """
-    if mode == "aniso":
-        return pressure_projection_anisotropic(u_star, eps, dt, grid, tol)
-    u1, u2, ps, info = surface_pressure_projection(u_star.u1, u_star.u2, dt, grid, tol)
-    u, info["max_abs_div"] = hydrostatic_velocity(u1, u2, grid)
-    return u, ps, info
+    if mode not in ("aniso", "hydro") or not (tol > 0 and dt > 0 and 0 < eps <= 1):
+        raise ValueError(
+            f"mode must be 'aniso' or 'hydro', tol and dt positive and eps in (0, 1]; "
+            f"got mode={mode!r}, tol={tol!r}, dt={dt!r}, eps={eps!r}"
+        )
+    aniso = mode == "aniso"
+    dx, dy, dz = grid.spacing
+    if aniso:
+        weights = (1.0 / dx**2, 1.0 / dy**2, 1.0 / (eps * dz) ** 2)
+        spacings = (dx, dy, eps**2 * dz)
+    else:
+        weights = (grid.h / dx**2, grid.h / dy**2)
+        spacings = (dx, dy)
+    u = [c.copy() for c in u_star.components()[: len(spacings)]]
+
+    def flux():
+        return u if aniso else [np.sum(u_d, axis=2) * dz for u_d in u]
+
+    f_star = flux()
+    div = flux_divergence(f_star, grid)
+    mean = float(np.mean(div))
+    # Compatibility: the mean divergence is the net boundary flux per volume.
+    # Measure it against the natural divergence magnitude of an O(|F|) field,
+    # so an already-projected input (divergence at roundoff) still passes.
+    scale = sum(float(np.max(np.abs(f))) / h for f, h in zip(f_star, grid.spacing))
+    if scale > 0 and abs(mean) > 1e-10 * scale:
+        raise ProjectionError(
+            f"incompatible right-hand side: mean divergence {mean:.3e} "
+            f"(velocity divergence scale {scale:.3e})"
+        )
+
+    b = div  # b = -(div - mean)/dt, in div's buffer
+    b -= mean
+    np.negative(b, out=b)
+    b /= dt
+    if np.max(np.abs(b)) <= tol / dt:
+        p, iters = np.zeros(b.shape), 0
+    else:
+        p, iters = solve_separable(b, [(c, "neumann", "neumann") for c in weights]), 1
+
+    # A 2-D surface pressure gets a level axis of length 1, so its
+    # correction broadcasts over every level.
+    p_levels = p.reshape(grid.nx, grid.ny, -1)
+    for axis, (u_d, s) in enumerate(zip(u, spacings)):
+        corr = np.diff(p_levels, axis=axis)
+        corr *= dt
+        corr /= s
+        u_d[(slice(None),) * axis + (slice(1, -1),)] -= corr
+    div = flux_divergence(flux(), grid)
+    if aniso:
+        u_new, max_abs_div = StaggeredVelocity(*u), float(np.max(np.abs(div)))
+    else:
+        u_new, max_abs_div = hydrostatic_velocity(*u, grid)
+    div -= mean
+    np.abs(div, out=div)
+    max_div = float(np.max(div))
+    if max_div > tol:
+        raise ProjectionError(
+            f"projected divergence {max_div:.3e} exceeds tol {tol:.3e} ({mode}, eps={eps:g})"
+        )
+    return u_new, p, {"iterations": iters, "max_div": max_div, "max_abs_div": max_abs_div}
 
 
 def _corner_average(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -300,9 +366,10 @@ def step(
 
 
 def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfig, grid: Grid):
-    """Enforce the divergence-free initial hypothesis of the respective mode."""
-    u, _, _ = project(apply_velocity_bcs(u0), mode, eps, 1.0, grid, cfg.run.tol)
-    return u, np.zeros(grid.shape_cells if mode == "aniso" else (grid.nx, grid.ny))
+    """Enforce the divergence-free initial hypothesis of the respective mode:
+    (u, a zero pressure of the mode's shape, max|div u|)."""
+    u, p, info = project(apply_velocity_bcs(u0), mode, eps, 1.0, grid, cfg.run.tol)
+    return u, np.zeros(p.shape), info["max_abs_div"]
 
 
 def _sample_source(cfg: RunConfig, eps: float, mode: str, grid: Grid) -> Source | None:
@@ -329,6 +396,35 @@ def _schedule(T: float, limit: float) -> tuple:
         )
     n_steps = max(1, math.ceil(steps - 1e-12))
     return n_steps, T / n_steps
+
+
+def _start(cfg: RunConfig, eps: float, mode: str, grid: Grid) -> tuple:
+    """(source, initial state, its max|div u|, initial stability limit) of one
+    run: the source sampled, the initial velocity projected, and ``stable_dt``
+    of that state, capped by dt_max."""
+    source = _sample_source(cfg, eps, mode, grid)
+    u0, p0, max_div = _project_initial(initial_velocity(cfg, grid), mode, eps, cfg, grid)
+    state = SimState(0.0, 0, u0, p0, initial_concentration(cfg, grid))
+    limit = stable_dt(
+        state, cfg.phys_params(eps), cfg.diffusion, grid, cfl=cfg.time.cfl, dt_max=cfg.time.dt_max
+    )
+    return source, state, max_div, limit
+
+
+def preflight(cfg: RunConfig, runs) -> float:
+    """The smallest initial stability limit of ``runs``, (eps, mode) pairs.
+
+    Sets up each run's start in turn and drops it, so that a run that would
+    be refused (a source that cannot be sampled, a start that cannot be
+    projected, more than 2**53 steps) raises NumericsError before any run
+    writes, while only one start is held at a time.
+    """
+    grid = build_grid(cfg.grid)
+    limits = []
+    for eps, mode in runs:
+        limits.append(_start(cfg, eps, mode, grid)[3])
+        _schedule(cfg.time.T, limits[-1])
+    return min(limits)
 
 
 @dataclass
@@ -364,13 +460,7 @@ def run_simulation(
     params = cfg.phys_params(eps)
     M = cfg.diffusion
     theta = cfg.theta
-    source = _sample_source(cfg, eps, mode, grid)
-
-    u0 = initial_velocity(cfg, grid)
-    u0, p0 = _project_initial(u0, mode, eps, cfg, grid)
-    state = SimState(0.0, 0, u0, p0, initial_concentration(cfg, grid))
-
-    limit = stable_dt(state, params, M, grid, cfl=cfg.time.cfl, dt_max=cfg.time.dt_max)
+    source, state, max_div, limit = _start(cfg, eps, mode, grid)
     n_steps, step_dt = _schedule(cfg.time.T, limit)
 
     if out_dir is not None:
@@ -387,7 +477,6 @@ def run_simulation(
 
     states = [state]
     snap(state)
-    max_div = float(np.max(np.abs(divergence(state.u, grid))))
     t0 = _time.perf_counter()
     try:
         for n in range(1, n_steps + 1):
@@ -494,25 +583,11 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     grid = build_grid(cfg.grid)
     eps_list = sorted(cfg.run.eps_list, reverse=True)
     runs = [(e, "aniso") for e in eps_list] + [(eps_list[0], "hydro")]
-    # Refuse a source that some run cannot sample before any run writes.
-    for eps, mode in runs:
-        _sample_source(cfg, eps, mode, grid)
-
     # Common schedule: all runs start from the same initial data, so their
     # limits differ only through the eps-dependent rotation bound and the
-    # mode of the initial projection.
-    c0 = initial_concentration(cfg, grid)
-    dts = []
-    for eps, mode in runs:
-        u0p, _ = _project_initial(initial_velocity(cfg, grid), mode, eps, cfg, grid)
-        s0 = SimState(0.0, 0, u0p, np.zeros(grid.shape_cells), c0)
-        dts.append(
-            stable_dt(
-                s0, cfg.phys_params(eps), cfg.diffusion, grid,
-                cfl=cfg.time.cfl, dt_max=cfg.time.dt_max,
-            )
-        )
-    cfg = replace(cfg, time=replace(cfg.time, dt_max=min(dts)))
+    # mode of the initial projection.  A run that would be refused is
+    # refused before any run writes.
+    cfg = replace(cfg, time=replace(cfg.time, dt_max=preflight(cfg, runs)))
 
     hydro_dir = os.path.join(out_dir, "hydro") if out_dir is not None else None
     hydro = run_simulation(cfg, eps_list[0], "hydro", out_dir=hydro_dir, quiet=quiet)

@@ -30,7 +30,7 @@ __all__ = [
     "StaggeredVelocity",
     "VelocityExtension",
     "divergence",
-    "horizontal_divergence",
+    "flux_divergence",
     "grad_pressure",
     "anisotropic_laplacian",
     "solve_separable",
@@ -106,25 +106,18 @@ class VelocityExtension(NamedTuple):
     u3e: np.ndarray | None
 
 
-def horizontal_divergence(f1: np.ndarray, f2: np.ndarray, grid: Grid) -> np.ndarray:
-    """(f1[1:] - f1[:-1])/dx + (f2[:, 1:] - f2[:, :-1])/dy of x- and y-face
-    fields (3-D, or depth-integrated 2-D), summed in that order into one
-    fresh C-contiguous array."""
+def flux_divergence(fluxes, grid: Grid) -> np.ndarray:
+    """(f1[1:] - f1[:-1])/dx + (f2[:, 1:] - f2[:, :-1])/dy, plus
+    (f3[:, :, 1:] - f3[:, :, :-1])/dz when a third face field is given,
+    summed in that order into one fresh C-contiguous array.  Two fields may
+    be 3-D or depth-integrated 2-D."""
+    f1 = fluxes[0]
     out = np.subtract(f1[1:], f1[:-1], order="C")
     out /= grid.dx
-    t = f2[:, 1:] - f2[:, :-1]
-    t /= grid.dy
-    out += t
-    return out
-
-
-def _flux_divergence(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, grid: Grid) -> np.ndarray:
-    """``horizontal_divergence(f1, f2)`` + (f3[:, :, 1:] - f3[:, :, :-1])/dz,
-    summed in that order into one fresh C-contiguous array."""
-    out = horizontal_divergence(f1, f2, grid)
-    t = f3[:, :, 1:] - f3[:, :, :-1]
-    t /= grid.dz
-    out += t
+    for axis, (f, h) in enumerate(zip(fluxes[1:], grid.spacing[1:]), start=1):
+        t = np.diff(f, axis=axis)
+        t /= h
+        out += t
     return out
 
 
@@ -132,7 +125,7 @@ def divergence(u: StaggeredVelocity, grid: Grid) -> np.ndarray:
     """Cell-centred divergence of a staggered velocity field (C-contiguous)."""
     if u.u1.shape != grid.shape_u1:
         raise ValueError(f"velocity shaped {u.u1.shape} does not fit grid {grid.shape_u1}")
-    return _flux_divergence(u.u1, u.u2, u.u3, grid)
+    return flux_divergence(u.components(), grid)
 
 
 def grad_pressure(p: np.ndarray, grid: Grid) -> tuple:
@@ -259,15 +252,7 @@ def theta_faces(theta: BoundaryForcing | None, grid: Grid) -> tuple:
     t1, t2 = theta.theta1, theta.theta2
     if t1.shape != (grid.nx, grid.ny):
         raise ValueError(f"traction shaped {t1.shape} does not fit grid {(grid.nx, grid.ny)}")
-    t1f = np.empty((grid.nx + 1, grid.ny))
-    t1f[1:-1] = 0.5 * (t1[:-1] + t1[1:])
-    t1f[0] = t1[0]
-    t1f[-1] = t1[-1]
-    t2f = np.empty((grid.nx, grid.ny + 1))
-    t2f[:, 1:-1] = 0.5 * (t2[:, :-1] + t2[:, 1:])
-    t2f[:, 0] = t2[:, 0]
-    t2f[:, -1] = t2[:, -1]
-    return t1f, t2f
+    return face_average(t1, 0), face_average(t2, 1)
 
 
 def apply_velocity_bcs(u: StaggeredVelocity) -> StaggeredVelocity:
@@ -446,7 +431,7 @@ def diffuse_concentration(C: np.ndarray, M, grid: Grid) -> np.ndarray:
         fd += face_average(cross, d)
         fluxes.append(fd)
     fluxes[2][:, :, 0] = 0.0  # no flux through the ground
-    return _flux_divergence(*fluxes, grid)
+    return flux_divergence(fluxes, grid)
 
 
 def _inner(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
@@ -476,7 +461,7 @@ def advect_scalar(u: StaggeredVelocity, C: np.ndarray, grid: Grid) -> np.ndarray
     the projected velocity.  Boundary-face fluxes use the edge cell as donor;
     they vanish identically once the velocity boundary conditions hold.
     """
-    return _flux_divergence(*(_donor_flux(v, C, d) for d, v in enumerate(u.components())), grid)
+    return flux_divergence([_donor_flux(v, C, d) for d, v in enumerate(u.components())], grid)
 
 
 def _sl(a: np.ndarray, axis: int, start, stop) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from hydrolimit.core import DiffusionTensor, GridSpec, PhysParams, build_grid
 from hydrolimit.operators import StaggeredVelocity, apply_velocity_bcs
-from hydrolimit.aniso import pressure_projection_anisotropic
+from hydrolimit.harness import project
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ def smooth_velocity(rng, grid, kmax=2):
 def projected_velocity(rng, grid, eps=1.0, tol=1e-12, kmax=2):
     """Smooth random velocity made divergence-free by the eps-projection."""
     u = apply_velocity_bcs(smooth_velocity(rng, grid, kmax))
-    up, _, _ = pressure_projection_anisotropic(u, eps, 1.0, grid, tol=tol)
+    up, _, _ = project(u, "aniso", eps, 1.0, grid, tol)
     return up
 
 

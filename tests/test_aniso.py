@@ -1,4 +1,5 @@
-"""Anisotropic stepper: stability limit, projection, dense-operator oracle."""
+"""Anisotropic stepper: stability limit, the projection of both modes,
+dense-operator oracle."""
 
 import numpy as np
 import pytest
@@ -23,10 +24,9 @@ from hydrolimit.aniso import (
     CFLError,
     ProjectionError,
     SimState,
-    pressure_projection_anisotropic,
     stable_dt,
 )
-from hydrolimit.harness import step
+from hydrolimit.harness import project, step
 
 from conftest import default_params, projected_velocity, smooth_field, smooth_velocity
 
@@ -85,20 +85,25 @@ def test_step_rejects_cfl_violation(grid8):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.25, 0.0625])
-def test_projection_divergence_tolerance(grid8, eps):
-    rng = np.random.default_rng(21)
-    u = apply_velocity_bcs(
+def _constrained_divergence(u, mode, grid):
+    """Divergence of the flux a projection constrains: div u in "aniso", and
+    div_H of the depth integral (dz*sum_k u1, dz*sum_k u2) in "hydro"."""
+    if mode == "aniso":
+        return divergence(u, grid)
+    int1 = np.sum(u.u1, axis=2) * grid.dz
+    int2 = np.sum(u.u2, axis=2) * grid.dz
+    return (int1[1:] - int1[:-1]) / grid.dx + (int2[:, 1:] - int2[:, :-1]) / grid.dy
+
+
+def _random_wall_velocity(grid, seed):
+    rng = np.random.default_rng(seed)
+    return apply_velocity_bcs(
         StaggeredVelocity(
-            rng.normal(size=grid8.shape_u1),
-            rng.normal(size=grid8.shape_u2),
-            rng.normal(size=grid8.shape_u3),
+            rng.normal(size=grid.shape_u1),
+            rng.normal(size=grid.shape_u2),
+            rng.normal(size=grid.shape_u3),
         )
     )
-    tol = 1e-8
-    up, p, info = pressure_projection_anisotropic(u, eps, 0.01, grid8, tol=tol)
-    assert np.max(np.abs(divergence(up, grid8))) <= 10.0 * tol
-    assert abs(np.mean(p)) < 1e-12
 
 
 def _smooth_wall_velocity(grid):
@@ -106,14 +111,50 @@ def _smooth_wall_velocity(grid):
     return apply_velocity_bcs(smooth_velocity(rng, grid))
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.25, 0.0625])
-def test_projection_reports_true_divergence(grid8, eps):
-    """info["max_div"] is the divergence of the returned field about the
-    (conserved) mean, not an estimate carried by the solver."""
+# eps cases of the anisotropic projection, plus the hydrostatic one (eps unused)
+MODE_EPS3 = [pytest.param("aniso", e, id=str(e)) for e in (1.0, 0.25, 0.0625)] + [
+    pytest.param("hydro", 1.0, id="hydro")
+]
+
+
+@pytest.mark.parametrize("mode, eps", MODE_EPS3)
+def test_projection_divergence_tolerance(grid8, mode, eps):
+    u = _random_wall_velocity(grid8, 21)
+    tol = 1e-9
+    up, p, _ = project(u, mode, eps, 0.01, grid8, tol)
+    assert np.max(np.abs(_constrained_divergence(up, mode, grid8))) <= 10.0 * tol
+    assert np.max(np.abs(divergence(up, grid8))) <= 10.0 * tol
+    assert abs(np.mean(p)) < 1e-12
+    # in "hydro" the diagnosed top interface value inherits the tolerance
+    assert np.max(np.abs(up.u3[:, :, -1])) <= 10.0 * tol / grid8.h
+
+
+@pytest.mark.parametrize("mode, eps", MODE_EPS3)
+def test_projection_reports_true_divergence(grid8, mode, eps):
+    """info["max_div"] is the divergence of the returned field's constrained
+    flux about the (conserved) mean, not an estimate carried by the solver."""
     u = _smooth_wall_velocity(grid8)
-    up, _, info = pressure_projection_anisotropic(u, eps, 1.0, grid8, tol=1e-10)
-    true = np.max(np.abs(divergence(up, grid8) - np.mean(divergence(u, grid8))))
+    up, _, info = project(u, mode, eps, 1.0, grid8, 1e-10)
+    mean = np.mean(_constrained_divergence(u, mode, grid8))
+    true = np.max(np.abs(_constrained_divergence(up, mode, grid8) - mean))
     assert info["max_div"] == pytest.approx(true, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "mode, solve", [("aniso", True), ("aniso", False), ("hydro", True), ("hydro", False)]
+)
+def test_projection_info_contract(grid8, mode, solve):
+    """Both modes report the same keys; iterations is 1 for a solve and 0 for
+    the pass-through of an already projected field; max_abs_div is
+    max|div u| of the returned 3-D field exactly (run_simulation's max_div
+    relies on it)."""
+    u = _smooth_wall_velocity(grid8)
+    if not solve:
+        u, _, _ = project(u, mode, 0.5, 1.0, grid8, 1e-10)
+    up, _, info = project(u, mode, 0.5, 1.0, grid8, 1e-10)
+    assert sorted(info) == ["iterations", "max_abs_div", "max_div"]
+    assert info["iterations"] == (1 if solve else 0)
+    assert info["max_abs_div"] == float(np.max(np.abs(divergence(up, grid8))))
 
 
 def test_projection_tolerance_below_roundoff_raises(grid8):
@@ -121,63 +162,56 @@ def test_projection_tolerance_below_roundoff_raises(grid8):
     asking for 1e-13 must fail loudly instead of returning that field."""
     u = _smooth_wall_velocity(grid8)
     with pytest.raises(ProjectionError, match="exceeds tol"):
-        pressure_projection_anisotropic(u, 0.0625, 1.0, grid8, tol=1e-13)
+        project(u, "aniso", 0.0625, 1.0, grid8, 1e-13)
 
 
 def test_projection_divfree_input_is_fixed_point(grid8):
+    """A divergence-free input passes through unchanged with p = 0."""
     rng = np.random.default_rng(22)
     u = projected_velocity(rng, grid8, eps=1.0, tol=1e-12)
-    up, p, info = pressure_projection_anisotropic(u, 1.0, 0.01, grid8, tol=1e-8)
+    up, p, info = project(u, "aniso", 1.0, 0.01, grid8, 1e-8)
     assert info["iterations"] == 0
-    assert np.max(np.abs(p)) < 1e-10
-    assert np.allclose(up.u1, u.u1, atol=1e-12)
+    assert np.max(np.abs(p)) < 1e-12
+    assert np.array_equal(up.u1, u.u1)
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.25])
-def test_projection_recovers_potential(grid8, eps):
-    """u* = dt * A grad(phi) makes the solver return phi - mean(phi)."""
+@pytest.mark.parametrize(
+    "mode, eps",
+    [pytest.param("aniso", e, id=str(e)) for e in (1.0, 0.25)]
+    + [pytest.param("hydro", 1.0, id="hydro")],
+)
+def test_projection_recovers_potential(grid8, mode, eps):
+    """u* = dt * A grad(phi) makes the solver return phi - mean(phi); in
+    "hydro" phi is level-independent and p is its 2-D surface value."""
     X1, X2, X3 = grid8.centers()
-    phi = np.broadcast_to(
-        np.cos(np.pi * X1) * np.cos(2 * np.pi * X2) * np.cos(np.pi * X3), grid8.shape_cells
-    ).copy()
+    z = np.cos(np.pi * X3) if mode == "aniso" else 1.0
+    phi = np.broadcast_to(np.cos(np.pi * X1) * np.cos(2 * np.pi * X2) * z, grid8.shape_cells)
     dt = 0.01
-    gx, gy, gz = grad_pressure(phi, grid8)
+    gx, gy, gz = grad_pressure(phi.copy(), grid8)
     u_star = StaggeredVelocity(dt * gx, dt * gy, dt * gz / eps**2)
-    up, p, _ = pressure_projection_anisotropic(u_star, eps, dt, grid8, tol=1e-12)
-    assert np.allclose(p, phi - phi.mean(), atol=1e-7)
+    up, p, _ = project(u_star, mode, eps, dt, grid8, 1e-12)
+    want = phi - phi.mean()
+    assert np.allclose(p, want if mode == "aniso" else want[:, :, 0], atol=1e-8)
     for comp in up.components():
-        assert np.max(np.abs(comp)) < 1e-7
+        assert np.max(np.abs(comp)) < 1e-8
 
 
 def test_projection_idempotent(grid8):
-    rng = np.random.default_rng(23)
-    u = apply_velocity_bcs(
-        StaggeredVelocity(
-            rng.normal(size=grid8.shape_u1),
-            rng.normal(size=grid8.shape_u2),
-            rng.normal(size=grid8.shape_u3),
-        )
-    )
+    u = _random_wall_velocity(grid8, 23)
     tol = 1e-9
-    u1p, _, _ = pressure_projection_anisotropic(u, 0.25, 0.01, grid8, tol=tol)
-    u2p, _, _ = pressure_projection_anisotropic(u1p, 0.25, 0.01, grid8, tol=tol)
-    for a, b in zip(u1p.components(), u2p.components()):
-        assert np.max(np.abs(a - b)) <= 10.0 * tol
+    for mode in ("aniso", "hydro"):
+        u1p, _, _ = project(u, mode, 0.25, 0.01, grid8, tol)
+        u2p, _, _ = project(u1p, mode, 0.25, 0.01, grid8, tol)
+        for a, b in zip(u1p.components(), u2p.components()):
+            assert np.max(np.abs(a - b)) <= 10.0 * tol
 
 
 def test_projection_eps_one_matches_plain_poisson(grid8):
     """At eps = 1 the scheme is a standard projection; compare with an
     unpreconditioned CG on the plain Poisson problem."""
-    rng = np.random.default_rng(24)
-    u = apply_velocity_bcs(
-        StaggeredVelocity(
-            rng.normal(size=grid8.shape_u1),
-            rng.normal(size=grid8.shape_u2),
-            rng.normal(size=grid8.shape_u3),
-        )
-    )
+    u = _random_wall_velocity(grid8, 24)
     dt = 0.02
-    up, p, _ = pressure_projection_anisotropic(u, 1.0, dt, grid8, tol=1e-12)
+    up, p, _ = project(u, "aniso", 1.0, dt, grid8, 1e-12)
 
     # plain CG on -lap p = -div(u*)/dt with Neumann walls
     def apply_neg_lap(q):
@@ -215,10 +249,9 @@ def test_projection_eps_one_matches_plain_poisson(grid8):
 def test_projection_incompatible_rhs_rejected(grid8):
     u = StaggeredVelocity.zeros(grid8)
     u.u1[0, :, :] = 1.0  # net inflow through a wall: incompatible
-    from hydrolimit.aniso import ProjectionError
-
-    with pytest.raises(ProjectionError, match="incompatible"):
-        pressure_projection_anisotropic(u, 1.0, 0.01, grid8, tol=1e-8)
+    for mode in ("aniso", "hydro"):
+        with pytest.raises(ProjectionError, match="incompatible"):
+            project(u, mode, 1.0, 0.01, grid8, 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,27 @@ def test_sweep_refuses_unsampleable_member_before_any_run(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, kind, eps", [("aniso", "gaussian", "1e-110"), ("hydro", "unit_impulse", "1e-200")]
+)
+def test_cli_refuses_unsampleable_member_before_any_run(tmp_path, capsys, mode, kind, eps):
+    """In a single-run mode the CLI runs each eps of eps_list in turn.  The
+    source width defaults to each run's eps, and only the small-eps run
+    cannot sample it; it is refused before the eps = 0.5 run writes
+    anything."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(
+        f"[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nkind = {kind}\nt_s = 0\n[time]\nT = 0.01\n"
+        f"[run]\neps_list = 0.5, {eps}\n"
+    )
+    out = tmp_path / "out"
+    rc = cli_main([str(cfgfile), "--mode", mode, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"numerical abort: {kind} source of width {eps}") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_lorentzian_normaliser_computed_once_per_run(monkeypatch):
     """A run samples its source once; the ledger and the weak residuals
     reuse that sample instead of recomputing the Lorentzian normaliser."""

@@ -1,4 +1,6 @@
-"""Hydrostatic stepper: barotropic projection, diagnostic w, energy decay."""
+"""Hydrostatic stepper: diagnostic w, energy decay.  The barotropic projection
+is tested with the anisotropic one in test_aniso.py, apart from its hydro-only
+cases below."""
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from hydrolimit.core import DiffusionTensor, PhysParams
 from hydrolimit.operators import StaggeredVelocity, apply_velocity_bcs, divergence
 from hydrolimit.aniso import ProjectionError, SimState, stable_dt
-from hydrolimit.harness import step
-from hydrolimit.hydro import hydrostatic_velocity, surface_pressure_projection
+from hydrolimit.harness import project, step
+from hydrolimit.hydro import hydrostatic_velocity
 
 from conftest import default_params, smooth_field, smooth_velocity
 
@@ -59,23 +61,8 @@ def test_diagnose_w_exact_3d_divergence(grid8):
 
 
 # ---------------------------------------------------------------------------
-# surface_pressure_projection
+# barotropic projection, mode "hydro"
 # ---------------------------------------------------------------------------
-
-
-def _depth_integrated_divergence(u1, u2, grid):
-    int1 = np.sum(u1, axis=2) * grid.dz
-    int2 = np.sum(u2, axis=2) * grid.dz
-    return (int1[1:] - int1[:-1]) / grid.dx + (int2[:, 1:] - int2[:, :-1]) / grid.dy
-
-
-def _smooth_wall_horizontal_velocity(grid):
-    u = smooth_velocity(np.random.default_rng(41), grid)
-    u1 = u.u1.copy()
-    u2 = u.u2.copy()
-    u1[0] = u1[-1] = 0.0
-    u2[:, 0] = u2[:, -1] = 0.0
-    return u1, u2
 
 
 def test_surface_projection_nondivergent_input(grid8):
@@ -86,53 +73,20 @@ def test_surface_projection_nondivergent_input(grid8):
     xc = grid8.x1f[:, None]
     yc = grid8.x2f[None, :]
     psi = np.sin(np.pi * xc / grid8.lx) ** 2 * np.sin(np.pi * yc / grid8.ly) ** 2
-    u1 = np.broadcast_to(((psi[:, 1:] - psi[:, :-1]) / grid8.dy)[:, :, None], grid8.shape_u1).copy()
-    u2 = np.broadcast_to((-(psi[1:] - psi[:-1]) / grid8.dx)[:, :, None], grid8.shape_u2).copy()
-    u1n, u2n, ps, info = surface_pressure_projection(u1, u2, 0.01, grid8, tol=1e-10)
+    u1 = np.broadcast_to(((psi[:, 1:] - psi[:, :-1]) / grid8.dy)[:, :, None], grid8.shape_u1)
+    u2 = np.broadcast_to((-(psi[1:] - psi[:-1]) / grid8.dx)[:, :, None], grid8.shape_u2)
+    u = StaggeredVelocity(u1.copy(), u2.copy(), np.zeros(grid8.shape_u3))
+    un, ps, info = project(u, "hydro", 1.0, 0.01, grid8, 1e-10)
     assert info["iterations"] == 0
     assert np.max(np.abs(ps)) < 1e-12
-    assert np.array_equal(u1n, u1)
-
-
-def test_surface_projection_recovers_potential(grid8):
-    """Level-independent uH* = grad_H(phi) returns ps = phi - mean."""
-    x1 = grid8.x1c
-    x2 = grid8.x2c
-    phi = np.cos(np.pi * x1 / grid8.lx)[:, None] * np.cos(np.pi * x2 / grid8.ly)[None, :]
-    dt = 0.02
-    u1 = np.zeros(grid8.shape_u1)
-    u2 = np.zeros(grid8.shape_u2)
-    u1[1:-1] = dt * ((phi[1:] - phi[:-1]) / grid8.dx)[:, :, None]
-    u2[:, 1:-1] = dt * ((phi[:, 1:] - phi[:, :-1]) / grid8.dy)[:, :, None]
-    u1n, u2n, ps, _ = surface_pressure_projection(u1, u2, dt, grid8, tol=1e-13)
-    assert np.allclose(ps, (phi - phi.mean()) / grid8.h, atol=1e-8)
-    assert np.max(np.abs(u1n)) < 1e-8
-
-
-def test_surface_projection_divergence_tolerance(grid8):
-    u1, u2 = _smooth_wall_horizontal_velocity(grid8)
-    tol = 1e-9
-    u1n, u2n, ps, _ = surface_pressure_projection(u1, u2, 0.01, grid8, tol=tol)
-    div_h = _depth_integrated_divergence(u1n, u2n, grid8)
-    assert np.max(np.abs(div_h)) <= 10.0 * tol
-    # diagnosed top interface value inherits the projection tolerance
-    u3 = hydrostatic_velocity(u1n, u2n, grid8)[0].u3
-    assert np.max(np.abs(u3[:, :, -1])) <= 10.0 * tol / grid8.h
-
-
-def test_surface_projection_reports_true_divergence(grid8):
-    u1, u2 = _smooth_wall_horizontal_velocity(grid8)
-    u1n, u2n, _, info = surface_pressure_projection(u1, u2, 0.01, grid8, tol=1e-12)
-    mean = np.mean(_depth_integrated_divergence(u1, u2, grid8))
-    true = np.max(np.abs(_depth_integrated_divergence(u1n, u2n, grid8) - mean))
-    assert info["max_div"] == pytest.approx(true, rel=1e-12, abs=0.0)
+    assert np.array_equal(un.u1, u.u1)
 
 
 def test_surface_projection_tolerance_below_roundoff_raises(grid8):
     """Double precision leaves a depth-integrated divergence near 3e-14 here."""
-    u1, u2 = _smooth_wall_horizontal_velocity(grid8)
+    u = apply_velocity_bcs(smooth_velocity(np.random.default_rng(41), grid8))
     with pytest.raises(ProjectionError, match="exceeds tol"):
-        surface_pressure_projection(u1, u2, 0.01, grid8, tol=1e-16)
+        project(u, "hydro", 1.0, 0.01, grid8, 1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +110,8 @@ def test_hydro_pure_decay_without_rotation(grid8):
     params = PhysParams(0.02, 0.02, 0.02, eps=0.5, f0=0.0)
     M = DiffusionTensor.identity()
     u = apply_velocity_bcs(smooth_velocity(rng, grid8))
-    u1n, u2n, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-11)
-    st = hydro_state(grid8, u1n, u2n)
+    un, _, _ = project(u, "hydro", params.eps, 1.0, grid8, 1e-11)
+    st = hydro_state(grid8, un.u1, un.u2)
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
     dV = grid8.cell_volume
 
@@ -177,8 +131,8 @@ def test_hydro_pressure_is_2d_and_reconstruction_constant(grid8):
     params = default_params(eps=0.5)
     M = DiffusionTensor.identity()
     u = apply_velocity_bcs(smooth_velocity(rng, grid8))
-    u1n, u2n, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-11)
-    st = hydro_state(grid8, u1n, u2n, smooth_field(rng, grid8))
+    un, _, _ = project(u, "hydro", params.eps, 1.0, grid8, 1e-11)
+    st = hydro_state(grid8, un.u1, un.u2, smooth_field(rng, grid8))
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
     st, _ = step(st, params, M, None, None, dt, grid8, "hydro")
     assert st.p.shape == (grid8.nx, grid8.ny)
@@ -191,8 +145,8 @@ def test_hydro_steps_preserve_exact_3d_divergence(grid8):
     params = default_params(eps=0.5)
     M = DiffusionTensor.identity()
     u = apply_velocity_bcs(smooth_velocity(rng, grid8))
-    u1n, u2n, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-10)
-    st = hydro_state(grid8, u1n, u2n, smooth_field(rng, grid8))
+    un, _, _ = project(u, "hydro", params.eps, 1.0, grid8, 1e-10)
+    st = hydro_state(grid8, un.u1, un.u2, smooth_field(rng, grid8))
     dt = stable_dt(st, params, M, grid8, cfl=0.4)
     for _ in range(10):
         st, _ = step(st, params, M, None, None, dt, grid8, "hydro", tol=1e-10)
@@ -207,13 +161,11 @@ def test_hydro_differs_from_aniso_at_eps_one(grid8):
     u = apply_velocity_bcs(smooth_velocity(rng, grid8))
     C0 = np.abs(smooth_field(rng, grid8))
 
-    from hydrolimit.aniso import pressure_projection_anisotropic
-
-    ua, _, _ = pressure_projection_anisotropic(u, 1.0, 1.0, grid8, tol=1e-11)
+    ua, _, _ = project(u, "aniso", 1.0, 1.0, grid8, 1e-11)
     st_a = SimState(0.0, 0, ua, np.zeros(grid8.shape_cells), C0.copy())
 
-    u1h, u2h, _, _ = surface_pressure_projection(u.u1, u.u2, 1.0, grid8, tol=1e-11)
-    st_h = hydro_state(grid8, u1h, u2h, C0.copy())
+    uh, _, _ = project(u, "hydro", 1.0, 1.0, grid8, 1e-11)
+    st_h = hydro_state(grid8, uh.u1, uh.u2, C0.copy())
 
     dt = 0.5 * min(
         stable_dt(st_a, params, M, grid8, cfl=1.0), stable_dt(st_h, params, M, grid8, cfl=1.0)
