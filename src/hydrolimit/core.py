@@ -378,11 +378,14 @@ class BoundaryForcing:
     """Steady wind-traction components theta_H on the ground Gamma_G.
 
     Cell-centred (nx, ny) fields; the ground boundary condition reads
-    nu3 * d(u_H)/dx3 = theta_H.
+    nu3 * d(u_H)/dx3 = theta_H.  ``faces`` holds theta1 on the u1 faces
+    (nx+1, ny) and theta2 on the u2 faces (nx, ny+1), read-only, computed
+    once here with ``face_average``.
     """
 
     theta1: np.ndarray
     theta2: np.ndarray
+    faces: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         t1 = np.asarray(self.theta1, dtype=float)
@@ -391,8 +394,12 @@ class BoundaryForcing:
             raise ValueError("theta1/theta2 must be matching 2-D arrays")
         if not (np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))):
             raise ValueError("traction fields must be finite")
+        faces = (face_average(t1, 0), face_average(t2, 1))
+        for f in faces:
+            f.flags.writeable = False
         object.__setattr__(self, "theta1", t1)
         object.__setattr__(self, "theta2", t2)
+        object.__setattr__(self, "faces", faces)
 
     @classmethod
     def constant(cls, grid: Grid | GridSpec, c1: float, c2: float) -> "BoundaryForcing":

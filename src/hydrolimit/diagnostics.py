@@ -28,6 +28,7 @@ from .core import (
     coriolis_at,
 )
 from .operators import (
+    BOUNDARY_CONDITIONS,
     StaggeredVelocity,
     apply_concentration_bcs,
     diffuse_concentration,
@@ -112,13 +113,13 @@ def _l2_in_time(values, dt: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def _grad_sq_axis(f: np.ndarray, axis: int, h: float, wall_lo: str | None, wall_hi: str | None) -> float:
+def _grad_sq_axis(f: np.ndarray, axis: int, h: float, wall_lo: str, wall_hi: str) -> float:
     """Sum of squared face differences along one axis.
 
     Consecutive stored values contribute (df/h)^2 with full weight; a
-    "dirichlet" wall adds the ghost-reflection difference (2 f_adj / h)^2 with
-    weight 1/2 (the half-cell the wall face owns).  ``None`` walls (stored
-    boundary values, or the homogeneous Neumann ground) add nothing.  These
+    "dirichlet" end adds the ghost-reflection difference (2 f_adj / h)^2 with
+    weight 1/2 (the half-cell the wall face owns).  Every other end (stored
+    boundary faces, the homogeneous Neumann ground) adds nothing.  These
     conventions make  -<f, Lap_nu f> dV  an exact identity against
     ``anisotropic_laplacian`` with the matching ghosts.
     """
@@ -134,28 +135,20 @@ def _grad_sq_axis(f: np.ndarray, axis: int, h: float, wall_lo: str | None, wall_
 
 
 def velocity_dissipation(u: StaggeredVelocity, nu, grid: Grid) -> tuple:
-    """(|grad_nu u_H|^2, |grad_nu u3|^2) in the scheme-exact discretisation.
+    """(|grad_nu u_H|^2, |grad_nu u3|^2) in the scheme-exact discretisation,
+    with the wall terms of ``BOUNDARY_CONDITIONS``.
 
     Uses the homogeneous (theta = 0) ground convention; the traction's
     boundary work is accounted separately by ``boundary_pairing``.
     """
-    dx, dy, dz = grid.spacing
+    d1, d2, d3 = (
+        sum(
+            n * _grad_sq_axis(f, axis, h, *ends)
+            for axis, (n, h, ends) in enumerate(zip(nu, grid.spacing, BOUNDARY_CONDITIONS[name]))
+        )
+        for name, f in zip(("u1", "u2", "u3"), u.components())
+    )
     dV = grid.cell_volume
-    d1 = (
-        nu[0] * _grad_sq_axis(u.u1, 0, dx, None, None)
-        + nu[1] * _grad_sq_axis(u.u1, 1, dy, "dirichlet", "dirichlet")
-        + nu[2] * _grad_sq_axis(u.u1, 2, dz, None, "dirichlet")
-    )
-    d2 = (
-        nu[0] * _grad_sq_axis(u.u2, 0, dx, "dirichlet", "dirichlet")
-        + nu[1] * _grad_sq_axis(u.u2, 1, dy, None, None)
-        + nu[2] * _grad_sq_axis(u.u2, 2, dz, None, "dirichlet")
-    )
-    d3 = (
-        nu[0] * _grad_sq_axis(u.u3, 0, dx, "dirichlet", "dirichlet")
-        + nu[1] * _grad_sq_axis(u.u3, 1, dy, "dirichlet", "dirichlet")
-        + nu[2] * _grad_sq_axis(u.u3, 2, dz, None, None)
-    )
     return (d1 + d2) * dV, d3 * dV
 
 
@@ -360,10 +353,10 @@ class TranslationReport:
 def translation_modulus(C_history: list, dt: float, grid: Grid, h_list) -> TranslationReport:
     """Time-translation modulus of the concentration in an H^2-dual surrogate.
 
-    For each shift h: solve (I - Lap_h) N = C(t+h) - C(t), with Dirichlet
-    (reflection) walls on Gamma_A and a homogeneous Neumann ground, take the
-    L^2 norm of N, then the L^2(0, T-h) norm in time; fit log(modulus)
-    against log(h).  The solve is linear, so each snapshot is solved once
+    For each shift h: solve (I - Lap_h) N = C(t+h) - C(t) with C's ends in
+    ``BOUNDARY_CONDITIONS`` (Dirichlet on Gamma_A, Neumann on the ground),
+    take the L^2 norm of N, then the L^2(0, T-h) norm in time; fit
+    log(modulus) against log(h).  The solve is linear, so each snapshot is solved once
     and N is the difference of two solutions.  The smoothing solve is the
     standard computable proxy for the negative norm, so the fitted exponent
     is a soft certificate.
@@ -373,12 +366,7 @@ def translation_modulus(C_history: list, dt: float, grid: Grid, h_list) -> Trans
     n = len(C_history)
     T = (n - 1) * dt
     dV = grid.cell_volume
-    walls = ("dirichlet", "dirichlet")
-    axes = (
-        (1.0 / grid.dx**2, *walls),
-        (1.0 / grid.dy**2, *walls),
-        (1.0 / grid.dz**2, "neumann", "dirichlet"),
-    )
+    axes = [(1.0 / h**2, *ends) for h, ends in zip(grid.spacing, BOUNDARY_CONDITIONS["C"])]
 
     smoothed = [solve_separable(c, axes, shift=1.0) for c in C_history]
     hs = []

@@ -9,17 +9,21 @@ ghost-extended array's flat view and return the interior of their buffer.
 ``divergence`` returns a C-contiguous array, because the projection's
 ``np.mean`` over it must sum in the same order whatever produced the field.
 
-Boundary conditions enter through ghost layers.  ``extend_velocity`` /
-``apply_concentration_bcs`` build ghost-extended arrays realising the model's
-boundary conditions (Dirichlet 0 on Gamma_A, traction Neumann / no-flux Robin
-on the ground Gamma_G); ``anisotropic_laplacian`` and the advection operators
-consume extended arrays, so tests may substitute analytic ghost values.
+Boundary conditions are written once, in ``BOUNDARY_CONDITIONS``: no slip
+(Dirichlet 0) on Gamma_A, the wind traction for u_H and no flux for C on the
+ground Gamma_G.  The ghost layers of ``extend_velocity`` and
+``apply_concentration_bcs``, the stored faces that ``apply_velocity_bcs``
+zeroes, the wall terms of ``diagnostics.velocity_dissipation`` and the end
+conditions of the translation modulus's smoothing solve all derive from it.
+``anisotropic_laplacian`` and the advection operators consume extended
+arrays, so tests may substitute analytic ghost values.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +31,7 @@ import numpy as np
 from .core import BoundaryForcing, Grid, face_average
 
 __all__ = [
+    "BOUNDARY_CONDITIONS",
     "StaggeredVelocity",
     "VelocityExtension",
     "divergence",
@@ -42,6 +47,19 @@ __all__ = [
     "advect_scalar",
     "advect_velocity",
 ]
+
+# Per field and axis (x, y, z), the condition at the (low, high) end: "face"
+# (stored boundary faces, held at 0; ghosts extrapolate through them),
+# "dirichlet" (Gamma_A: ghosts reflect through 0) or "neumann" (the ground:
+# traction for u_H, no flux for C, whose ghosts ``extend_velocity`` and
+# ``apply_concentration_bcs`` write), as ``solve_separable`` names its ends.
+BOUNDARY_CONDITIONS = MappingProxyType({
+    "u1": (("face", "face"), ("dirichlet", "dirichlet"), ("neumann", "dirichlet")),
+    "u2": (("dirichlet", "dirichlet"), ("face", "face"), ("neumann", "dirichlet")),
+    "u3": (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"), ("face", "face")),
+    "C": (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"), ("neumann", "dirichlet")),
+})
+
 
 @dataclass(frozen=True, eq=False)
 class StaggeredVelocity:
@@ -242,37 +260,61 @@ def solve_separable(g: np.ndarray, axes, shift: float = 0.0) -> np.ndarray:
 
 
 def theta_faces(theta: BoundaryForcing | None, grid: Grid) -> tuple:
-    """Traction components interpolated to the u1/u2 horizontal face positions.
+    """Traction components on the u1/u2 horizontal face positions.
 
     Interior faces average the two adjacent cells; edge faces copy the single
-    adjacent cell.  Returns (theta1 on (nx+1,ny), theta2 on (nx,ny+1)).
+    adjacent cell.  Returns (theta1 on (nx+1,ny), theta2 on (nx,ny+1)): the
+    read-only ``theta.faces``, or zeros without a traction.
     """
     if theta is None:
         return np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
-    t1, t2 = theta.theta1, theta.theta2
-    if t1.shape != (grid.nx, grid.ny):
-        raise ValueError(f"traction shaped {t1.shape} does not fit grid {(grid.nx, grid.ny)}")
-    return face_average(t1, 0), face_average(t2, 1)
+    shape = (grid.nx, grid.ny)
+    if theta.theta1.shape != shape:
+        raise ValueError(f"traction shaped {theta.theta1.shape} does not fit grid {shape}")
+    return theta.faces
+
+
+def _ghost_extend(f: np.ndarray, ends: tuple) -> np.ndarray:
+    """f with one ghost layer per side, the face and wall planes filled per
+    ``ends`` (a row of ``BOUNDARY_CONDITIONS``).
+
+    A "face" ghost extrapolates linearly through the stored boundary value, a
+    "dirichlet" ghost reflects the adjacent value through 0.  "neumann"
+    planes and the edge/corner ghosts stay 0: the caller writes the ground
+    relation, and no supported stencil reads the rest.
+    """
+    fe = np.zeros((f.shape[0] + 2, f.shape[1] + 2, f.shape[2] + 2))
+    fe[1:-1, 1:-1, 1:-1] = f
+    for d, bcs in enumerate(ends):
+        for bc, side, inner in zip(bcs, (0, -1), (1, -2)):
+            if bc == "face":
+                fe[_plane(d, side, 1)] = 2.0 * f[_plane(d, side)] - f[_plane(d, inner)]
+            elif bc == "dirichlet":
+                fe[_plane(d, side, 1)] = -f[_plane(d, side)]
+    return fe
+
+
+def _plane(axis: int, i: int, trim: int = 0) -> tuple:
+    """Index of plane i normal to ``axis``, trimmed by ``trim`` cells at both
+    ends of the other axes."""
+    idx = [slice(trim, -trim or None)] * 3
+    idx[axis] = i
+    return tuple(idx)
 
 
 def apply_velocity_bcs(u: StaggeredVelocity) -> StaggeredVelocity:
-    """Zero the stored boundary-face values of u (both models).
-
-    Gamma_A is no-slip for u1/u2 (faces on the lateral walls) and u3 vanishes
-    on both horizontal boundaries.  The traction condition on the ground and
-    the Dirichlet conditions at non-face-aligned walls act through ghost
-    layers; see ``extend_velocity``.
-    """
-    u1 = u.u1.copy()
-    u2 = u.u2.copy()
-    u3 = u.u3.copy()
-    u1[0] = 0.0
-    u1[-1] = 0.0
-    u2[:, 0] = 0.0
-    u2[:, -1] = 0.0
-    u3[:, :, 0] = 0.0
-    u3[:, :, -1] = 0.0
-    return StaggeredVelocity(u1, u2, u3)
+    """Zero the stored boundary-face values of u (the "face" ends of
+    ``BOUNDARY_CONDITIONS``); the other conditions act through ghost layers,
+    see ``extend_velocity``."""
+    out = []
+    for name, f in zip(("u1", "u2", "u3"), u.components()):
+        f = f.copy()
+        for d, bcs in enumerate(BOUNDARY_CONDITIONS[name]):
+            for bc, side in zip(bcs, (0, -1)):
+                if bc == "face":
+                    f[_plane(d, side)] = 0.0
+        out.append(f)
+    return StaggeredVelocity(*out)
 
 
 def extend_velocity(
@@ -282,68 +324,32 @@ def extend_velocity(
     grid: Grid,
     mode: str = "aniso",
 ) -> VelocityExtension:
-    """Ghost-extend the velocity components per the model boundary conditions.
+    """Ghost-extend the velocity components per ``BOUNDARY_CONDITIONS``.
 
-    Transverse ghosts of u1/u2: reflection through 0 at Dirichlet walls
-    (lateral, top); below the ground the ghost solves the one-sided traction
-    relation nu3*(u_H[first interior] - u_H[ghost])/dz = theta_H, so theta = 0
-    reduces to a homogeneous Neumann mirror.  u3 lateral ghosts are Dirichlet
-    reflections in mode "aniso"; in mode "hydro" u3 is diagnosed, carries no
-    lateral condition and no momentum stencil reads it, so it is not extended
-    and ``u3e`` is None.  Normal-direction ghosts are linear extrapolations
-    through the stored boundary faces; they only feed stencil rows that the
-    solvers discard.
+    Below the ground the ghost of u1/u2 solves the one-sided traction
+    relation nu3*(u_H[first interior] - u_H[ghost])/dz = theta_H, so
+    theta = 0 reduces to a homogeneous Neumann mirror.  Normal-direction
+    ("face") ghosts only feed stencil rows that the solvers discard.  In mode
+    "hydro" u3 is diagnosed, carries no lateral condition and no momentum
+    stencil reads it, so it is not extended and ``u3e`` is None.
     """
     if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
-    t1f, t2f = theta_faces(theta, grid)
-    u1, u2, u3 = u.u1, u.u2, u.u3
-
-    u1e = np.zeros((u1.shape[0] + 2, u1.shape[1] + 2, u1.shape[2] + 2))
-    u1e[1:-1, 1:-1, 1:-1] = u1
-    u1e[0, 1:-1, 1:-1] = 2.0 * u1[0] - u1[1]
-    u1e[-1, 1:-1, 1:-1] = 2.0 * u1[-1] - u1[-2]
-    u1e[1:-1, 0, 1:-1] = -u1[:, 0]
-    u1e[1:-1, -1, 1:-1] = -u1[:, -1]
-    u1e[1:-1, 1:-1, -1] = -u1[:, :, -1]
-    u1e[1:-1, 1:-1, 0] = u1[:, :, 0] - grid.dz * t1f / nu3
-
-    u2e = np.zeros((u2.shape[0] + 2, u2.shape[1] + 2, u2.shape[2] + 2))
-    u2e[1:-1, 1:-1, 1:-1] = u2
-    u2e[1:-1, 0, 1:-1] = 2.0 * u2[:, 0] - u2[:, 1]
-    u2e[1:-1, -1, 1:-1] = 2.0 * u2[:, -1] - u2[:, -2]
-    u2e[0, 1:-1, 1:-1] = -u2[0]
-    u2e[-1, 1:-1, 1:-1] = -u2[-1]
-    u2e[1:-1, 1:-1, -1] = -u2[:, :, -1]
-    u2e[1:-1, 1:-1, 0] = u2[:, :, 0] - grid.dz * t2f / nu3
-
-    if mode == "hydro":
-        return VelocityExtension(u1e, u2e, None)
-    u3e = np.zeros((u3.shape[0] + 2, u3.shape[1] + 2, u3.shape[2] + 2))
-    u3e[1:-1, 1:-1, 1:-1] = u3
-    u3e[1:-1, 1:-1, 0] = 2.0 * u3[:, :, 0] - u3[:, :, 1]
-    u3e[1:-1, 1:-1, -1] = 2.0 * u3[:, :, -1] - u3[:, :, -2]
-    u3e[0, 1:-1, 1:-1] = -u3[0]
-    u3e[-1, 1:-1, 1:-1] = -u3[-1]
-    u3e[1:-1, 0, 1:-1] = -u3[:, 0]
-    u3e[1:-1, -1, 1:-1] = -u3[:, -1]
-    return VelocityExtension(u1e, u2e, u3e)
-
-
-def _edge_extension(u: StaggeredVelocity) -> VelocityExtension:
-    """Constant (edge-replicated) extension, used when no BC ghosts are given."""
-    return VelocityExtension(
-        np.pad(u.u1, 1, mode="edge"),
-        np.pad(u.u2, 1, mode="edge"),
-        np.pad(u.u3, 1, mode="edge"),
-    )
+    horizontal = []
+    for name, f, tf in zip(("u1", "u2"), (u.u1, u.u2), theta_faces(theta, grid)):
+        fe = _ghost_extend(f, BOUNDARY_CONDITIONS[name])
+        fe[1:-1, 1:-1, 0] = f[:, :, 0] - grid.dz * tf / nu3
+        horizontal.append(fe)
+    u3e = None if mode == "hydro" else _ghost_extend(u.u3, BOUNDARY_CONDITIONS["u3"])
+    return VelocityExtension(*horizontal, u3e)
 
 
 def apply_concentration_bcs(C: np.ndarray, M, grid: Grid) -> np.ndarray:
-    """Ghost-extended concentration field realising its boundary conditions.
+    """Ghost-extended concentration field per ``BOUNDARY_CONDITIONS``.
 
     Gamma_A ghosts reflect through 0 (Dirichlet C = 0); the ghost below the
-    ground solves the discrete no-flux relation
+    ground, written last because it reads the lateral ghosts of the first
+    layer, solves the discrete no-flux relation
 
         M31*d1C + M32*d2C + M33*(C_int - C_ghost)/dz = 0
 
@@ -354,13 +360,7 @@ def apply_concentration_bcs(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     """
     if C.shape != grid.shape_cells:
         raise ValueError(f"field shaped {C.shape} does not fit grid {grid.shape_cells}")
-    Ce = np.zeros((grid.nx + 2, grid.ny + 2, grid.nz + 2))
-    Ce[1:-1, 1:-1, 1:-1] = C
-    Ce[0, 1:-1, 1:-1] = -C[0]
-    Ce[-1, 1:-1, 1:-1] = -C[-1]
-    Ce[1:-1, 0, 1:-1] = -C[:, 0]
-    Ce[1:-1, -1, 1:-1] = -C[:, -1]
-    Ce[1:-1, 1:-1, -1] = -C[:, :, -1]
+    Ce = _ghost_extend(C, BOUNDARY_CONDITIONS["C"])
 
     m31 = M.entry(2, 0)
     m32 = M.entry(2, 1)
@@ -528,7 +528,7 @@ def advect_velocity(
     interior verification against analytic fields.
     """
     if ext is None:
-        ext = _edge_extension(u)
+        ext = VelocityExtension(*(np.pad(c, 1, mode="edge") for c in u.components()))
     raw = u.components()
     exts = (ext.u1e, ext.u2e, ext.u3e)
     out = []

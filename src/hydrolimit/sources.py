@@ -115,8 +115,9 @@ def _graded_rule(length: float, c: float, k: float) -> tuple:
 def _lorentzian_domain_integral(eps: float, x_s: tuple, grid: Grid) -> float:
     """Integral over Omega of eps / (1 + pi^2 eps^2 r^2).
 
-    The vertical integral has the closed form arctan(z*sqrt(a/b))/sqrt(a*b)
-    with a = pi^2 eps^2 and b = 1 + a*rho^2; the horizontal one is a tensor
+    The vertical integral has the closed form arctan(z*sqrt(a/b))/(pi*sqrt(b))
+    with a = pi^2 eps^2 and b = 1 + a*rho^2 (eps/sqrt(a*b) with the eps
+    cancelled, so that a*b cannot overflow); the horizontal one is a tensor
     product of ``_graded_rule`` in x and y, graded toward (x_s, y_s) down to
     the pulse scale 1/(pi eps): 384 nodes per axis at width 1e6 in the unit
     cube.
@@ -127,8 +128,8 @@ def _lorentzian_domain_integral(eps: float, x_s: tuple, grid: Grid) -> float:
     y, wy = _graded_rule(grid.ly, x_s[1], k)
     b = 1.0 + a * ((x[:, None] - x_s[0]) ** 2 + (y[None, :] - x_s[1]) ** 2)
     r = np.sqrt(a / b)
-    zpart = (np.arctan((grid.h - x_s[2]) * r) + np.arctan(x_s[2] * r)) / np.sqrt(a * b)
-    return float(eps * (wx @ zpart @ wy))
+    zpart = (np.arctan((grid.h - x_s[2]) * r) + np.arctan(x_s[2] * r)) / (math.pi * np.sqrt(b))
+    return float(wx @ zpart @ wy)
 
 
 def _spatial_profile(spec: SourceSpec, grid: Grid) -> np.ndarray:
@@ -145,7 +146,7 @@ def _spatial_profile(spec: SourceSpec, grid: Grid) -> np.ndarray:
         pulse = raw / _lorentzian_domain_integral(eps, spec.x_s, grid)
     elif spec.kind == "unit_impulse":
         eps = spec.width
-        inside = _r2_at_centers(spec, grid) < (1.0 / eps) ** 2
+        inside = eps * np.sqrt(_r2_at_centers(spec, grid)) < 1.0
         pulse = np.where(inside, eps / 2.0, 0.0)
     else:  # pragma: no cover
         raise ValueError(spec.kind)

@@ -140,7 +140,7 @@ def test_coercivity_spatial_variant_takes_minimum():
     assert lam == pytest.approx(min(mins), rel=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(c=st.floats(1e-3, 1e3))
 def test_coercivity_homogeneous_in_scaling(c):
     m = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hydrolimit.core import BoundaryForcing, DiffusionTensor, GridSpec, build_grid
 from hydrolimit.operators import (
+    BOUNDARY_CONDITIONS,
     StaggeredVelocity,
     advect_scalar,
     advect_velocity,
@@ -249,6 +250,19 @@ def test_solve_separable_inverts_dense_operator(shape, axes, shift):
         assert abs(np.mean(x)) <= 1e-15
 
 
+def test_concentration_ghosts_match_separable_end_conditions():
+    """C's row of BOUNDARY_CONDITIONS read two ways agrees: the Helmholtz
+    solve with C's ends, checked by C - Lap_h C with Lap_h the stencil over
+    the ghosts of ``apply_concentration_bcs`` (identity tensor), returns g."""
+    grid = build_grid(GridSpec(7, 5, 6, lx=1.3, ly=0.7, h=0.45))
+    g = np.random.default_rng(61).normal(size=grid.shape_cells)
+    axes = [(1.0 / h**2, *ends) for h, ends in zip(grid.spacing, BOUNDARY_CONDITIONS["C"])]
+    x = solve_separable(g, axes, shift=1.0)
+    Ce = apply_concentration_bcs(x, DiffusionTensor(np.eye(3)), grid)
+    back = x - anisotropic_laplacian(Ce, (1.0, 1.0, 1.0), grid)
+    assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
+
+
 # ---------------------------------------------------------------------------
 # diffuse_concentration
 # ---------------------------------------------------------------------------
@@ -387,7 +401,7 @@ def test_advect_scalar_upwind_dissipative(grid8):
     assert val >= -1e-12
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 1000))
 def test_advect_scalar_upwind_monotone(seed):
     """One donor-cell step with sum-CFL <= 1 keeps C inside its initial range."""
