@@ -11,9 +11,7 @@ from .core import (
     BoundaryForcing,
     DiffusionTensor,
     Grid,
-    GridSpec,
     PhysParams,
-    build_grid,
     coercivity_constant,
     coriolis_at,
 )
@@ -29,7 +27,7 @@ from .operators import (
     extend_velocity,
     grad_pressure,
 )
-from .sources import Source, SourceSpec, evaluate_source, source_norm_bound
+from .sources import Source, SourceSpec, source_norm_bound
 from .aniso import (
     CFLError,
     NumericsError,

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .aniso import NumericsError
-from .config import ConfigError, load_config
+from .config import ConfigError, eps_label, load_config
 from .harness import epsilon_sweep, preflight, run_simulation
 
 __all__ = ["main"]
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
             preflight(cfg, [(eps, cfg.run.mode) for eps in cfg.run.eps_list])
             for eps in cfg.run.eps_list:
                 run_dir = (
-                    os.path.join(out, f"{cfg.run.mode}_eps{eps:g}")
+                    os.path.join(out, f"{cfg.run.mode}_eps{eps_label(eps)}")
                     if len(cfg.run.eps_list) > 1
                     else out
                 )

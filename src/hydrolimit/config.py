@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryForcing, DiffusionTensor, GridSpec, PhysParams, cell_size
+from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, cell_size
 from .sources import SourceSpec, check_location
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "eps_label"]
 
 
 class ConfigError(ValueError):
@@ -71,7 +71,7 @@ class RunBlock:
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: GridSpec
+    grid: Grid
     nu1: float
     nu2: float
     nu3: float
@@ -185,6 +185,13 @@ _IGNORED_BC_KEYS = {
 }
 
 
+def eps_label(eps: float) -> str:
+    """The label of eps in run directory names (``aniso_eps0.5``): ``:g``,
+    six significant digits, so the parser refuses two eps_list values that
+    share one."""
+    return f"{eps:g}"
+
+
 def _convert(section: str, key: str, raw: str, line: int):
     kind, _, rule = _KEYS[section][key]
     try:
@@ -252,16 +259,19 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         """(line, key) of the first of ``keys`` the config sets, or None."""
         return min(((lines_of[(name, k)], k) for k in keys if (name, k) in lines_of), default=None)
 
-    grid = GridSpec(**section_values("grid"))
-    if (grid.nx + 2) * (grid.ny + 2) * (grid.nz + 2) * 8 > np.iinfo(np.intp).max:
-        key = max(("nx", "ny", "nz"), key=lambda k: getattr(grid, k))
+    # Checked before the grid is built, so that each error names its key and
+    # line, and a count of 10**300 is refused before any array is allocated.
+    g = section_values("grid")
+    if (g["nx"] + 2) * (g["ny"] + 2) * (g["nz"] + 2) * 8 > np.iinfo(np.intp).max:
+        key = max(("nx", "ny", "nz"), key=g.get)
         message = "makes a ghost-extended float64 field larger than numpy can index"
         raise ConfigError(message, lines_of.get(("grid", key)), key)
-    for key, n in (("lx", grid.nx), ("ly", grid.ny), ("h", grid.nz)):
+    for key, n in (("lx", "nx"), ("ly", "ny"), ("h", "nz")):
         try:
-            cell_size(getattr(grid, key), n)
+            cell_size(g[key], g[n])
         except ValueError as exc:
             raise ConfigError(str(exc), lines_of.get(("grid", key)), key) from None
+    grid = Grid(**g)
 
     phys = section_values("phys")
     if phys["coriolis_mode"] == "f_plane" and phys["l_slope"] != 0.0:
@@ -322,6 +332,18 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         )
         theta = BoundaryForcing(pairs[..., 0], pairs[..., 1])
 
+    run = RunBlock(**section_values("run"))
+    labelled = {}
+    for eps in run.eps_list:
+        label = eps_label(eps)
+        if label in labelled:
+            raise ConfigError(
+                f"values {labelled[label]!r} and {eps!r} share the run directory label {label}",
+                lines_of[("run", "eps_list")],
+                "eps_list",
+            )
+        labelled[label] = eps
+
     return RunConfig(
         grid=grid,
         **phys,
@@ -330,7 +352,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         theta=theta,
         init=InitConfig(**section_values("init")),
         time=TimeConfig(**section_values("time")),
-        run=RunBlock(**section_values("run")),
+        run=run,
     )
 
 

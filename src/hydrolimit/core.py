@@ -5,6 +5,11 @@ Everything downstream lives on the rescaled box Omega = (0,lx) x (0,ly) x (0,h)
 discretised by a uniform staggered (MAC) grid: scalars at cell centres,
 velocity components on cell faces.  Nothing maps back to physical units: the
 certificates are all stated on the rescaled box.
+
+One immutable ``Grid`` is both the box and its discretisation: it is built
+from the cell counts and extents, which it checks and which alone decide its
+equality, and it derives the spacings and read-only coordinates once.  The
+parsed config holds it, so every run of a sweep and every history share it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "GridSpec",
     "Grid",
-    "build_grid",
     "cell_size",
     "PhysParams",
     "coriolis_at",
@@ -28,9 +31,30 @@ __all__ = [
 ]
 
 
+def cell_size(length: float, n: int) -> float:
+    """Width length/n of one of n cells; raises ValueError unless it is a
+    positive finite number (a tiny length underflows to 0)."""
+    d = length / n
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"degenerate cell size {length!r}/{n} = {d!r}")
+    return d
+
+
 @dataclass(frozen=True)
-class GridSpec:
-    """Cell counts and extents of the rescaled domain (all nondimensional)."""
+class Grid:
+    """Uniform MAC grid over Omega = (0,lx) x (0,ly) x (0,h).
+
+    Built from the cell counts and extents, which are checked here; equality
+    and hash cover only these six values.  The spacings and the read-only
+    face and centre coordinates are derived at construction, so one grid can
+    be shared by every run and history on the same box.
+
+    Cell centres carry scalars (shape ``(nx,ny,nz)``); the velocity component
+    u_d lives on the faces normal to direction d, e.g. u1 has shape
+    ``(nx+1,ny,nz)`` at positions ``(i*dx, (j+1/2)*dy, (k+1/2)*dz)``.
+    Boundary labels: ground Gamma_G (x3=0), top Gamma_U (x3=h), lateral
+    Gamma_L, and Gamma_A = Gamma_U + Gamma_L.
+    """
 
     nx: int
     ny: int
@@ -38,6 +62,15 @@ class GridSpec:
     lx: float = 1.0
     ly: float = 1.0
     h: float = 1.0
+    dx: float = field(init=False, compare=False)
+    dy: float = field(init=False, compare=False)
+    dz: float = field(init=False, compare=False)
+    x1c: np.ndarray = field(init=False, compare=False, repr=False)
+    x2c: np.ndarray = field(init=False, compare=False, repr=False)
+    x3c: np.ndarray = field(init=False, compare=False, repr=False)
+    x1f: np.ndarray = field(init=False, compare=False, repr=False)
+    x2f: np.ndarray = field(init=False, compare=False, repr=False)
+    x3f: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
@@ -48,53 +81,17 @@ class GridSpec:
             v = getattr(self, name)
             if not (isinstance(v, (int, float, np.floating)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Uniform MAC grid over Omega.
-
-    Cell centres carry scalars (shape ``(nx,ny,nz)``); the velocity component
-    u_d lives on the faces normal to direction d, e.g. u1 has shape
-    ``(nx+1,ny,nz)`` at positions ``(i*dx, (j+1/2)*dy, (k+1/2)*dz)``.
-    Boundary labels: ground Gamma_G (x3=0), top Gamma_U (x3=h), lateral
-    Gamma_L, and Gamma_A = Gamma_U + Gamma_L.
-    """
-
-    spec: GridSpec
-    dx: float
-    dy: float
-    dz: float
-    x1c: np.ndarray
-    x2c: np.ndarray
-    x3c: np.ndarray
-    x1f: np.ndarray
-    x2f: np.ndarray
-    x3f: np.ndarray
-
-    @property
-    def nx(self) -> int:
-        return self.spec.nx
-
-    @property
-    def ny(self) -> int:
-        return self.spec.ny
-
-    @property
-    def nz(self) -> int:
-        return self.spec.nz
-
-    @property
-    def lx(self) -> float:
-        return self.spec.lx
-
-    @property
-    def ly(self) -> float:
-        return self.spec.ly
-
-    @property
-    def h(self) -> float:
-        return self.spec.h
+        for spacing, coord, length, n in (
+            ("dx", "x1", self.lx, self.nx),
+            ("dy", "x2", self.ly, self.ny),
+            ("dz", "x3", self.h, self.nz),
+        ):
+            object.__setattr__(self, spacing, cell_size(length, n))
+            faces = np.linspace(0.0, length, n + 1)
+            centres = 0.5 * (faces[:-1] + faces[1:])
+            for suffix, a in (("f", faces), ("c", centres)):
+                a.flags.writeable = False
+                object.__setattr__(self, coord + suffix, a)
 
     @property
     def cell_volume(self) -> float:
@@ -142,37 +139,6 @@ class Grid:
         j = min(int(x2 / self.dy), self.ny - 1)
         k = min(int(x3 / self.dz), self.nz - 1)
         return (i, j, k)
-
-
-def cell_size(length: float, n: int) -> float:
-    """Width length/n of one of n cells; raises ValueError unless it is a
-    positive finite number (a tiny length underflows to 0)."""
-    d = length / n
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"degenerate cell size {length!r}/{n} = {d!r}")
-    return d
-
-
-def build_grid(spec: GridSpec) -> Grid:
-    """Build the uniform staggered grid for a validated spec."""
-    dx = cell_size(spec.lx, spec.nx)
-    dy = cell_size(spec.ly, spec.ny)
-    dz = cell_size(spec.h, spec.nz)
-    x1f = np.linspace(0.0, spec.lx, spec.nx + 1)
-    x2f = np.linspace(0.0, spec.ly, spec.ny + 1)
-    x3f = np.linspace(0.0, spec.h, spec.nz + 1)
-    return Grid(
-        spec=spec,
-        dx=dx,
-        dy=dy,
-        dz=dz,
-        x1c=0.5 * (x1f[:-1] + x1f[1:]),
-        x2c=0.5 * (x2f[:-1] + x2f[1:]),
-        x3c=0.5 * (x3f[:-1] + x3f[1:]),
-        x1f=x1f,
-        x2f=x2f,
-        x3f=x3f,
-    )
 
 
 @dataclass(frozen=True)
@@ -402,5 +368,5 @@ class BoundaryForcing:
         object.__setattr__(self, "faces", faces)
 
     @classmethod
-    def constant(cls, grid: Grid | GridSpec, c1: float, c2: float) -> "BoundaryForcing":
+    def constant(cls, grid: Grid, c1: float, c2: float) -> "BoundaryForcing":
         return cls(np.full((grid.nx, grid.ny), float(c1)), np.full((grid.nx, grid.ny), float(c2)))

@@ -774,7 +774,7 @@ def spacetime_errors(run: RunHistory, ref: RunHistory) -> tuple:
     """
     if len(run.states) != len(ref.states) or abs(run.dt - ref.dt) > 1e-12 * max(run.dt, 1.0):
         raise ValueError("histories have mismatched snapshot schedules")
-    if run.grid.spec != ref.grid.spec:
+    if run.grid != ref.grid:
         raise ValueError("histories live on different grids")
     dV = run.grid.cell_volume
     n = len(run.states)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aniso import CFLError, NumericsError, ProjectionError, SimState, stable_dt
-from .config import RunConfig
-from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, build_grid, coriolis_at
+from .config import RunConfig, eps_label
+from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, coriolis_at
 from .diagnostics import (
     ConvergenceReport,
     ConvergenceRow,
@@ -419,10 +419,9 @@ def preflight(cfg: RunConfig, runs) -> float:
     projected, more than 2**53 steps) raises NumericsError before any run
     writes, while only one start is held at a time.
     """
-    grid = build_grid(cfg.grid)
     limits = []
     for eps, mode in runs:
-        limits.append(_start(cfg, eps, mode, grid)[3])
+        limits.append(_start(cfg, eps, mode, cfg.grid)[3])
         _schedule(cfg.time.T, limits[-1])
     return min(limits)
 
@@ -456,7 +455,7 @@ def run_simulation(
     """
     if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid = build_grid(cfg.grid)
+    grid = cfg.grid
     params = cfg.phys_params(eps)
     M = cfg.diffusion
     theta = cfg.theta
@@ -580,7 +579,6 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     up for the convergence metrics.  Writes sweep.csv with one row per eps;
     partial results are flushed per completed run.
     """
-    grid = build_grid(cfg.grid)
     eps_list = sorted(cfg.run.eps_list, reverse=True)
     runs = [(e, "aniso") for e in eps_list] + [(eps_list[0], "hydro")]
     # Common schedule: all runs start from the same initial data, so their
@@ -598,7 +596,7 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     norm_table = {"hydro": hydro.norms}
     translation = None
     for eps in eps_list:
-        run_dir = os.path.join(out_dir, f"aniso_eps{eps:g}") if out_dir is not None else None
+        run_dir = None if out_dir is None else os.path.join(out_dir, f"aniso_eps{eps_label(eps)}")
         res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, quiet=quiet)
         errs = spacetime_errors(res.history, hydro.history)
         errors[eps] = errs
@@ -616,7 +614,7 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
             hs = _translation_shifts(res.history)
             if hs is not None:
                 translation = translation_modulus(
-                    [s.C for s in res.history.states], res.history.dt, grid, hs
+                    [s.C for s in res.history.states], res.history.dt, cfg.grid, hs
                 )
         # Free the bulky history once its metrics are extracted.
         res.history.states = [res.history.states[0], res.history.states[-1]]

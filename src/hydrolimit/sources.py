@@ -17,8 +17,7 @@ H(0) = 1) at location x_s.  The pulse shape is one of
 A run samples its source once: ``Source(spec, grid)`` checks the location and
 holds I * pulse(x) at the cell centres, or refuses a width whose sample is not
 finite in double precision; ``Source.at(t)`` switches it on.
-``evaluate_source`` and ``source_norm_bound`` are one-off uses of the same
-sampling.
+``source_norm_bound`` is a one-off use of the same sampling.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .core import Grid, GridSpec
+from .core import Grid
 
-__all__ = ["SourceSpec", "Source", "check_location", "evaluate_source", "source_norm_bound",
-           "GAUSSIAN_NORM"]
+__all__ = ["SourceSpec", "Source", "check_location", "source_norm_bound", "GAUSSIAN_NORM"]
 
 _KINDS = ("gaussian", "unit_impulse", "lorentzian", "delta_deposit")
 
@@ -67,12 +65,12 @@ class SourceSpec:
                 raise ValueError(f"{self.kind} source requires a positive width")
 
 
-def check_location(x_s: tuple, grid: Grid | GridSpec) -> None:
+def check_location(x_s: tuple, grid: Grid) -> None:
     """Require x_s inside the domain and at least two cell widths from its walls."""
-    for c, length, n in zip(x_s, (grid.lx, grid.ly, grid.h), (grid.nx, grid.ny, grid.nz)):
+    for c, length, d in zip(x_s, (grid.lx, grid.ly, grid.h), grid.spacing):
         if not (0.0 < c < length):
             raise ValueError(f"source location {x_s} lies outside the domain")
-        if min(c, length - c) < 2.0 * (length / n):
+        if min(c, length - c) < 2.0 * d:
             raise ValueError(
                 f"source location {x_s} is closer than two cell widths to the boundary"
             )
@@ -191,11 +189,6 @@ class Source:
         if t < self.spec.t_s:
             return np.zeros(self.values.shape)
         return self.values
-
-
-def evaluate_source(spec: SourceSpec, t: float, grid: Grid) -> np.ndarray:
-    """Source field at time t: I * H(t - t_s) * pulse(x), H(0) = 1."""
-    return Source(spec, grid).at(t)
 
 
 def source_norm_bound(spec: SourceSpec, grid: Grid, T: float) -> float:

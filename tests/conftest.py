@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from hydrolimit.core import DiffusionTensor, GridSpec, PhysParams, build_grid
+from hydrolimit.core import DiffusionTensor, Grid, PhysParams
 from hydrolimit.operators import StaggeredVelocity, apply_velocity_bcs
 from hydrolimit.harness import project
 
 
 @pytest.fixture
 def grid8():
-    return build_grid(GridSpec(8, 8, 8))
+    return Grid(8, 8, 8)
 
 
 @pytest.fixture
 def grid_small():
-    return build_grid(GridSpec(6, 5, 4, lx=1.0, ly=1.0, h=1.0))
+    return Grid(6, 5, 4, lx=1.0, ly=1.0, h=1.0)
 
 
 def smooth_field(rng, grid, kind="cells", kmax=2):

@@ -15,9 +15,8 @@ import pytest
 from hydrolimit.config import parse_config
 from hydrolimit.core import (
     DiffusionTensor,
-    GridSpec,
+    Grid,
     PhysParams,
-    build_grid,
     coercivity_constant,
 )
 from hydrolimit.operators import (
@@ -26,7 +25,7 @@ from hydrolimit.operators import (
     apply_velocity_bcs,
     diffuse_concentration,
 )
-from hydrolimit.sources import Source, SourceSpec, evaluate_source, source_norm_bound
+from hydrolimit.sources import Source, SourceSpec, source_norm_bound
 from hydrolimit.aniso import SimState, stable_dt
 from hydrolimit.diagnostics import (
     RunHistory,
@@ -94,7 +93,7 @@ def test_criterion_01_incompressibility():
 
 
 def test_criterion_02_energy_inequality():
-    g = build_grid(GridSpec(10, 10, 8))
+    g = Grid(10, 10, 8)
     M = DiffusionTensor.identity()
     worst = math.inf
     for seed in (1, 2, 3):
@@ -129,7 +128,7 @@ def test_criterion_02_energy_inequality():
 
 
 def test_criterion_03_coercivity():
-    g = build_grid(GridSpec(6, 5, 4))
+    g = Grid(6, 5, 4)
     rng = np.random.default_rng(7)
     worst = math.inf
     for trial in range(100):
@@ -152,13 +151,13 @@ def test_criterion_03_coercivity():
 
 
 def test_criterion_04_source_normalisation():
-    g = build_grid(GridSpec(32, 32, 32))
+    g = Grid(32, 32, 32)
     eps = 0.2  # sigma = eps/sqrt(2) spans ~4.5 cells
     spec = SourceSpec("gaussian", 1.0, 0.0, (0.5, 0.5, 0.5), eps)
-    mass = float(np.sum(evaluate_source(spec, 0.0, g)) * g.cell_volume)
+    mass = float(np.sum(Source(spec, g).at(0.0)) * g.cell_volume)
     mass_ok = abs(mass - 1.0) < 0.02
 
-    g64 = build_grid(GridSpec(64, 64, 64))
+    g64 = Grid(64, 64, 64)
     n1 = source_norm_bound(SourceSpec("gaussian", 1.0, 0.0, (0.5, 0.5, 0.5), 0.4), g64, 1.0)
     n2 = source_norm_bound(SourceSpec("gaussian", 1.0, 0.0, (0.5, 0.5, 0.5), 0.2), g64, 1.0)
     ratio = n2 / n1
@@ -180,7 +179,7 @@ def test_criterion_05_operator_orders():
     lap_errs, diff_errs, hs = [], [], []
     M = DiffusionTensor(np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.0], [0.0, 0.0, 1.0]]))
     for n in (8, 16, 32):
-        g = build_grid(GridSpec(n, n, n))
+        g = Grid(n, n, n)
         hs.append(g.dx)
 
         # anisotropic Laplacian on analytic-ghost extension: global max error
@@ -232,7 +231,7 @@ def test_criterion_05_operator_orders():
 def test_criterion_06_dense_oracle():
     from conftest import projected_velocity
 
-    g = build_grid(GridSpec(6, 6, 6))
+    g = Grid(6, 6, 6)
     rng = np.random.default_rng(123)
     params = PhysParams(
         0.05, 0.04, 0.06, eps=0.5, f0=1.2, coriolis_mode="beta_plane", l0=0.5, l_slope=0.3
@@ -372,7 +371,7 @@ def test_criterion_09_translation_modulus(default_sweep):
 
 def test_criterion_10_weak_residuals():
     # zero solution: all identity terms vanish
-    g0 = build_grid(GridSpec(8, 8, 8))
+    g0 = Grid(8, 8, 8)
     params0 = PhysParams(0.02, 0.02, 0.02, eps=0.5, f0=1.0, l0=math.pi / 4)
     zero_states = [
         SimState(m * 0.05, m, StaggeredVelocity.zeros(g0),
@@ -388,7 +387,7 @@ def test_criterion_10_weak_residuals():
     M = DiffusionTensor(np.diag([0.1, 0.1, 0.1]))
     errs, hs = [], []
     for n in (8, 16, 32):
-        g = build_grid(GridSpec(n, n, n))
+        g = Grid(n, n, n)
         params = PhysParams(0.04, 0.04, 0.04, eps=0.5, f0=1.0, l0=math.pi / 4)
         mfg = ManufacturedHydro(g, params, M)
         st = mfg.initial_state(g)
@@ -485,7 +484,7 @@ def test_criterion_11_determinism(tmp_path):
 
 
 def test_manufactured_derivatives_match_finite_differences():
-    g = build_grid(GridSpec(8, 8, 8))
+    g = Grid(8, 8, 8)
     params = PhysParams(0.02, 0.03, 0.04, eps=0.5, f0=1.0, l0=math.pi / 4)
     M = DiffusionTensor(np.diag([0.1, 0.2, 0.15]))
     mfg = ManufacturedHydro(g, params, M)
@@ -515,7 +514,7 @@ def test_manufactured_derivatives_match_finite_differences():
 
 def test_manufactured_solution_tracked_by_solver():
     """The forced hydro solver stays within O(dx) of the manufactured fields."""
-    g = build_grid(GridSpec(12, 12, 12))
+    g = Grid(12, 12, 12)
     params = PhysParams(0.02, 0.02, 0.02, eps=0.5, f0=1.0, l0=math.pi / 4)
     M = DiffusionTensor(np.diag([0.1, 0.1, 0.1]))
     mfg = ManufacturedHydro(g, params, M)

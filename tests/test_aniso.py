@@ -7,9 +7,8 @@ import pytest
 from hydrolimit.core import (
     BoundaryForcing,
     DiffusionTensor,
-    GridSpec,
+    Grid,
     PhysParams,
-    build_grid,
     coriolis_at,
 )
 from hydrolimit.operators import (
@@ -19,7 +18,7 @@ from hydrolimit.operators import (
     grad_pressure,
     theta_faces,
 )
-from hydrolimit.sources import Source, SourceSpec, evaluate_source
+from hydrolimit.sources import Source, SourceSpec
 from hydrolimit.aniso import (
     CFLError,
     ProjectionError,
@@ -37,7 +36,7 @@ from conftest import default_params, projected_velocity, smooth_field, smooth_ve
 
 
 def test_stable_dt_diffusive_limit():
-    g = build_grid(GridSpec(4, 4, 4))
+    g = Grid(4, 4, 4)
     params = PhysParams(1.0, 1.0, 1.0, eps=0.5, f0=0.0)
     st0 = SimState.zeros(g)
     dt = stable_dt(st0, params, DiffusionTensor.identity(), g, cfl=1.0)
@@ -45,7 +44,7 @@ def test_stable_dt_diffusive_limit():
 
 
 def test_stable_dt_halves_with_doubled_viscosity():
-    g = build_grid(GridSpec(4, 4, 4))
+    g = Grid(4, 4, 4)
     st0 = SimState.zeros(g)
     M = DiffusionTensor(1e-6 * np.eye(3))  # concentration limit inactive
     dt1 = stable_dt(st0, PhysParams(1.0, 1.0, 1.0, f0=0.0), M, g, cfl=1.0)
@@ -54,7 +53,7 @@ def test_stable_dt_halves_with_doubled_viscosity():
 
 
 def test_stable_dt_respects_dt_max():
-    g = build_grid(GridSpec(4, 4, 4))
+    g = Grid(4, 4, 4)
     st0 = SimState.zeros(g)
     dt = stable_dt(st0, PhysParams(1.0, 1.0, 1.0, f0=0.0), DiffusionTensor.identity(), g,
                    cfl=1.0, dt_max=1e-4)
@@ -62,7 +61,7 @@ def test_stable_dt_respects_dt_max():
 
 
 def test_stable_dt_advective_limit():
-    g = build_grid(GridSpec(4, 4, 4))
+    g = Grid(4, 4, 4)
     u = StaggeredVelocity.zeros(g)
     u.u1[2, 2, 2] = 10.0  # dx/|u1| = 0.025 dominates
     st0 = SimState(0.0, 0, u, np.zeros(g.shape_cells), np.zeros(g.shape_cells))
@@ -618,13 +617,13 @@ def dense_step_oracle(state, params, M, theta, source, dt, grid):
                 Cn[i, j, k] += dt * (-adv + diff)
 
     if source is not None:
-        Cn += dt * evaluate_source(source, state.t, grid)
+        Cn += dt * Source(source, grid).at(state.t)
 
     return u1n, u2n, u3n, p, Cn
 
 
 def test_step_matches_dense_oracle():
-    g = build_grid(GridSpec(6, 6, 6))
+    g = Grid(6, 6, 6)
     rng = np.random.default_rng(99)
     params = PhysParams(
         0.05, 0.04, 0.06, eps=0.5, f0=1.2, coriolis_mode="beta_plane", l0=0.5, l_slope=0.3

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hydrolimit.core import (
     BoundaryForcing,
     DiffusionTensor,
-    GridSpec,
+    Grid,
     PhysParams,
-    build_grid,
     coercivity_constant,
     coriolis_at,
 )
@@ -20,28 +19,28 @@ from conftest import random_spd_tensor
 
 
 # ---------------------------------------------------------------------------
-# GridSpec / build_grid
+# Grid
 # ---------------------------------------------------------------------------
 
 
 def test_grid_spacing_unit_cube():
-    g = build_grid(GridSpec(4, 4, 4))
+    g = Grid(4, 4, 4)
     assert g.dx == g.dy == g.dz == 0.25
 
 
 def test_grid_spacing_anisotropic_box():
-    g = build_grid(GridSpec(8, 4, 4, lx=2.0, ly=1.0, h=2.0))
+    g = Grid(8, 4, 4, lx=2.0, ly=1.0, h=2.0)
     assert g.dx == 0.25
     assert g.dy == 0.25
     assert g.dz == 0.5
 
 
-@pytest.mark.parametrize("bad", [dict(nx=3), dict(ny=0), dict(nz=-2)])
+@pytest.mark.parametrize("bad", [dict(nx=3), dict(ny=0), dict(nz=-2), dict(ny=8.0)])
 def test_grid_rejects_small_counts(bad):
     kw = dict(nx=8, ny=8, nz=8)
     kw.update(bad)
     with pytest.raises(ValueError):
-        GridSpec(**kw)
+        Grid(**kw)
 
 
 @pytest.mark.parametrize("bad", [dict(lx=0.0), dict(ly=-1.0), dict(h=float("nan"))])
@@ -49,11 +48,25 @@ def test_grid_rejects_nonpositive_extents(bad):
     kw = dict(nx=8, ny=8, nz=8)
     kw.update(bad)
     with pytest.raises(ValueError):
-        GridSpec(**kw)
+        Grid(**kw)
+
+
+def test_grid_equality_and_hash_cover_counts_and_extents():
+    a, b = Grid(8, 8, 6, lx=2.0), Grid(8, 8, 6, lx=2.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Grid(8, 8, 6, lx=2.0, h=0.5)
+    assert np.array_equal(a.x1f, np.linspace(0.0, 2.0, 9))
+
+
+def test_grid_coordinates_are_read_only():
+    g = Grid(8, 8, 6, lx=2.0)
+    with pytest.raises(ValueError):
+        g.x2c[0] = 1.0
+    assert not any(getattr(g, f"x{d}{s}").flags.writeable for d in "123" for s in "fc")
 
 
 def test_cell_index_and_rejection():
-    g = build_grid(GridSpec(8, 8, 8))
+    g = Grid(8, 8, 8)
     assert g.cell_index((0.51, 0.51, 0.51)) == (4, 4, 4)
     with pytest.raises(ValueError):
         g.cell_index((1.5, 0.5, 0.5))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hydrolimit.core import BoundaryForcing, DiffusionTensor, GridSpec, build_grid
+from hydrolimit.core import BoundaryForcing, DiffusionTensor, Grid
 from hydrolimit.operators import (
     StaggeredVelocity,
     anisotropic_laplacian,
@@ -267,7 +267,7 @@ def test_translation_modulus_time_reversal_symmetric(grid8):
 def test_translation_modulus_matches_per_pair_solves():
     """Differencing one smoothing solve per snapshot gives the moduli of one
     solve per pair of snapshots, (I - Lap) N = C(t+h) - C(t)."""
-    grid = build_grid(GridSpec(16, 16, 8))
+    grid = Grid(16, 16, 8)
     rng = np.random.default_rng(60)
     dt = 0.05
     steps = 0.1 * rng.standard_normal((40,) + grid.shape_cells)
@@ -401,3 +401,14 @@ def test_convergence_rows_sorted_and_schedule_checked(grid8):
     bad = make_history(grid8, params_b, M, hb.states[:-2], ha.dt)
     with pytest.raises(ValueError, match="schedule"):
         spacetime_errors(bad, ha)
+
+
+def test_spacetime_errors_compares_grids_by_value():
+    """Histories on separately built equal grids compare; a history on a box
+    of other extents but the same cell counts is refused."""
+    params, M = default_params(eps=0.5), DiffusionTensor.identity()
+    ref = zero_history(Grid(8, 8, 6, lx=2.0), params, M)
+    assert spacetime_errors(zero_history(Grid(8, 8, 6, lx=2.0), params, M), ref) == (0.0,) * 3
+    other = zero_history(Grid(8, 8, 6, lx=2.0, h=0.5), params, M)
+    with pytest.raises(ValueError, match="different grids"):
+        spacetime_errors(other, ref)

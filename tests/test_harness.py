@@ -9,7 +9,7 @@ import pytest
 
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
-from hydrolimit.core import GridSpec, build_grid
+from hydrolimit.core import Grid
 from hydrolimit.diagnostics import APRIORI_NORM_NAMES, energy_balance, weak_residual
 from hydrolimit.operators import StaggeredVelocity, divergence
 from hydrolimit.harness import (
@@ -132,6 +132,27 @@ def test_parse_rejects_empty_eps_list():
 def test_parse_rejects_eps_out_of_range():
     with pytest.raises(ConfigError, match="eps"):
         parse_config("[run]\neps_list = 1.5\n")
+
+
+@pytest.mark.parametrize("mode", ["sweep", "aniso"])
+@pytest.mark.parametrize(
+    "eps_list, first, second",
+    [("0.5, 0.1234561, 0.1234562", "0.1234561", "0.1234562"), ("0.5, 0.5", "0.5", "0.5")],
+    ids=["six-digit-tie", "repeat"],
+)
+def test_parse_rejects_eps_sharing_a_run_directory(tmp_path, mode, eps_list, first, second):
+    """Two eps values with one ``:g`` label would run into one directory, the
+    second overwriting the first: a config error at the eps_list line that
+    names both, and the CLI makes no output."""
+    text = f"[grid]\nnx = 4\nny = 4\nnz = 4\n[source]\nintensity = 0\n[run]\nmode = {mode}\n"
+    text += f"eps_list = {eps_list}\n"
+    with pytest.raises(ConfigError, match=f"values {first} and {second} share") as err:
+        parse_config(text)
+    assert err.value.key == "eps_list" and err.value.line == 9
+    (tmp_path / "twins.cfg").write_text(text)
+    rc = cli_main([str(tmp_path / "twins.cfg"), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_rejects_missing_theta_file(tmp_path):
@@ -536,7 +557,7 @@ def test_lorentzian_normaliser_computed_once_per_run(monkeypatch):
 
 def test_taylor_green_preset_nontrivial():
     cfg = parse_config(SMALL_RUN)
-    g = build_grid(cfg.grid)
+    g = cfg.grid
     u = initial_velocity(cfg, g)
     assert np.max(np.abs(u.u1)) > 0.1
     assert np.max(np.abs(u.u3)) == 0.0
@@ -594,7 +615,7 @@ def _read_vtk(path, n):
 
 
 def test_vtk_zero_state_header_and_bytes(tmp_path):
-    g = build_grid(GridSpec(4, 4, 4))
+    g = Grid(4, 4, 4)
     st = SimState.zeros(g)
     path = tmp_path / "snap.vtk"
     write_vtk(st, str(path), g, title="zero state")
@@ -624,7 +645,7 @@ def test_vtk_zero_state_header_and_bytes(tmp_path):
 
 
 def test_vtk_point_order_x_fastest(tmp_path):
-    g = build_grid(GridSpec(4, 4, 4))
+    g = Grid(4, 4, 4)
     C = np.zeros(g.shape_cells)
     C[1, 0, 0] = 7.0  # second point in VTK order
     st = SimState(0.0, 0, StaggeredVelocity.zeros(g), np.zeros(g.shape_cells), C)
@@ -642,7 +663,7 @@ def test_vtk_point_order_x_fastest(tmp_path):
 def test_vtk_roundtrip_exact(tmp_path, mode):
     """Every value reads back with the bits of the state it came from; the
     hydrostatic surface pressure is broadcast over z."""
-    g = build_grid(GridSpec(5, 4, 6, lx=1.5, ly=0.75, h=0.5))
+    g = Grid(5, 4, 6, lx=1.5, ly=0.75, h=0.5)
     rng = np.random.default_rng(11)
     u = StaggeredVelocity(*(rng.normal(size=s) for s in (g.shape_u1, g.shape_u2, g.shape_u3)))
     p = rng.normal(size=g.shape_cells if mode == "aniso" else (g.nx, g.ny))
@@ -725,6 +746,15 @@ def test_sweep_isolated_run_directories(tmp_path):
         assert (d / "run.txt").exists()
         assert (d / "energy.csv").exists()
         assert any(name.startswith("step_") for name in os.listdir(d / "snapshots"))
+
+
+def test_sweep_runs_share_the_config_grid():
+    """The parsed config holds the one grid that every run and history uses."""
+    cfg = parse_config(SMALL_SWEEP)
+    res = epsilon_sweep(cfg)
+    assert res.hydro.history.grid is cfg.grid
+    assert len(res.aniso) == 2 and all(r.history.grid is cfg.grid for r in res.aniso.values())
+    assert run_simulation(cfg, 0.5, "aniso").history.grid is cfg.grid
 
 
 def test_cli_single_run_and_exit_codes(tmp_path):

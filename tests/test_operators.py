@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hydrolimit.core import BoundaryForcing, DiffusionTensor, GridSpec, build_grid
+from hydrolimit.core import BoundaryForcing, DiffusionTensor, Grid
 from hydrolimit.operators import (
     BOUNDARY_CONDITIONS,
     StaggeredVelocity,
@@ -167,7 +167,7 @@ def test_laplacian_sine_second_order():
     errs = []
     hs = []
     for n in (8, 16, 32):
-        g = build_grid(GridSpec(n, n, n))
+        g = Grid(n, n, n)
         fe = _sample_extended_cells(
             g, lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z / g.h)
         )
@@ -206,7 +206,7 @@ def _dense_separable(shape, axes, shift):
     return a
 
 
-_G8 = build_grid(GridSpec(8, 8, 8))
+_G8 = Grid(8, 8, 8)
 _NN = ("neumann", "neumann")
 _DD = ("dirichlet", "dirichlet")
 
@@ -254,7 +254,7 @@ def test_concentration_ghosts_match_separable_end_conditions():
     """C's row of BOUNDARY_CONDITIONS read two ways agrees: the Helmholtz
     solve with C's ends, checked by C - Lap_h C with Lap_h the stencil over
     the ghosts of ``apply_concentration_bcs`` (identity tensor), returns g."""
-    grid = build_grid(GridSpec(7, 5, 6, lx=1.3, ly=0.7, h=0.45))
+    grid = Grid(7, 5, 6, lx=1.3, ly=0.7, h=0.45)
     g = np.random.default_rng(61).normal(size=grid.shape_cells)
     axes = [(1.0 / h**2, *ends) for h, ends in zip(grid.spacing, BOUNDARY_CONDITIONS["C"])]
     x = solve_separable(g, axes, shift=1.0)
@@ -288,7 +288,7 @@ def test_diffuse_identity_reduces_to_laplacian(grid8):
 
 
 def test_diffuse_cross_term_bilinear():
-    g = build_grid(GridSpec(16, 16, 16))
+    g = Grid(16, 16, 16)
     M = DiffusionTensor(np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]]))
     X1, _, X3 = g.centers()
     C = np.broadcast_to(X1 * X3, g.shape_cells).copy()
@@ -405,7 +405,7 @@ def test_advect_scalar_upwind_dissipative(grid8):
 @given(seed=st.integers(0, 1000))
 def test_advect_scalar_upwind_monotone(seed):
     """One donor-cell step with sum-CFL <= 1 keeps C inside its initial range."""
-    g = build_grid(GridSpec(6, 6, 6))
+    g = Grid(6, 6, 6)
     rng = np.random.default_rng(seed)
     u = projected_velocity(rng, g, eps=1.0, tol=1e-12)
     C = rng.uniform(0.0, 1.0, size=g.shape_cells)
@@ -437,7 +437,7 @@ def test_advect_velocity_constant_field(grid8):
 
 
 def test_advect_velocity_rigid_rotation_centripetal():
-    g = build_grid(GridSpec(16, 16, 8, lx=2.0, ly=2.0, h=1.0))
+    g = Grid(16, 16, 8, lx=2.0, ly=2.0, h=1.0)
     # centred rotation (-(y-1), (x-1), 0); interior faces see exact donors
     u = sample_velocity(
         g,

@@ -11,7 +11,7 @@ spacings is a power of two, so a reordered or re-associated expression shows.
 import numpy as np
 import pytest
 
-from hydrolimit.core import DiffusionTensor, GridSpec, build_grid
+from hydrolimit.core import DiffusionTensor, Grid
 from hydrolimit.operators import (
     StaggeredVelocity,
     advect_scalar,
@@ -28,7 +28,7 @@ from conftest import random_spd_tensor
 
 @pytest.fixture
 def grid():
-    return build_grid(GridSpec(7, 5, 6, lx=1.3, ly=0.7, h=0.9))
+    return Grid(7, 5, 6, lx=1.3, ly=0.7, h=0.9)
 
 
 def _random_velocity(rng, g):
