@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .aniso import NumericsError
-from .config import ConfigError, eps_label, load_config
+from .config import eps_label, load_config
 from .harness import epsilon_sweep, preflight, run_simulation
 
 __all__ = ["main"]
@@ -42,13 +42,11 @@ def main(argv=None) -> int:
         if args.mode is not None:
             run_block = replace(run_block, mode=args.mode)
         if args.eps is not None:
-            if not (0.0 < args.eps <= 1.0):
-                raise ConfigError(f"--eps must lie in (0, 1], got {args.eps}")
             run_block = replace(run_block, eps_list=(args.eps,))
         if args.out is not None:
             run_block = replace(run_block, output_dir=args.out)
         cfg = replace(cfg, run=run_block)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, or RunBlock refusing --eps
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

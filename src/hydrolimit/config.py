@@ -6,9 +6,10 @@ number it came from.  An empty config is valid and yields the documented
 defaults.
 
 ``_KEYS`` is the one place where a key's type, default and admissible range
-are written.  Every float must be finite.  The files a config names (tensor,
-traction) are read and checked while it is parsed, so a parsed config holds
-no path that a run still has to open.
+are written, except ``eps_list``, which ``RunBlock`` checks itself so that
+no way of building a config gets round it.  Every float must be finite.
+The files a config names (tensor, traction) are read and checked while it
+is parsed, so a parsed config holds no path that a run still has to open.
 """
 
 from __future__ import annotations
@@ -61,12 +62,39 @@ class TimeConfig:
     snapshot_every: int
 
 
+def eps_label(eps: float) -> str:
+    """The label of eps in run directory names (``aniso_eps0.5``): ``:g``,
+    six significant digits, so ``RunBlock`` refuses two eps_list values that
+    share one."""
+    return f"{eps:g}"
+
+
 @dataclass(frozen=True)
 class RunBlock:
+    """The [run] section.  Construction checks ``eps_list``, also when
+    ``dataclasses.replace`` sets it: at least one eps, each in (0, 1], and
+    no two with one ``eps_label``, since that label names their run
+    directories."""
+
     mode: str
     eps_list: tuple
     output_dir: str
     tol: float
+
+    def __post_init__(self):
+        if not self.eps_list:
+            raise ValueError("needs at least one eps")
+        labelled = {}
+        for eps in self.eps_list:
+            if not 0.0 < eps <= 1.0:
+                raise ValueError(f"eps {eps!r} is outside (0, 1]")
+            label = eps_label(eps)
+            if label in labelled:
+                first = labelled[label]
+                raise ValueError(
+                    f"eps values {first!r} and {eps!r} share the run directory label {label}"
+                )
+            labelled[label] = eps
 
 
 @dataclass(frozen=True)
@@ -170,7 +198,7 @@ _KEYS = {
     },
     "run": {
         "mode": (("aniso", "hydro", "sweep"), "aniso", None),
-        "eps_list": ("floats", (0.5,), _UNIT),
+        "eps_list": ("floats", (0.5,), None),  # checked by RunBlock
         "output_dir": ("str", "out", None),
         "tol": ("float", 1e-8, _POSITIVE),
     },
@@ -183,13 +211,6 @@ _IGNORED_BC_KEYS = {
     "constant": ("theta_file",),
     "file": ("theta1", "theta2"),
 }
-
-
-def eps_label(eps: float) -> str:
-    """The label of eps in run directory names (``aniso_eps0.5``): ``:g``,
-    six significant digits, so the parser refuses two eps_list values that
-    share one."""
-    return f"{eps:g}"
 
 
 def _convert(section: str, key: str, raw: str, line: int):
@@ -209,8 +230,6 @@ def _convert(section: str, key: str, raw: str, line: int):
             value = tuple(float(x) for x in raw.split(",") if x.strip())
             if kind == "float3" and len(value) != 3:
                 raise ValueError(f"expected 3 comma-separated values, got {len(value)}")
-            if not value:
-                raise ValueError("expected at least one value")
         for v in value if isinstance(value, tuple) else (value,):
             if not math.isfinite(v):
                 raise ValueError(f"must be finite, got {raw}")
@@ -332,17 +351,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         )
         theta = BoundaryForcing(pairs[..., 0], pairs[..., 1])
 
-    run = RunBlock(**section_values("run"))
-    labelled = {}
-    for eps in run.eps_list:
-        label = eps_label(eps)
-        if label in labelled:
-            raise ConfigError(
-                f"values {labelled[label]!r} and {eps!r} share the run directory label {label}",
-                lines_of[("run", "eps_list")],
-                "eps_list",
-            )
-        labelled[label] = eps
+    try:
+        run = RunBlock(**section_values("run"))
+    except ValueError as exc:  # the default eps_list is valid
+        raise ConfigError(str(exc), lines_of[("run", "eps_list")], "eps_list") from None
 
     return RunConfig(
         grid=grid,

@@ -197,9 +197,10 @@ class DiffusionTensor:
     derived from it at construction stays valid: ``coercivity``;
     ``row_sums``, the max over cells of sum_j |M_dj| for d = 0, 1, 2 (the
     explicit-diffusion stability bound); and the operands of the diffusion
-    stencil, ``entry(i, j)`` and ``face_diagonal``, M_dd averaged to the
-    faces normal to axis d (``face_average``).  A per-cell tensor keeps its
-    one copy as a C-contiguous (3,3,nx,ny,nz) array, so each entry is a
+    stencil, ``entry(i, j)``, ``face_diagonal``, M_dd averaged to the faces
+    normal to axis d (``face_average``), and ``constant_diagonal``, whether
+    M is one matrix with zero off-diagonal entries.  A per-cell tensor keeps
+    its one copy as a C-contiguous (3,3,nx,ny,nz) array, so each entry is a
     contiguous field, and ``m`` is the (nx,ny,nz,3,3) view of it.
     """
 
@@ -207,6 +208,7 @@ class DiffusionTensor:
     coercivity: float = field(init=False)
     row_sums: tuple = field(init=False)
     face_diagonal: tuple = field(init=False, repr=False)
+    constant_diagonal: bool = field(init=False)
     _cells: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -235,6 +237,8 @@ class DiffusionTensor:
         object.__setattr__(self, "row_sums", rows)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "face_diagonal", faces)
+        diagonal = cells is None and bool(np.array_equal(m, np.diag(np.diag(m))))
+        object.__setattr__(self, "constant_diagonal", diagonal)
 
     @property
     def is_spatial(self) -> bool:

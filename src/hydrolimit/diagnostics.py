@@ -31,6 +31,8 @@ from .operators import (
     BOUNDARY_CONDITIONS,
     StaggeredVelocity,
     apply_concentration_bcs,
+    centre_average,
+    centred_difference,
     diffuse_concentration,
     extend_velocity,
     solve_separable,
@@ -170,12 +172,7 @@ def concentration_dissipation(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> 
 def _concentration_center_gradient(C: np.ndarray, M: DiffusionTensor, grid: Grid):
     """Central-difference grad C at cell centres, with the model's BC ghosts."""
     Ce = apply_concentration_bcs(C, M, grid)
-    dx, dy, dz = grid.spacing
-    return (
-        (Ce[2:, 1:-1, 1:-1] - Ce[:-2, 1:-1, 1:-1]) / (2 * dx),
-        (Ce[1:-1, 2:, 1:-1] - Ce[1:-1, :-2, 1:-1]) / (2 * dy),
-        (Ce[1:-1, 1:-1, 2:] - Ce[1:-1, 1:-1, :-2]) / (2 * dz),
-    )
+    return tuple(centred_difference(Ce, d, h) for d, h in enumerate(grid.spacing))
 
 
 def diffusion_quadratic_form(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> tuple:
@@ -570,32 +567,20 @@ def _dot(a, b):
 
 
 def _solution_center_gradients(u: StaggeredVelocity, history: RunHistory):
-    """Gradients of the solution components interpolated to cell centres."""
+    """Gradients of the solution components interpolated to cell centres:
+    d_d u_c is the face difference for d = c, else the centred difference
+    on the ghost-extended u_c averaged to the centres along c."""
     grid = history.grid
-    dx, dy, dz = grid.spacing
     ext = extend_velocity(u, history.theta, history.params.nu3, grid, history.mode)
-
-    def avg(a, axis):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        return 0.5 * (a[tuple(lo)] + a[tuple(hi)])
-
-    e1 = ext.u1e
-    g11 = (u.u1[1:] - u.u1[:-1]) / dx
-    g12 = avg((e1[1:-1, 2:, 1:-1] - e1[1:-1, :-2, 1:-1]) / (2 * dy), 0)
-    g13 = avg((e1[1:-1, 1:-1, 2:] - e1[1:-1, 1:-1, :-2]) / (2 * dz), 0)
-    e2 = ext.u2e
-    g21 = avg((e2[2:, 1:-1, 1:-1] - e2[:-2, 1:-1, 1:-1]) / (2 * dx), 1)
-    g22 = (u.u2[:, 1:] - u.u2[:, :-1]) / dy
-    g23 = avg((e2[1:-1, 1:-1, 2:] - e2[1:-1, 1:-1, :-2]) / (2 * dz), 1)
     # The hydrostatic u3 has no lateral condition: edge copies are its ghosts.
     e3 = ext.u3e if history.mode == "aniso" else np.pad(u.u3, 1, mode="edge")
-    g31 = avg((e3[2:, 1:-1, 1:-1] - e3[:-2, 1:-1, 1:-1]) / (2 * dx), 2)
-    g32 = avg((e3[1:-1, 2:, 1:-1] - e3[1:-1, :-2, 1:-1]) / (2 * dy), 2)
-    g33 = (u.u3[:, :, 1:] - u.u3[:, :, :-1]) / dz
-    return (g11, g12, g13), (g21, g22, g23), (g31, g32, g33)
+    return tuple(
+        tuple(
+            np.diff(f, axis=c) / h if d == c else centre_average(centred_difference(e, d, h), c)
+            for d, h in enumerate(grid.spacing)
+        )
+        for c, (f, e) in enumerate(zip(u.components(), (ext.u1e, ext.u2e, e3)))
+    )
 
 
 def weak_residual(

@@ -3,11 +3,13 @@
 Scalar fields are plain ``(nx, ny, nz)`` ndarrays at cell centres; velocity
 components live on faces (see ``core.Grid``).  Stencil operators never
 write their inputs.  Each returns a freshly allocated array or a view of one:
-``anisotropic_laplacian`` and the diagonal-tensor branch of
-``diffuse_concentration`` run each pass over one contiguous window of the
-ghost-extended array's flat view and return the interior of their buffer.
-``divergence`` returns a C-contiguous array, because the projection's
+``anisotropic_laplacian`` runs each pass over one contiguous window of the
+ghost-extended array's flat view and returns the interior of its buffer.
+``flux_divergence`` returns a C-contiguous array, because the projection's
 ``np.mean`` over it must sum in the same order whatever produced the field.
+The centred difference of a ghost-extended field (``centred_difference``)
+and the face-to-centre average (``centre_average``) are written once here,
+for the operators and the diagnostics alike.
 
 Boundary conditions are written once, in ``BOUNDARY_CONDITIONS``: no slip
 (Dirichlet 0) on Gamma_A, the wind traction for u_H and no flux for C on the
@@ -37,6 +39,8 @@ __all__ = [
     "divergence",
     "flux_divergence",
     "grad_pressure",
+    "centred_difference",
+    "centre_average",
     "anisotropic_laplacian",
     "solve_separable",
     "apply_velocity_bcs",
@@ -101,11 +105,7 @@ class StaggeredVelocity:
 
     def center_components(self) -> tuple:
         """Components averaged to cell centres (for output and quadrature)."""
-        return (
-            0.5 * (self.u1[:-1] + self.u1[1:]),
-            0.5 * (self.u2[:, :-1] + self.u2[:, 1:]),
-            0.5 * (self.u3[:, :, :-1] + self.u3[:, :, 1:]),
-        )
+        return tuple(centre_average(f, d) for d, f in enumerate(self.components()))
 
     def is_finite(self) -> bool:
         return bool(
@@ -164,17 +164,48 @@ def grad_pressure(p: np.ndarray, grid: Grid) -> tuple:
     return gx, gy, gz
 
 
+def _along(axis: int, i, trim: int = 0) -> tuple:
+    """Index of a 3-D array: position or slice i on ``axis``, the other two
+    axes trimmed by ``trim`` cells at both ends (1: the interior of a
+    ghost-extended array)."""
+    idx = [slice(trim, -trim or None)] * 3
+    idx[axis] = i
+    return tuple(idx)
+
+
+def centred_difference(f_ext: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(f[+axis] - f[-axis]) / (2h) at the interior cells of a ghost-extended
+    field: the unextended shape, freshly allocated."""
+    d = f_ext[_along(axis, slice(2, None), 1)] - f_ext[_along(axis, slice(None, -2), 1)]
+    d /= 2.0 * h
+    return d
+
+
+def centre_average(a: np.ndarray, axis: int) -> np.ndarray:
+    """0.5 * (a[lo] + a[hi]) of neighbours along ``axis``: face values to the
+    cell centres between them (one entry fewer on that axis)."""
+    s = a[_along(axis, slice(None, -1))] + a[_along(axis, slice(1, None))]
+    s *= 0.5
+    return s
+
+
 def anisotropic_laplacian(f_ext: np.ndarray, nu, grid: Grid) -> np.ndarray:
     """7-point Laplacian nu1*d11 + nu2*d22 + nu3*d33 of a ghost-extended field.
 
     ``f_ext`` carries one ghost layer on every side; the result has the
     unextended shape.  Ghost values encode whatever boundary condition the
     caller is imposing.  Per axis d the term is nu_d*(f[+d] - 2f + f[-d])/h_d^2,
-    evaluated over the interior window of the flat view (``_interior_window``)
-    and summed in axis order; the result is the interior view of that buffer.
+    summed in axis order.  Each pass runs over [lo, hi), the flat indices
+    from the first interior cell to the last, and each operand is that window
+    shifted by s_d, the flat offset of one step along axis d, so it stays
+    inside the array and is contiguous.  Window entries on ghost rows hold
+    values nobody reads; the result is the interior view of the buffer.
     """
     f = f_ext.ravel()
-    lo, hi, shifts = _interior_window(f_ext.shape)
+    sy = f_ext.shape[2]
+    shifts = (f_ext.shape[1] * sy, sy, 1)
+    lo = shifts[0] + sy + 1
+    hi = f.size - lo
     buf = np.empty(f.size)
     out = buf[lo:hi]
     c2 = 2.0 * f[lo:hi]
@@ -188,21 +219,6 @@ def anisotropic_laplacian(f_ext: np.ndarray, nu, grid: Grid) -> np.ndarray:
         if d > 0:
             out += t
     return buf.reshape(f_ext.shape)[1:-1, 1:-1, 1:-1]
-
-
-def _interior_window(shape: tuple) -> tuple:
-    """(lo, hi, (sx, sy, 1)) of a C-ordered ghost-extended array of ``shape``.
-
-    [lo, hi) is the flat index range from its first interior cell to its
-    last, and s_d the flat offset of one step along axis d.  Shifting the
-    window by +-s_d stays inside the array, so a stencil over the window is
-    one contiguous pass per operand.  Window entries on ghost rows hold
-    values nobody reads.
-    """
-    sy = shape[2]
-    sx = shape[1] * sy
-    lo = sx + sy + 1
-    return lo, shape[0] * sx - lo, (sx, sy, 1)
 
 
 # Diagonal change at an end cell of -D2: a Neumann end mirrors the cell value
@@ -288,18 +304,10 @@ def _ghost_extend(f: np.ndarray, ends: tuple) -> np.ndarray:
     for d, bcs in enumerate(ends):
         for bc, side, inner in zip(bcs, (0, -1), (1, -2)):
             if bc == "face":
-                fe[_plane(d, side, 1)] = 2.0 * f[_plane(d, side)] - f[_plane(d, inner)]
+                fe[_along(d, side, 1)] = 2.0 * f[_along(d, side)] - f[_along(d, inner)]
             elif bc == "dirichlet":
-                fe[_plane(d, side, 1)] = -f[_plane(d, side)]
+                fe[_along(d, side, 1)] = -f[_along(d, side)]
     return fe
-
-
-def _plane(axis: int, i: int, trim: int = 0) -> tuple:
-    """Index of plane i normal to ``axis``, trimmed by ``trim`` cells at both
-    ends of the other axes."""
-    idx = [slice(trim, -trim or None)] * 3
-    idx[axis] = i
-    return tuple(idx)
 
 
 def apply_velocity_bcs(u: StaggeredVelocity) -> StaggeredVelocity:
@@ -312,7 +320,7 @@ def apply_velocity_bcs(u: StaggeredVelocity) -> StaggeredVelocity:
         for d, bcs in enumerate(BOUNDARY_CONDITIONS[name]):
             for bc, side in zip(bcs, (0, -1)):
                 if bc == "face":
-                    f[_plane(d, side)] = 0.0
+                    f[_along(d, side)] = 0.0
         out.append(f)
     return StaggeredVelocity(*out)
 
@@ -367,8 +375,9 @@ def apply_concentration_bcs(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     m33 = M.entry(2, 2)
     if np.ndim(m31) > 0:
         m31, m32, m33 = m31[..., 0], m32[..., 0], m33[..., 0]
-    d1 = (Ce[2:, 1:-1, 1] - Ce[:-2, 1:-1, 1]) / (2.0 * grid.dx)
-    d2 = (Ce[1:-1, 2:, 1] - Ce[1:-1, :-2, 1]) / (2.0 * grid.dy)
+    # the first interior layer is the interior of the bottom three layers
+    bottom = Ce[:, :, :3]
+    d1, d2 = (centred_difference(bottom, d, grid.spacing[d])[:, :, 0] for d in (0, 1))
     Ce[1:-1, 1:-1, 0] = C[:, :, 0] + grid.dz * (m31 * d1 + m32 * d2) / m33
     return Ce
 
@@ -382,39 +391,17 @@ def diffuse_concentration(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     exactly zero (no-flux); Gamma_A fluxes see Dirichlet C = 0 ghosts.  M is
     coercive by construction (``DiffusionTensor`` checks it once).  The face
     values of the diagonal entries come from ``M.face_diagonal``.
+
+    A constant diagonal tensor (``M.constant_diagonal``) has no cross terms
+    and a ground ghost that mirrors the first layer, so the flux form is the
+    momentum stencil ``anisotropic_laplacian`` with weights (m11, m22, m33)
+    over C's ghosts, and that stencil is what is evaluated.
     """
     Ce = apply_concentration_bcs(C, M, grid)
+    if M.constant_diagonal:
+        return anisotropic_laplacian(Ce, M.face_diagonal, grid)
 
-    if not M.is_spatial and np.count_nonzero(M.m - np.diag(np.diag(M.m))) == 0:
-        # Diagonal tensor: no cross derivatives.  The flux through the face
-        # below flat index p along axis d is m_d*(Ce[p] - Ce[p - s_d])/h_d,
-        # over the interior window extended by s_d; the ground faces are
-        # every sy-th entry of the z flux.
-        f = Ce.ravel()
-        lo, hi, shifts = _interior_window(Ce.shape)
-        buf = np.empty(f.size)
-        out = buf[lo:hi]
-        flux = np.empty(hi - lo + shifts[0])
-        t = np.empty_like(out)
-        for d, (s, m, h) in enumerate(zip(shifts, M.face_diagonal, grid.spacing)):
-            fd = flux[: hi - lo + s]
-            np.subtract(f[lo:hi + s], f[lo - s:hi], out=fd)
-            fd *= m
-            fd /= h
-            if d == 2:
-                fd[:: shifts[1]] = 0.0
-            r = out if d == 0 else t
-            np.subtract(fd[s:], fd[:-s], out=r)
-            r /= h
-            if d > 0:
-                out += t
-        return buf.reshape(Ce.shape)[1:-1, 1:-1, 1:-1]
-
-    dC_c = []  # central differences at the cells
-    for d, h in enumerate(grid.spacing):
-        g = _inner(Ce, d, 2, None) - _inner(Ce, d, None, -2)
-        g /= 2.0 * h
-        dC_c.append(g)
+    dC_c = [centred_difference(Ce, d, h) for d, h in enumerate(grid.spacing)]
     # flux_d = M_dd*(face difference)/h_d + the face average of the two
     # cross terms M_da*dC_c[a] + M_db*dC_c[b]
     m12, m13, m23 = M.entry(0, 1), M.entry(0, 2), M.entry(1, 2)
@@ -422,7 +409,7 @@ def diffuse_concentration(C: np.ndarray, M, grid: Grid) -> np.ndarray:
     t = np.empty(grid.shape_cells)
     fluxes = []
     for d, (h, m_dd, (ma, a, mb, b)) in enumerate(zip(grid.spacing, M.face_diagonal, crosses)):
-        fd = _inner(Ce, d, 1, None) - _inner(Ce, d, None, -1)
+        fd = Ce[_along(d, slice(1, None), 1)] - Ce[_along(d, slice(None, -1), 1)]
         fd /= h
         fd *= m_dd
         cross = ma * dC_c[a]
@@ -432,14 +419,6 @@ def diffuse_concentration(C: np.ndarray, M, grid: Grid) -> np.ndarray:
         fluxes.append(fd)
     fluxes[2][:, :, 0] = 0.0  # no flux through the ground
     return flux_divergence(fluxes, grid)
-
-
-def _inner(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
-    """a[1:-1, 1:-1, 1:-1] of a ghost-extended array, with slice(start, stop)
-    on ``axis``."""
-    idx = [slice(1, -1)] * 3
-    idx[axis] = slice(start, stop)
-    return a[tuple(idx)]
 
 
 def _donor_flux(speed: np.ndarray, C: np.ndarray, axis: int) -> np.ndarray:
@@ -464,12 +443,6 @@ def advect_scalar(u: StaggeredVelocity, C: np.ndarray, grid: Grid) -> np.ndarray
     return flux_divergence([_donor_flux(v, C, d) for d, v in enumerate(u.components())], grid)
 
 
-def _sl(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    return a[tuple(idx)]
-
-
 def _advect_face_component(
     f: np.ndarray,
     axis: int,
@@ -487,27 +460,21 @@ def _advect_face_component(
     boundary faces.
     """
     adv = np.zeros_like(f)
-    total = _sl(adv, axis, 1, -1)
+    total = adv[_along(axis, slice(1, -1))]
     t = np.empty_like(total)
     for d, h in enumerate(grid.spacing):
         if d == axis:
-            lo, hi = _sl(f, d, None, -1), _sl(f, d, 1, None)
-            speed = lo + hi
+            speed, donors = centre_average(f, d), f
         else:
-            ud = u_raw[d]
-            speed = _sl(ud, axis, None, -1) + _sl(ud, axis, 1, None)
-            idx_lo = [slice(1, -1)] * 3
-            idx_lo[axis] = slice(2, -2)
-            idx_hi = list(idx_lo)
-            idx_lo[d] = slice(None, -1)
-            idx_hi[d] = slice(1, None)
-            lo = f_ext[tuple(idx_lo)]
-            hi = f_ext[tuple(idx_hi)]
-        speed *= 0.5
+            # f_ext over the interior faces of f on ``axis``, the interior
+            # cells on the third axis and all of axis d, ghosts included
+            speed = centre_average(u_raw[d], axis)
+            donors = f_ext[_along(d, slice(None), 1)][_along(axis, slice(1, -1))]
+        lo, hi = donors[_along(d, slice(None, -1))], donors[_along(d, slice(1, None))]
         flux = np.where(speed > 0.0, lo, hi)
         flux *= speed
         term = total if d == 0 else t
-        np.subtract(_sl(flux, d, 1, None), _sl(flux, d, None, -1), out=term)
+        np.subtract(flux[_along(d, slice(1, None))], flux[_along(d, slice(None, -1))], out=term)
         term /= h
         if d > 0:
             total += t

@@ -23,6 +23,7 @@ finite in double precision; ``Source.at(t)`` switches it on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -125,7 +126,10 @@ def _lorentzian_domain_integral(eps: float, x_s: tuple, grid: Grid) -> float:
     x, wx = _graded_rule(grid.lx, x_s[0], k)
     y, wy = _graded_rule(grid.ly, x_s[1], k)
     b = 1.0 + a * ((x[:, None] - x_s[0]) ** 2 + (y[None, :] - x_s[1]) ** 2)
-    r = np.sqrt(a / b)
+    # k/sqrt(b) equals sqrt(a/b); it keeps full precision where a is
+    # subnormal or 0 (widths below about 5e-155), so the normalised pulse
+    # tends to 1/|Omega| there instead of failing.
+    r = np.sqrt(a / b) if a >= sys.float_info.min else k / np.sqrt(b)
     zpart = (np.arctan((grid.h - x_s[2]) * r) + np.arctan(x_s[2] * r)) / (math.pi * np.sqrt(b))
     return float(wx @ zpart @ wy)
 
@@ -137,7 +141,13 @@ def _spatial_profile(spec: SourceSpec, grid: Grid) -> np.ndarray:
         pulse[grid.cell_index(spec.x_s)] = 1.0 / grid.cell_volume
     elif spec.kind == "gaussian":
         eps = spec.width
-        pulse = GAUSSIAN_NORM * eps**-3 * np.exp(-_r2_at_centers(spec, grid) / eps**2)
+        amp = GAUSSIAN_NORM * eps**-3
+        # amp underflows to 0 from widths of about 1e107, before eps**2
+        # overflows: the sample is 0 there
+        if amp == 0.0:
+            pulse = np.zeros(grid.shape_cells)
+        else:
+            pulse = amp * np.exp(-_r2_at_centers(spec, grid) / eps**2)
     elif spec.kind == "lorentzian":
         eps = spec.width
         raw = eps / (1.0 + (math.pi * eps) ** 2 * _r2_at_centers(spec, grid))

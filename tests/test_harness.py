@@ -3,6 +3,7 @@
 import filecmp
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,32 @@ def test_parse_rejects_eps_sharing_a_run_directory(tmp_path, mode, eps_list, fir
     rc = cli_main([str(tmp_path / "twins.cfg"), "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "eps_list",
+    [(0.5, 0.5), (0.5, 0.1234561, 0.1234562), (), (0.5, 1.5), (0.0,)],
+    ids=["repeat", "six-digit-tie", "empty", "above-one", "zero"],
+)
+def test_run_block_refuses_eps_list_set_by_replace(tmp_path, eps_list):
+    """``RunBlock`` checks its eps_list itself, so a config made with
+    ``dataclasses.replace`` cannot run two eps into one directory, or an eps
+    outside (0, 1]: it is refused before the sweep writes anything."""
+    cfg = parse_config(SMALL_SWEEP)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="eps"):
+        swept = replace(cfg, run=replace(cfg.run, eps_list=eps_list))
+        epsilon_sweep(swept, out_dir=str(out), quiet=True)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "1.5", "nan"])
+def test_cli_refuses_eps_flag_outside_unit_interval(tmp_path, eps):
+    (tmp_path / "run.cfg").write_text(SMALL_RUN)
+    out = tmp_path / "out"
+    rc = cli_main([str(tmp_path / "run.cfg"), "--eps", eps, "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_parse_rejects_missing_theta_file(tmp_path):
@@ -457,7 +484,7 @@ def test_run_refuses_schedule_beyond_2_53_steps(tmp_path):
     "kind, width, mode",
     [
         ("lorentzian", 1e200, "hydro"),
-        ("lorentzian", 1e-200, "hydro"),
+        ("gaussian", 1e-110, "hydro"),
         ("gaussian", 1e-110, "aniso"),
     ],
 )
@@ -482,7 +509,10 @@ def test_run_refuses_source_without_finite_sample(tmp_path, capsys, kind, width,
         assert not out.exists()
 
 
-@pytest.mark.parametrize("kind, width", [("lorentzian", 1e150), ("unit_impulse", 1e-200)])
+@pytest.mark.parametrize(
+    "kind, width",
+    [("lorentzian", 1e150), ("lorentzian", 1e-200), ("gaussian", 1e200), ("unit_impulse", 1e-200)],
+)
 def test_run_accepts_extreme_width_with_finite_sample(kind, width):
     """A width whose eps^2 or (1/eps)^2 leaves double precision but whose
     sample is finite runs to T in hydro mode, with a finite final state."""
@@ -510,17 +540,19 @@ def test_sweep_refuses_unsampleable_member_before_any_run(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mode, kind, eps", [("aniso", "gaussian", "1e-110"), ("hydro", "lorentzian", "1e-200")]
+    "mode, kind, eps", [("aniso", "gaussian", "1e-110"), ("hydro", "gaussian", "1e-110")]
 )
 def test_cli_refuses_unsampleable_member_before_any_run(tmp_path, capsys, mode, kind, eps):
-    """In a single-run mode the CLI runs each eps of eps_list in turn.  The
-    source width defaults to each run's eps, and only the small-eps run
-    cannot sample it; it is refused before the eps = 0.5 run writes
-    anything."""
+    """In a single-run mode the CLI runs each eps of eps_list in turn.  In
+    mode aniso the source width defaults to each run's eps, and only the
+    small-eps run cannot sample it; it is refused before the eps = 0.5 run
+    writes anything.  In mode hydro a defaulted Gaussian is the single-cell
+    deposit, so the unsampleable width is given explicitly."""
+    width = f"width = {eps}\n" if mode == "hydro" else ""
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(
-        f"[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nkind = {kind}\nt_s = 0\n[time]\nT = 0.01\n"
-        f"[run]\neps_list = 0.5, {eps}\n"
+        f"[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nkind = {kind}\n{width}t_s = 0\n"
+        f"[time]\nT = 0.01\n[run]\neps_list = 0.5, {eps}\n"
     )
     out = tmp_path / "out"
     rc = cli_main([str(cfgfile), "--mode", mode, "--out", str(out), "--quiet"])

@@ -284,7 +284,7 @@ def test_diffuse_identity_reduces_to_laplacian(grid8):
     M = DiffusionTensor.identity()
     got = diffuse_concentration(C, M, grid8)
     want = anisotropic_laplacian(apply_concentration_bcs(C, M, grid8), (1, 1, 1), grid8)
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got, want)
 
 
 def test_diffuse_cross_term_bilinear():

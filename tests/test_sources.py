@@ -252,7 +252,6 @@ def test_lorentzian_normaliser_matches_midpoint_oracle(eps, x_s):
     "kind, width",
     [
         ("lorentzian", 1e200),  # (pi eps)^2 overflows
-        ("lorentzian", 1e-200),  # (pi eps)^2 underflows: a zero normaliser
         ("gaussian", 1e-110),  # eps^-3 overflows
     ],
 )
@@ -267,21 +266,36 @@ def test_source_refuses_width_without_finite_sample(kind, width):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "kind, width", [("lorentzian", 1e150), ("unit_impulse", 1e-200), ("unit_impulse", 1e200)]
+    "kind, width",
+    [
+        ("lorentzian", 1e150),
+        ("lorentzian", 1e-162),
+        ("lorentzian", 1e-163),
+        ("lorentzian", 1e-200),
+        ("lorentzian", 1e-300),
+        ("gaussian", 1e155),
+        ("gaussian", 1e300),
+        ("unit_impulse", 1e-200),
+        ("unit_impulse", 1e200),
+    ],
 )
 def test_source_samples_extreme_finite_width(kind, width):
     """Widths whose sample is finite are sampled, without a warning, even
-    where eps^2 or (1/eps)^2 leaves double precision: the Lorentzian's
-    normaliser has the eps of its vertical factor cancelled, and the unit
-    impulse's ball is tested as eps*r < 1.  A Lorentzian this wide is r^-2
-    normalised, the same sample as at width 1e50.  The unit impulse's ball
-    of radius 1/eps covers the whole domain with eps/2 at width 1e-200, and
-    holds no cell centre at 1e200."""
-    g = Grid(8, 8, 6)
-    values = Source(SourceSpec(kind, 1.0, 0.0, (0.5, 0.5, 0.5), width), g).values
+    where eps^2 or (1/eps)^2 leaves double precision.  A Lorentzian this wide
+    is r^-2 normalised, the same sample as at width 1e50; this narrow, where
+    (pi eps)^2 is subnormal or 0, it is flat at 1/|Omega|.  A Gaussian this
+    wide is 0, since eps^-3 underflows.  The unit impulse's ball of radius
+    1/eps covers the whole domain with eps/2 at width 1e-200, and holds no
+    cell centre at 1e200."""
+    g = Grid(8, 8, 6, lx=1.3, ly=0.7, h=0.9)
+    values = Source(SourceSpec(kind, 1.0, 0.0, (0.5, 0.4, 0.45), width), g).values
     if kind == "unit_impulse":
         assert np.all(values == (width / 2.0 if width < 1.0 else 0.0))
+    elif kind == "gaussian":
+        assert np.all(values == 0.0)
+    elif width < 1.0:
+        np.testing.assert_allclose(values, 1.0 / (g.lx * g.ly * g.h), rtol=1e-12)
     else:
-        wide = Source(SourceSpec(kind, 1.0, 0.0, (0.5, 0.5, 0.5), 1e50), g).values
+        wide = Source(SourceSpec(kind, 1.0, 0.0, (0.5, 0.4, 0.45), 1e50), g).values
         assert np.all(values > 0.0)
         np.testing.assert_allclose(values, wide, rtol=1e-12)

@@ -6,6 +6,9 @@ reference below is the direct slice expression of the same stencil, written
 out with the same operand order, so every result must be exactly equal:
 ``np.array_equal``, no tolerance.  The grid is non-cubic and none of its
 spacings is a power of two, so a reordered or re-associated expression shows.
+The flux form of constant diagonal diffusion is the one reference that is a
+second discretisation: the operator evaluates that case as the Laplacian
+stencil, and the flux form is pinned to it within 1e-15 relative.
 """
 
 import numpy as np
@@ -222,11 +225,28 @@ def _tensors(grid):
 
 @pytest.mark.parametrize("kind", ["identity", "diagonal", "full", "per-cell"])
 def test_diffuse_concentration_exact(grid, kind):
+    """A constant diagonal tensor diffuses with the momentum stencil over C's
+    ghosts, bit for bit; the flux form stays within 1e-15 relative of it."""
     M = _tensors(grid)[kind]
     C = np.random.default_rng(8).normal(size=grid.shape_cells)
     before = C.copy()
-    assert np.array_equal(diffuse_concentration(C, M, grid), ref_diffuse_concentration(C, M, grid))
+    got = diffuse_concentration(C, M, grid)
+    flux_form = ref_diffuse_concentration(C, M, grid)
+    if kind in ("identity", "diagonal"):
+        Ce = apply_concentration_bcs(C, M, grid)
+        assert np.array_equal(got, ref_anisotropic_laplacian(Ce, np.diag(M.m), grid))
+        assert np.max(np.abs(got - flux_form)) <= 1e-15 * np.max(np.abs(flux_form))
+    else:
+        assert np.array_equal(got, flux_form)
     assert np.array_equal(C, before)
+
+
+def test_constant_diagonal_is_recorded_at_construction(grid):
+    flags = {kind: M.constant_diagonal for kind, M in _tensors(grid).items()}
+    assert flags == {"identity": True, "diagonal": True, "full": False, "per-cell": False}
+    # one diagonal matrix per cell is not constant: it takes the flux form
+    cells = np.broadcast_to(np.diag([0.3, 0.11, 0.05]), grid.shape_cells + (3, 3))
+    assert DiffusionTensor(cells).constant_diagonal is False
 
 
 def test_per_cell_tensor_entries_are_contiguous_copies(grid):
