@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""A/B comparison of two checkouts on the benchmark, in alternating pairs.
+
+Usage:  python scripts/ab_bench.py PARENT CHANGE [--pairs 10] [--workload NAME ...]
+
+PARENT and CHANGE are the roots of two source checkouts.  Their absolute
+paths must have the same length: ``peak_rss_mb`` moves by 0.2-0.3 MiB with
+the path length alone.  For each workload (default: every workload that the
+parent's BENCHMARK.json names) and each pair, both checkouts run
+``perfbench/run.py --workload W --seed 7 --seconds 0``, one execution each;
+the parent runs first in odd pairs and the change in even ones.
+
+Every pair is printed as it ends.  Then, per workload and end-to-end metric:
+the parent's median and interquartile range, the change's median and the
+number of pairs the change won.  A digest that differs between executions of
+one side is reported.  The exit status is 1 if any execution printed
+``"correct": false`` (or no result), else 0.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SEED = 7
+
+
+def run_once(root, workload):
+    """(metrics dict, correct, payload digest) of one ``--seconds 0`` run."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(SEED), "--seconds", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=root)
+    lines = proc.stdout.strip().splitlines()
+    digest = next((ln.split()[1].partition("=")[2] for ln in lines
+                   if ln.startswith("payload sha256=")), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(f"{root}: {workload}: no result (exit {proc.returncode})\n"
+                         f"{proc.stderr.strip()[-2000:]}\n")
+        return {}, False, digest
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return metrics, bool(result["correct"]), digest
+
+
+def quartiles(values):
+    """(first quartile, third quartile), inclusive method."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append", dest="workloads", metavar="NAME")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    if len(sides["parent"]) != len(sides["change"]):
+        ap.error(f"checkout paths of unequal length ({len(sides['parent'])} and "
+                 f"{len(sides['change'])} characters): peak_rss_mb depends on it")
+    with open(os.path.join(sides["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    metrics = spec["end_to_end"]
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+
+    ok = True
+    for workload in workloads:
+        values = {side: {m["name"]: [] for m in metrics} for side in sides}
+        digests = {side: set() for side in sides}
+        for pair in range(1, args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                got, correct, digest = run_once(sides[side], workload)
+                ok = ok and correct
+                digests[side].add(digest)
+                for m in metrics:
+                    values[side][m["name"]].append(got.get(m["name"], float("nan")))
+            print(f"{workload} pair {pair} ({order[0]} first): " + " ".join(
+                f"{m['name']}={values['parent'][m['name']][-1]:.4g}/{values['change'][m['name']][-1]:.4g}"
+                for m in metrics) + " (parent/change)", flush=True)
+        for side in sides:
+            if len(digests[side]) > 1:
+                print(f"{workload}: {side} executions disagree on the digest: {sorted(map(str, digests[side]))}")
+        print(f"{workload}: digest parent {'/'.join(sorted(map(str, digests['parent'])))} "
+              f"change {'/'.join(sorted(map(str, digests['change'])))}")
+        for m in metrics:
+            name, lower = m["name"], m["better"] == "lower"
+            base, new = values["parent"][name], values["change"][name]
+            q1, q3 = quartiles(base)
+            won = sum((b > c) if lower else (c > b) for b, c in zip(base, new))
+            print(f"{workload} {name}: parent {statistics.median(base):.4g} "
+                  f"(IQR {q1:.4g}-{q3:.4g}), change {statistics.median(new):.4g} {m['unit']}, "
+                  f"change won {won}/{len(base)}")
+    if not ok:
+        print("error: an execution was not correct")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

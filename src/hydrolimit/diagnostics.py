@@ -169,10 +169,23 @@ def concentration_dissipation(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> 
     return -float(np.sum(C * diffuse_concentration(C, M, grid)) * grid.cell_volume)
 
 
-def _concentration_center_gradient(C: np.ndarray, M: DiffusionTensor, grid: Grid):
-    """Central-difference grad C at cell centres, with the model's BC ghosts."""
+def _concentration_center_flux(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> tuple:
+    """(grad C, M grad C) at cell centres: the central-difference gradient
+    with the model's BC ghosts, and M times it from M's upper triangle."""
     Ce = apply_concentration_bcs(C, M, grid)
-    return tuple(centred_difference(Ce, d, h) for d, h in enumerate(grid.spacing))
+    g = tuple(centred_difference(Ce, d, h) for d, h in enumerate(grid.spacing))
+    e = M.entry
+    mg = (
+        e(0, 0) * g[0] + e(0, 1) * g[1] + e(0, 2) * g[2],
+        e(0, 1) * g[0] + e(1, 1) * g[1] + e(1, 2) * g[2],
+        e(0, 2) * g[0] + e(1, 2) * g[1] + e(2, 2) * g[2],
+    )
+    return g, mg
+
+
+def _dot(a, b):
+    """sum_i a_i * b_i of two sequences of arrays."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def diffusion_quadratic_form(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> tuple:
@@ -182,16 +195,9 @@ def diffusion_quadratic_form(C: np.ndarray, M: DiffusionTensor, grid: Grid) -> t
     ghosts), so the coercivity bound (M g, g) >= lambda |g|^2 holds cellwise
     for any SPD tensor, up to roundoff.
     """
-    g1, g2, g3 = _concentration_center_gradient(C, M, grid)
-    qm = (
-        M.entry(0, 0) * g1 * g1
-        + M.entry(1, 1) * g2 * g2
-        + M.entry(2, 2) * g3 * g3
-        + 2.0 * (M.entry(0, 1) * g1 * g2 + M.entry(0, 2) * g1 * g3 + M.entry(1, 2) * g2 * g3)
-    )
-    qg = g1 * g1 + g2 * g2 + g3 * g3
+    g, mg = _concentration_center_flux(C, M, grid)
     dV = grid.cell_volume
-    return float(np.sum(qm) * dV), float(np.sum(qg) * dV)
+    return float(np.sum(_dot(mg, g)) * dV), float(np.sum(_dot(g, g)) * dV)
 
 
 # --------------------------------------------------------------------------
@@ -438,6 +444,12 @@ class _AnalyticTest:
         return (self.kx * math.pi / grid.lx, self.ky * math.pi / grid.ly, *grid.centers())
 
 
+def _squared_sine(k: float, x: np.ndarray) -> tuple:
+    """sin^2(k x) and its first two derivatives: zero with zero slope where
+    k x is a multiple of pi, the lateral walls of the test velocities."""
+    return np.sin(k * x) ** 2, k * np.sin(2.0 * k * x), 2.0 * k**2 * np.cos(2.0 * k * x)
+
+
 class StreamTestVelocity(_AnalyticTest):
     """Divergence-free test velocity from a horizontal streamfunction.
 
@@ -451,12 +463,8 @@ class StreamTestVelocity(_AnalyticTest):
     def fields(self, grid: Grid) -> VelocityFields:
         a, b, X1, X2, X3 = self._waves(grid)
         q = math.pi / (2.0 * grid.h)
-        A = np.sin(a * X1) ** 2
-        dA = a * np.sin(2.0 * a * X1)
-        d2A = 2.0 * a**2 * np.cos(2.0 * a * X1)
-        B = np.sin(b * X2) ** 2
-        dB = b * np.sin(2.0 * b * X2)
-        d2B = 2.0 * b**2 * np.cos(2.0 * b * X2)
+        A, dA, d2A = _squared_sine(a, X1)
+        B, dB, d2B = _squared_sine(b, X2)
         phi = np.cos(q * X3) ** 2
         dphi = -q * np.sin(2.0 * q * X3)
         z = np.zeros((1, 1, 1))
@@ -484,14 +492,9 @@ class VerticalTestVelocity(_AnalyticTest):
     def fields(self, grid: Grid) -> VelocityFields:
         a, b, X1, X2, X3 = self._waves(grid)
         c = math.pi / grid.h
-        g = np.sin(a * X1) ** 2
-        dg = a * np.sin(2.0 * a * X1)
-        s = np.sin(b * X2) ** 2
-        ds = b * np.sin(2.0 * b * X2)
-        d2s = 2.0 * b**2 * np.cos(2.0 * b * X2)
-        q = np.sin(c * X3) ** 2
-        dq = c * np.sin(2.0 * c * X3)
-        d2q = 2.0 * c**2 * np.cos(2.0 * c * X3)
+        g, dg, _ = _squared_sine(a, X1)
+        s, ds, d2s = _squared_sine(b, X2)
+        q, dq, d2q = _squared_sine(c, X3)
         z = np.zeros((1, 1, 1))
         return VelocityFields(
             uH=(z, g * s * dq),
@@ -559,11 +562,6 @@ class WeakResidualRecord:
     lhs: dict
     rhs: dict
     residual: float
-
-
-def _dot(a, b):
-    """sum_i a_i * b_i of two sequences of arrays."""
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _solution_center_gradients(u: StaggeredVelocity, history: RunHistory):
@@ -664,12 +662,7 @@ def weak_residual(
         w = history.dt * (0.5 if m in (0, len(states) - 1) else 1.0)
         u1c, u2c, u3c = uc = s.u.center_components()
         g1, g2, g3 = _solution_center_gradients(s.u, history)
-        cg = _concentration_center_gradient(s.C, M, grid)
-        mg = (
-            M.entry(0, 0) * cg[0] + M.entry(0, 1) * cg[1] + M.entry(0, 2) * cg[2],
-            M.entry(0, 1) * cg[0] + M.entry(1, 1) * cg[1] + M.entry(1, 2) * cg[2],
-            M.entry(0, 2) * cg[0] + M.entry(1, 2) * cg[1] + M.entry(2, 2) * cg[2],
-        )
+        _, mg = _concentration_center_flux(s.C, M, grid)
         S = source.at(s.t) if source is not None and not delta else None
         fs = forcing(s.t, grid) if forcing is not None else None
 

@@ -41,6 +41,7 @@ from .operators import (
     advect_velocity,
     anisotropic_laplacian,
     apply_velocity_bcs,
+    centre_average,
     diffuse_concentration,
     extend_velocity,
     flux_divergence,
@@ -252,31 +253,6 @@ def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: G
     return u_new, p, {"iterations": iters, "max_div": max_div, "max_abs_div": max_abs_div}
 
 
-def _corner_average(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """0.25*(((a + b) + c) + d) in one fresh array."""
-    out = a + b
-    out += c
-    out += d
-    out *= 0.25
-    return out
-
-
-def _interp_u2_to_u1(u2: np.ndarray) -> np.ndarray:
-    return _corner_average(u2[:-1, :-1], u2[:-1, 1:], u2[1:, :-1], u2[1:, 1:])
-
-
-def _interp_u3_to_u1(u3: np.ndarray) -> np.ndarray:
-    return _corner_average(u3[:-1, :, :-1], u3[:-1, :, 1:], u3[1:, :, :-1], u3[1:, :, 1:])
-
-
-def _interp_u1_to_u2(u1: np.ndarray) -> np.ndarray:
-    return _corner_average(u1[:-1, :-1], u1[1:, :-1], u1[:-1, 1:], u1[1:, 1:])
-
-
-def _interp_u1_to_u3(u1: np.ndarray) -> np.ndarray:
-    return _corner_average(u1[:-1, :, :-1], u1[1:, :, :-1], u1[:-1, :, 1:], u1[1:, :, 1:])
-
-
 def step(
     state: SimState,
     params: PhysParams,
@@ -292,61 +268,63 @@ def step(
     """Advance the state of the ``mode`` ("aniso" | "hydro") model by one
     explicit step; return (new state, the projection's info dict).
 
-    Forward-Euler momentum predictor (advection, anisotropic diffusion,
-    rotation), projection (``project``), then the concentration update with
-    the projected velocity:  C += dt * (-u.grad C + div(M grad C) + S(t)),
-    with S(t) = ``source.at(t)`` sampled once per run.
-    Predictor signs follow the momentum equations: the u1 equation carries
-    -alpha*u2 + eps*beta*u3, the u2 equation +alpha*u1.  Only the
-    anisotropic model advances u3: its equation (divided through by eps^2)
-    gains +(beta/eps)*u1 while its pressure term moves into the projection;
-    the hydrostatic model drops the beta terms and diagnoses u3.
+    Forward-Euler momentum predictor, projection (``project``), then the
+    concentration update with the projected velocity:
+    C += dt * (-u.grad C + div(M grad C) + S(t)), with S(t) =
+    ``source.at(t)`` sampled once per run.
+
+    The predictor is one loop over the prognostic components, those that
+    ``extend_velocity`` extends (u3 only in "aniso"; "hydro" diagnoses it).
+    Each right-hand side is the viscous Laplacian minus advection plus the
+    rotation couplings of its equation, summed in that order: +alpha*u2 -
+    eps*beta*u3 for u1, -alpha*u1 for u2 and +(beta/eps)*u1 for u3 (its
+    equation divided through by eps^2, its pressure term moved into the
+    projection).  A coupling carries its source component to the cell
+    centres and on to the equation's faces (``centre_average`` twice); one
+    with a diagnosed component drops, so "hydro" keeps the alpha pair only.
 
     ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
-    face/cell forcings (manufactured-solution hook); f3 acts only in "aniso".
-    Each right-hand side is summed in the order written above.
+    face/cell forcings (manufactured-solution hook); f_d acts on the
+    prognostic components only.
     """
-    aniso = mode == "aniso"
     eps = params.eps
     if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
 
     # u holds this step's own copies of the velocity (its boundary faces
-    # zeroed), so it becomes u* in place once every right-hand side has read
-    # it; only interior faces change, so u* keeps the boundary conditions.
+    # zeroed) and becomes u* in place, one component at a time: every term
+    # reads u before the loop (advection, the ghost-extended copies and the
+    # cell-centred couplings' sources), and only interior faces change, so u*
+    # keeps the boundary conditions.
     u = apply_velocity_bcs(state.u)
     ext = extend_velocity(u, theta, params.nu3, grid, mode)
-    adv = advect_velocity(u, grid, ext=ext, components=(0, 1, 2) if aniso else (0, 1))
+    prognostic = [d for d, e in enumerate(ext) if e is not None]
+    adv = advect_velocity(u, grid, ext=ext).components()
     alpha_c, beta_c = coriolis_at(params, grid.x2c)
-    alpha_f, _ = coriolis_at(params, grid.x2f)
-
-    rhs1 = anisotropic_laplacian(ext.u1e, params.nu, grid)[1:-1] - adv.u1[1:-1]
-    cor = _interp_u2_to_u1(u.u2)
-    cor *= alpha_c[None, :, None]
-    rhs1 += cor
-    if aniso:
-        cor = _interp_u3_to_u1(u.u3)
-        cor *= eps * beta_c[None, :, None]
-        rhs1 -= cor
-    rhs2 = anisotropic_laplacian(ext.u2e, params.nu, grid)[:, 1:-1] - adv.u2[:, 1:-1]
-    cor = _interp_u1_to_u2(u.u1)
-    cor *= alpha_f[None, 1:-1, None]
-    rhs2 -= cor
-    rhs = [rhs1, rhs2]
-    if aniso:
-        rhs3 = anisotropic_laplacian(ext.u3e, params.nu, grid)[:, :, 1:-1] - adv.u3[:, :, 1:-1]
-        cor = _interp_u1_to_u3(u.u1)
-        cor *= beta_c[None, :, None] / eps
-        rhs3 += cor
-        rhs.append(rhs3)
-    interior = (np.s_[1:-1], np.s_[:, 1:-1], np.s_[:, :, 1:-1])
-    for u_d, r, idx in zip(u.components(), rhs, interior):
-        r *= dt
-        u_d[idx] += r
+    alpha_f = coriolis_at(params, grid.x2f)[0][1:-1]
+    # (equation d, source s, coefficient along x2 at d's interior faces)
+    rotation = (
+        (0, 1, alpha_c),
+        (0, 2, -eps * beta_c),
+        (1, 0, -alpha_f),
+        (2, 0, beta_c / eps),
+    )
+    centres = {s: centre_average(u.components()[s], s) for s in prognostic}
     if forcing is not None:
         *f, f_c = forcing(state.t, grid)
-        for u_d, f_d, idx in zip(u.components()[: len(rhs)], f, interior):
-            u_d[idx] += dt * f_d[idx]
+    for d in prognostic:
+        interior = (slice(None),) * d + (slice(1, -1),)
+        r = anisotropic_laplacian(ext[d], params.nu, grid)[interior] - adv[d][interior]
+        for e, s, c in rotation:
+            if e == d and s in centres:
+                cor = centre_average(centres[s], d)
+                cor *= c[:, None]
+                r += cor
+        r *= dt
+        u_d = u.components()[d]
+        u_d[interior] += r
+        if forcing is not None:
+            u_d[interior] += dt * f[d][interior]
 
     u_new, p, info = project(u, mode, eps, dt, grid, tol)
 

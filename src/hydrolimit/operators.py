@@ -9,7 +9,9 @@ ghost-extended array's flat view and returns the interior of its buffer.
 ``np.mean`` over it must sum in the same order whatever produced the field.
 The centred difference of a ghost-extended field (``centred_difference``)
 and the face-to-centre average (``centre_average``) are written once here,
-for the operators and the diagnostics alike.
+for the operators and the diagnostics alike; ``centre_average`` applied twice
+also carries one velocity component to another's faces for the stepper's
+rotation couplings.
 
 Boundary conditions are written once, in ``BOUNDARY_CONDITIONS``: no slip
 (Dirichlet 0) on Gamma_A, the wind traction for u_H and no flux for C on the
@@ -485,23 +487,19 @@ def advect_velocity(
     u: StaggeredVelocity,
     grid: Grid,
     ext: VelocityExtension | None = None,
-    components: tuple = (0, 1, 2),
 ) -> StaggeredVelocity:
     """Self-advection u . grad u, componentwise on face-native stencils, in
     first-order upwind form.
 
     ``ext`` supplies the ghost-extended components (from ``extend_velocity``);
     without it a constant edge extension is used, which is adequate for
-    interior verification against analytic fields.
+    interior verification against analytic fields.  A component without an
+    extension (u3 in mode "hydro") is not prognostic and gets a zero term.
     """
     if ext is None:
         ext = VelocityExtension(*(np.pad(c, 1, mode="edge") for c in u.components()))
     raw = u.components()
-    exts = (ext.u1e, ext.u2e, ext.u3e)
-    out = []
-    for axis in range(3):
-        if axis in components:
-            out.append(_advect_face_component(raw[axis], axis, raw, exts[axis], grid))
-        else:
-            out.append(np.zeros_like(raw[axis]))
-    return StaggeredVelocity(*out)
+    return StaggeredVelocity(*(
+        np.zeros_like(f) if fe is None else _advect_face_component(f, axis, raw, fe, grid)
+        for axis, (f, fe) in enumerate(zip(raw, ext))
+    ))

@@ -8,7 +8,8 @@ H(0) = 1) at location x_s.  The pulse shape is one of
   lorentzian    eps / (1 + pi^2 eps^2 |x-x_s|^2), normalised by its integral
                 over the domain (its full-space integral diverges): closed
                 form in z, a tensor Gauss-Legendre rule in x and y graded
-                toward x_s down to the pulse scale 1/(pi eps),
+                toward x_s down to the pulse scale 1/(pi eps); the factor
+                eps cancels and neither side carries it,
   unit_impulse  eps/2 on the ball |x-x_s| < 1/eps (kept verbatim; its support
                 grows as eps -> 0, so it is excluded from convergence runs),
   delta_deposit I/cell_volume in the single cell containing x_s: the discrete
@@ -23,7 +24,6 @@ finite in double precision; ``Source.at(t)`` switches it on.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -111,26 +111,29 @@ def _graded_rule(length: float, c: float, k: float) -> tuple:
     return (lo + half * (1.0 + t)).ravel(), (half * w).ravel()
 
 
-def _lorentzian_domain_integral(eps: float, x_s: tuple, grid: Grid) -> float:
-    """Integral over Omega of eps / (1 + pi^2 eps^2 r^2).
+def _atanc(y: np.ndarray) -> np.ndarray:
+    """arctan(y)/y, 1 at y = 0."""
+    return np.divide(np.arctan(y), y, out=np.ones_like(y), where=y != 0.0)
 
-    The vertical integral has the closed form arctan(z*sqrt(a/b))/(pi*sqrt(b))
-    with a = pi^2 eps^2 and b = 1 + a*rho^2 (eps/sqrt(a*b) with the eps
-    cancelled, so that a*b cannot overflow); the horizontal one is a tensor
-    product of ``_graded_rule`` in x and y, graded toward (x_s, y_s) down to
-    the pulse scale 1/(pi eps): 384 nodes per axis at width 1e6 in the unit
-    cube.
+
+def _lorentzian_domain_integral(eps: float, x_s: tuple, grid: Grid) -> float:
+    """Integral over Omega of 1 / (1 + k^2 r^2), k = pi eps: the pulse's
+    normaliser with the factor eps cancelled.
+
+    With b = 1 + k^2 rho^2 and r = k/sqrt(b), the vertical integral has the
+    closed form (hi*atanc(hi*r) + lo*atanc(lo*r)) / b, lo = z_s and
+    hi = h - z_s, which keeps full precision for every k down to 0 (the
+    integral tends to |Omega|).  The horizontal one is a tensor product of
+    ``_graded_rule`` in x and y, graded toward (x_s, y_s) down to the pulse
+    scale 1/k: 384 nodes per axis at width 1e6 in the unit cube.
     """
     k = math.pi * eps
-    a = k**2
     x, wx = _graded_rule(grid.lx, x_s[0], k)
     y, wy = _graded_rule(grid.ly, x_s[1], k)
-    b = 1.0 + a * ((x[:, None] - x_s[0]) ** 2 + (y[None, :] - x_s[1]) ** 2)
-    # k/sqrt(b) equals sqrt(a/b); it keeps full precision where a is
-    # subnormal or 0 (widths below about 5e-155), so the normalised pulse
-    # tends to 1/|Omega| there instead of failing.
-    r = np.sqrt(a / b) if a >= sys.float_info.min else k / np.sqrt(b)
-    zpart = (np.arctan((grid.h - x_s[2]) * r) + np.arctan(x_s[2] * r)) / (math.pi * np.sqrt(b))
+    b = 1.0 + k**2 * ((x[:, None] - x_s[0]) ** 2 + (y[None, :] - x_s[1]) ** 2)
+    r = k / np.sqrt(b)
+    lo, hi = x_s[2], grid.h - x_s[2]
+    zpart = (hi * _atanc(hi * r) + lo * _atanc(lo * r)) / b
     return float(wx @ zpart @ wy)
 
 
@@ -149,9 +152,11 @@ def _spatial_profile(spec: SourceSpec, grid: Grid) -> np.ndarray:
         else:
             pulse = amp * np.exp(-_r2_at_centers(spec, grid) / eps**2)
     elif spec.kind == "lorentzian":
+        # eps / (1 + (pi eps)^2 r^2) normalised: eps cancels, so a
+        # subnormal width loses no precision
         eps = spec.width
-        raw = eps / (1.0 + (math.pi * eps) ** 2 * _r2_at_centers(spec, grid))
-        pulse = raw / _lorentzian_domain_integral(eps, spec.x_s, grid)
+        pulse = 1.0 / (1.0 + (math.pi * eps) ** 2 * _r2_at_centers(spec, grid))
+        pulse /= _lorentzian_domain_integral(eps, spec.x_s, grid)
     elif spec.kind == "unit_impulse":
         eps = spec.width
         inside = eps * np.sqrt(_r2_at_centers(spec, grid)) < 1.0

@@ -329,8 +329,95 @@ def test_energy_nonincreasing_unforced(grid8):
 # ---------------------------------------------------------------------------
 
 
-def dense_step_oracle(state, params, M, theta, source, dt, grid):
-    """Independent loop/dense-matrix implementation of one anisotropic step."""
+def _dense_neumann_solve(shape, weights, rhs):
+    """Mean-zero least-squares solution of the dense Neumann problem
+    sum_d w_d (p[+d] - 2p + p[-d]) = rhs, cells outside the box omitted."""
+    cells = list(np.ndindex(*shape))
+    index = {c: n for n, c in enumerate(cells)}
+    L = np.zeros((len(cells), len(cells)))
+    for c, row in index.items():
+        for d, w in enumerate(weights):
+            for step_ in (1, -1):
+                nb = list(c)
+                nb[d] += step_
+                col = index.get(tuple(nb))
+                if col is not None:
+                    L[row, col] += w
+                    L[row, row] -= w
+    p_flat, *_ = np.linalg.lstsq(L, rhs.ravel(), rcond=None)
+    p = p_flat.reshape(shape)
+    p -= p.mean()
+    return p
+
+
+def _dense_projection_aniso(u1s, u2s, u3s, eps, dt, grid):
+    """The 3-D eps-weighted projection: L = D A G on cell unknowns."""
+    nx, ny, nz = grid.nx, grid.ny, grid.nz
+    dx, dy, dz = grid.spacing
+    rhs = np.zeros((nx, ny, nz))
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                div = (
+                    (u1s[i + 1, j, k] - u1s[i, j, k]) / dx
+                    + (u2s[i, j + 1, k] - u2s[i, j, k]) / dy
+                    + (u3s[i, j, k + 1] - u3s[i, j, k]) / dz
+                )
+                rhs[i, j, k] = div / dt
+    weights = (1.0 / dx**2, 1.0 / dy**2, 1.0 / (eps**2 * dz**2))
+    p = _dense_neumann_solve((nx, ny, nz), weights, rhs)
+
+    u1n = u1s.copy()
+    u2n = u2s.copy()
+    u3n = u3s.copy()
+    for i in range(1, nx):
+        u1n[i] -= dt * (p[i] - p[i - 1]) / dx
+    for j in range(1, ny):
+        u2n[:, j] -= dt * (p[:, j] - p[:, j - 1]) / dy
+    for k in range(1, nz):
+        u3n[:, :, k] -= dt * (p[:, :, k] - p[:, :, k - 1]) / (eps**2 * dz)
+    return u1n, u2n, u3n, p
+
+
+def _dense_projection_hydro(u1s, u2s, dt, grid):
+    """The surface projection: the depth-integrated Neumann problem with
+    mobility h for a 2-D pressure, the same correction on every level, and
+    u3 summed up from the ground."""
+    nx, ny, nz = grid.nx, grid.ny, grid.nz
+    dx, dy, dz = grid.spacing
+    rhs = np.zeros((nx, ny))
+    for i in range(nx):
+        for j in range(ny):
+            div = sum(
+                (u1s[i + 1, j, k] - u1s[i, j, k]) * dz / dx
+                + (u2s[i, j + 1, k] - u2s[i, j, k]) * dz / dy
+                for k in range(nz)
+            )
+            rhs[i, j] = div / dt
+    p = _dense_neumann_solve((nx, ny), (grid.h / dx**2, grid.h / dy**2), rhs)
+
+    u1n = u1s.copy()
+    u2n = u2s.copy()
+    for i in range(1, nx):
+        u1n[i] -= dt * (p[i] - p[i - 1])[:, None] / dx
+    for j in range(1, ny):
+        u2n[:, j] -= dt * (p[:, j] - p[:, j - 1])[:, None] / dy
+    u3n = np.zeros((nx, ny, nz + 1))
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                div_h = (u1n[i + 1, j, k] - u1n[i, j, k]) / dx + (u2n[i, j + 1, k] - u2n[i, j, k]) / dy
+                u3n[i, j, k + 1] = u3n[i, j, k] - dz * div_h
+    return u1n, u2n, u3n, p
+
+
+def dense_step_oracle(state, params, M, theta, source, dt, grid, mode="aniso"):
+    """Independent loop/dense-matrix implementation of one step of ``mode``.
+
+    "hydro" drops the beta couplings and the u3 predictor, projects with the
+    depth-integrated Neumann problem (mobility h) and diagnoses u3 by the
+    cumulative sum of the horizontal divergence from the ground."""
+    aniso = mode == "aniso"
     nx, ny, nz = grid.nx, grid.ny, grid.nz
     dx, dy, dz = grid.spacing
     eps = params.eps
@@ -409,7 +496,10 @@ def dense_step_oracle(state, params, M, theta, source, dt, grid):
                                + u2[i, j, k] + u2[i, j + 1, k])
                 w_at = 0.25 * (u3[i - 1, j, k] + u3[i - 1, j, k + 1]
                                + u3[i, j, k] + u3[i, j, k + 1])
-                u1s[i, j, k] += dt * (-adv + lap + alpha * v_at - eps * beta * w_at)
+                rhs = -adv + lap + alpha * v_at
+                if aniso:
+                    rhs -= eps * beta * w_at
+                u1s[i, j, k] += dt * rhs
 
     # predictor for u2
     u2s = u2.copy()
@@ -439,9 +529,9 @@ def dense_step_oracle(state, params, M, theta, source, dt, grid):
                                + u1[i, j, k] + u1[i + 1, j, k])
                 u2s[i, j, k] += dt * (-adv + lap - alpha * u_at)
 
-    # predictor for u3 (equation divided by eps^2)
+    # predictor for u3 (equation divided by eps^2), "aniso" only
     u3s = u3.copy()
-    for i in range(nx):
+    for i in range(nx if aniso else 0):
         for j in range(ny):
             for k in range(1, nz):
                 wt = 0.5 * (u3[i, j, k] + u3[i, j, k + 1])
@@ -471,50 +561,10 @@ def dense_step_oracle(state, params, M, theta, source, dt, grid):
     u2s[:, 0] = u2s[:, -1] = 0.0
     u3s[:, :, 0] = u3s[:, :, -1] = 0.0
 
-    # dense projection: L = D A G on cell unknowns
-    ncell = nx * ny * nz
-
-    def cidx(i, j, k):
-        return (i * ny + j) * nz + k
-
-    L = np.zeros((ncell, ncell))
-    rhs = np.zeros(ncell)
-    wz = 1.0 / (eps**2 * dz**2)
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                row = cidx(i, j, k)
-                div = (
-                    (u1s[i + 1, j, k] - u1s[i, j, k]) / dx
-                    + (u2s[i, j + 1, k] - u2s[i, j, k]) / dy
-                    + (u3s[i, j, k + 1] - u3s[i, j, k]) / dz
-                )
-                rhs[row] = div / dt
-                for (di, dj, dk, w) in (
-                    (1, 0, 0, 1.0 / dx**2),
-                    (-1, 0, 0, 1.0 / dx**2),
-                    (0, 1, 0, 1.0 / dy**2),
-                    (0, -1, 0, 1.0 / dy**2),
-                    (0, 0, 1, wz),
-                    (0, 0, -1, wz),
-                ):
-                    ii, jj, kk = i + di, j + dj, k + dk
-                    if 0 <= ii < nx and 0 <= jj < ny and 0 <= kk < nz:
-                        L[row, cidx(ii, jj, kk)] += w
-                        L[row, row] -= w
-    p_flat, *_ = np.linalg.lstsq(L, rhs, rcond=None)
-    p = p_flat.reshape(nx, ny, nz)
-    p -= p.mean()
-
-    u1n = u1s.copy()
-    u2n = u2s.copy()
-    u3n = u3s.copy()
-    for i in range(1, nx):
-        u1n[i] -= dt * (p[i] - p[i - 1]) / dx
-    for j in range(1, ny):
-        u2n[:, j] -= dt * (p[:, j] - p[:, j - 1]) / dy
-    for k in range(1, nz):
-        u3n[:, :, k] -= dt * (p[:, :, k] - p[:, :, k - 1]) / (eps**2 * dz)
+    if aniso:
+        u1n, u2n, u3n, p = _dense_projection_aniso(u1s, u2s, u3s, eps, dt, grid)
+    else:
+        u1n, u2n, u3n, p = _dense_projection_hydro(u1s, u2s, dt, grid)
 
     # concentration update with the corrected velocity
     C = state.C
@@ -644,6 +694,38 @@ def test_step_matches_dense_oracle():
         scale = max(np.max(np.abs(b)), 1e-14)
         return np.max(np.abs(a - b)) / scale
 
+    assert relmax(new.u.u1, o1) < 1e-12
+    assert relmax(new.u.u2, o2) < 1e-12
+    assert relmax(new.u.u3, o3) < 1e-12
+    assert relmax(new.p, op) < 1e-10
+    assert relmax(new.C, oc) < 1e-12
+
+
+def test_hydro_step_matches_dense_oracle():
+    """The hydrostatic step on the same beta-plane config: a hydrostatic
+    start (u3 diagnosed), the alpha couplings only, the surface projection."""
+    g = Grid(6, 6, 6)
+    rng = np.random.default_rng(99)
+    params = PhysParams(
+        0.05, 0.04, 0.06, eps=0.5, f0=1.2, coriolis_mode="beta_plane", l0=0.5, l_slope=0.3
+    )
+    M = DiffusionTensor(np.array([[1.0, 0.2, 0.1], [0.2, 0.8, 0.15], [0.1, 0.15, 1.2]]))
+    theta = BoundaryForcing.constant(g, 0.3, -0.2)
+    src = SourceSpec("gaussian", 1.0, t_s=0.1, x_s=(0.5, 0.5, 0.5), width=0.3)
+
+    u0, _, _ = project(apply_velocity_bcs(smooth_velocity(rng, g)), "hydro", 0.5, 1.0, g, 1e-13)
+    C0 = np.abs(smooth_field(rng, g))
+    st = SimState(0.2, 0, u0, np.zeros((g.nx, g.ny)), C0)
+    dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
+
+    new, _ = step(st, params, M, theta, Source(src, g), dt, g, "hydro", tol=1e-13)
+    o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g, mode="hydro")
+
+    def relmax(a, b):
+        scale = max(np.max(np.abs(b)), 1e-14)
+        return np.max(np.abs(a - b)) / scale
+
+    assert new.p.shape == op.shape == (g.nx, g.ny)
     assert relmax(new.u.u1, o1) < 1e-12
     assert relmax(new.u.u2, o2) < 1e-12
     assert relmax(new.u.u3, o3) < 1e-12

@@ -200,8 +200,9 @@ def test_norm_bound_linear_in_intensity(kind, width, i0):
 
 
 def _lorentzian_integral_full_array(eps, x_s, grid, nq=2048):
-    """Oracle: the closed vertical integral under a 2048^2 horizontal midpoint
-    rule on one array, independent of the normaliser's graded rule."""
+    """Oracle: the integral of 1 / (1 + (pi eps)^2 r^2), the closed vertical
+    integral under a 2048^2 horizontal midpoint rule on one array,
+    independent of the normaliser's graded rule."""
     a = (math.pi * eps) ** 2
     x = (np.arange(nq) + 0.5) * (grid.lx / nq)
     y = (np.arange(nq) + 0.5) * (grid.ly / nq)
@@ -209,7 +210,7 @@ def _lorentzian_integral_full_array(eps, x_s, grid, nq=2048):
     zpart = (
         np.arctan((grid.h - x_s[2]) * np.sqrt(a / b)) + np.arctan(x_s[2] * np.sqrt(a / b))
     ) / np.sqrt(a * b)
-    return float(eps * np.sum(zpart) * (grid.lx / nq) * (grid.ly / nq))
+    return float(np.sum(zpart) * (grid.lx / nq) * (grid.ly / nq))
 
 
 @pytest.mark.parametrize("x_s", [(1.0, 0.25, 0.15), (0.5, 0.125, 0.075)], ids=["centre", "margin"])
@@ -273,6 +274,10 @@ def test_source_refuses_width_without_finite_sample(kind, width):
         ("lorentzian", 1e-163),
         ("lorentzian", 1e-200),
         ("lorentzian", 1e-300),
+        ("lorentzian", 1e-310),  # pi eps is subnormal
+        ("lorentzian", 1e-315),
+        ("lorentzian", 1e-320),
+        ("lorentzian", 5e-324),  # the smallest positive double
         ("gaussian", 1e155),
         ("gaussian", 1e300),
         ("unit_impulse", 1e-200),
@@ -283,10 +288,10 @@ def test_source_samples_extreme_finite_width(kind, width):
     """Widths whose sample is finite are sampled, without a warning, even
     where eps^2 or (1/eps)^2 leaves double precision.  A Lorentzian this wide
     is r^-2 normalised, the same sample as at width 1e50; this narrow, where
-    (pi eps)^2 is subnormal or 0, it is flat at 1/|Omega|.  A Gaussian this
-    wide is 0, since eps^-3 underflows.  The unit impulse's ball of radius
-    1/eps covers the whole domain with eps/2 at width 1e-200, and holds no
-    cell centre at 1e200."""
+    (pi eps)^2 is subnormal or 0 (pi eps too, from 1e-310), it is flat at
+    1/|Omega|.  A Gaussian this wide is 0, since eps^-3 underflows.  The
+    unit impulse's ball of radius 1/eps covers the whole domain with eps/2 at
+    width 1e-200, and holds no cell centre at 1e200."""
     g = Grid(8, 8, 6, lx=1.3, ly=0.7, h=0.9)
     values = Source(SourceSpec(kind, 1.0, 0.0, (0.5, 0.4, 0.45), width), g).values
     if kind == "unit_impulse":
