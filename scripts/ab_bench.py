@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """A/B comparison of two checkouts on the benchmark, in alternating pairs.
 
-Usage:  python scripts/ab_bench.py PARENT CHANGE [--pairs 10] [--workload NAME ...]
+Usage:  python scripts/ab_bench.py PARENT CHANGE [--pairs 10] [--seed 7] [--workload NAME ...]
 
 PARENT and CHANGE are the roots of two source checkouts.  Their absolute
 paths must have the same length: ``peak_rss_mb`` moves by 0.2-0.3 MiB with
 the path length alone.  For each workload (default: every workload that the
 parent's BENCHMARK.json names) and each pair, both checkouts run
-``perfbench/run.py --workload W --seed 7 --seconds 0``, one execution each;
-the parent runs first in odd pairs and the change in even ones.
+``perfbench/run.py --workload W --seed N --seconds 0``, one execution each;
+the parent runs first in odd pairs and the change in even ones.  The seed
+(default 7) generates the workloads' inputs; checking a claim on a seed
+that was not used while making the change guards against tuning to one
+input.
 
-Every pair is printed as it ends.  Then, per workload and end-to-end metric:
-the parent's median and interquartile range, the change's median and the
-number of pairs the change won.  A digest that differs between executions of
+The first line gives the seed, the number of pairs and the CPUs this
+process may use.  Every pair is printed as it ends.  Then, per workload and
+end-to-end metric: the parent's median and interquartile range, the
+change's median and the number of pairs the change won.  A digest that differs between executions of
 one side is reported.  The exit status is 1 if any execution printed
 ``"correct": false`` (or no result), else 0.
 """
@@ -24,13 +28,11 @@ import statistics
 import subprocess
 import sys
 
-SEED = 7
 
-
-def run_once(root, workload):
+def run_once(root, workload, seed):
     """(metrics dict, correct, payload digest) of one ``--seconds 0`` run."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", workload, "--seed", str(SEED), "--seconds", "0"]
+           "--workload", workload, "--seed", str(seed), "--seconds", "0"]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=root)
     lines = proc.stdout.strip().splitlines()
     digest = next((ln.split()[1].partition("=")[2] for ln in lines
@@ -58,6 +60,7 @@ def main(argv=None):
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--workload", action="append", dest="workloads", metavar="NAME")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -71,6 +74,7 @@ def main(argv=None):
     metrics = spec["end_to_end"]
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
 
+    print(f"seed={args.seed} pairs={args.pairs} cpus_usable={len(os.sched_getaffinity(0))}", flush=True)
     ok = True
     for workload in workloads:
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
@@ -78,7 +82,7 @@ def main(argv=None):
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                got, correct, digest = run_once(sides[side], workload)
+                got, correct, digest = run_once(sides[side], workload, args.seed)
                 ok = ok and correct
                 digests[side].add(digest)
                 for m in metrics:

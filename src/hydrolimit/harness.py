@@ -7,7 +7,8 @@ snapshots are uniformly spaced and schedules are shared across a sweep),
 writes binary legacy-VTK snapshots (for viewing) and the energy/norm CSV
 ledgers, and returns the in-memory history for diagnostics.  Outputs are
 deterministic for a fixed configuration; a numerical abort flushes the last
-good snapshot.
+good snapshot.  An eps sweep runs its anisotropic members side by side in
+forked processes, and its outputs equal those of the members run one by one.
 """
 
 from __future__ import annotations
@@ -253,44 +254,33 @@ def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: G
     return u_new, p, {"iterations": iters, "max_div": max_div, "max_abs_div": max_abs_div}
 
 
-def step(
+def _predict(
     state: SimState,
     params: PhysParams,
-    M: DiffusionTensor,
     theta: BoundaryForcing | None,
-    source: Source | None,
     dt: float,
     grid: Grid,
     mode: str,
-    tol: float = 1e-8,
-    forcing=None,
-) -> tuple:
-    """Advance the state of the ``mode`` ("aniso" | "hydro") model by one
-    explicit step; return (new state, the projection's info dict).
+    f=None,
+) -> StaggeredVelocity:
+    """The forward-Euler momentum predictor u* of ``step``.
 
-    Forward-Euler momentum predictor, projection (``project``), then the
-    concentration update with the projected velocity:
-    C += dt * (-u.grad C + div(M grad C) + S(t)), with S(t) =
-    ``source.at(t)`` sampled once per run.
+    One loop over the prognostic components, those that ``extend_velocity``
+    extends (u3 only in "aniso"; "hydro" diagnoses it).  Each right-hand side
+    is the viscous Laplacian minus advection plus the rotation couplings of
+    its equation, summed in that order: +alpha*u2 - eps*beta*u3 for u1,
+    -alpha*u1 for u2 and +(beta/eps)*u1 for u3 (its equation divided through
+    by eps^2, its pressure term moved into the projection).  A coupling
+    carries its source component to the cell centres and on to the
+    equation's faces (``centre_average`` twice); one with a diagnosed
+    component drops, so "hydro" keeps the alpha pair only.  ``f`` holds the
+    optional face forcings (f1, f2, f3).
 
-    The predictor is one loop over the prognostic components, those that
-    ``extend_velocity`` extends (u3 only in "aniso"; "hydro" diagnoses it).
-    Each right-hand side is the viscous Laplacian minus advection plus the
-    rotation couplings of its equation, summed in that order: +alpha*u2 -
-    eps*beta*u3 for u1, -alpha*u1 for u2 and +(beta/eps)*u1 for u3 (its
-    equation divided through by eps^2, its pressure term moved into the
-    projection).  A coupling carries its source component to the cell
-    centres and on to the equation's faces (``centre_average`` twice); one
-    with a diagnosed component drops, so "hydro" keeps the alpha pair only.
-
-    ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
-    face/cell forcings (manufactured-solution hook); f_d acts on the
-    prognostic components only.
+    Its temporaries (the ghost-extended copies, the advection terms and the
+    cell-centred coupling sources) are freed on return, before the
+    projection.
     """
     eps = params.eps
-    if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
-        raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
-
     # u holds this step's own copies of the velocity (its boundary faces
     # zeroed) and becomes u* in place, one component at a time: every term
     # reads u before the loop (advection, the ghost-extended copies and the
@@ -310,8 +300,6 @@ def step(
         (2, 0, beta_c / eps),
     )
     centres = {s: centre_average(u.components()[s], s) for s in prognostic}
-    if forcing is not None:
-        *f, f_c = forcing(state.t, grid)
     for d in prognostic:
         interior = (slice(None),) * d + (slice(1, -1),)
         r = anisotropic_laplacian(ext[d], params.nu, grid)[interior] - adv[d][interior]
@@ -323,16 +311,50 @@ def step(
         r *= dt
         u_d = u.components()[d]
         u_d[interior] += r
-        if forcing is not None:
+        if f is not None:
             u_d[interior] += dt * f[d][interior]
+    return u
 
-    u_new, p, info = project(u, mode, eps, dt, grid, tol)
+
+def step(
+    state: SimState,
+    params: PhysParams,
+    M: DiffusionTensor,
+    theta: BoundaryForcing | None,
+    source: Source | None,
+    dt: float,
+    grid: Grid,
+    mode: str,
+    tol: float = 1e-8,
+    forcing=None,
+) -> tuple:
+    """Advance the state of the ``mode`` ("aniso" | "hydro") model by one
+    explicit step; return (new state, the projection's info dict).
+
+    Forward-Euler momentum predictor (``_predict``), projection
+    (``project``), then the concentration update with the projected
+    velocity: C += dt * (-u.grad C + div(M grad C) + S(t)), with S(t) =
+    ``source.at(t)`` sampled once per run.
+
+    ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
+    face/cell forcings (manufactured-solution hook); f_d acts on the
+    prognostic components only.
+    """
+    if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
+        raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
+    f = f_c = None
+    if forcing is not None:
+        *f, f_c = forcing(state.t, grid)
+
+    u_new, p, info = project(
+        _predict(state, params, theta, dt, grid, mode, f), mode, params.eps, dt, grid, tol
+    )
 
     c_new = advect_scalar(u_new, state.C, grid)
     np.subtract(diffuse_concentration(state.C, M, grid), c_new, out=c_new)
     if source is not None:
         c_new += source.at(state.t)
-    if forcing is not None:
+    if f_c is not None:
         c_new += f_c
     c_new *= dt
     c_new += state.C
@@ -549,14 +571,60 @@ class SweepResult:
     out_dir: str | None
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_member(conn, cfg: RunConfig, eps: float, hydro: RunHistory, out_dir, quiet, translate):
+    """One anisotropic member of a sweep, in a forked process.
+
+    Runs eps into ``aniso_eps<label>/`` under ``out_dir``, measures it
+    against the hydrostatic history, takes the translation modulus if
+    ``translate``, trims its history to two states and sends (result,
+    errors, modulus) through ``conn``; an exception is sent in their place.
+    """
+    try:
+        run_dir = None if out_dir is None else os.path.join(out_dir, f"aniso_eps{eps_label(eps)}")
+        res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, quiet=quiet)
+        errs = spacetime_errors(res.history, hydro)
+        hs = _translation_shifts(res.history) if translate else None
+        modulus = None
+        if hs is not None:
+            modulus = translation_modulus(
+                [s.C for s in res.history.states], res.history.dt, cfg.grid, hs
+            )
+        res.history.states = [res.history.states[0], res.history.states[-1]]
+        conn.send((res, errs, modulus))
+    except Exception as exc:
+        if not isinstance(exc, NumericsError):
+            import traceback  # here, not at import: it would add to every start-up
+
+            traceback.print_exc()  # the member's frames do not travel with exc
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
 def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True) -> SweepResult:
     """Hydrostatic reference plus one anisotropic run per eps in eps_list.
 
     All runs share dt: each is capped at the minimum of the per-run initial
     limits, so all take the same T/n steps and their snapshot schedules line
-    up for the convergence metrics.  Writes sweep.csv with one row per eps;
-    partial results are flushed per completed run.
+    up for the convergence metrics.  The hydrostatic run goes first, in this
+    process; then each anisotropic member runs in a forked process
+    (``_sweep_member``), as many at once as this process has usable CPUs.
+    Results are taken in eps order, and sweep.csv is rewritten with one more
+    row after each.  Once a member has failed no other member starts; the
+    first failure in eps order is raised after the rows before it are
+    written, and members still running are terminated.
     """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     eps_list = sorted(cfg.run.eps_list, reverse=True)
     runs = [(e, "aniso") for e in eps_list] + [(eps_list[0], "hydro")]
     # Common schedule: all runs start from the same initial data, so their
@@ -568,37 +636,66 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     hydro_dir = os.path.join(out_dir, "hydro") if out_dir is not None else None
     hydro = run_simulation(cfg, eps_list[0], "hydro", out_dir=hydro_dir, quiet=quiet)
 
+    ctx = multiprocessing.get_context("fork")
+    workers = min(len(eps_list), _usable_cpus())
+    unstarted = list(eps_list)
+    running = {}  # receiving end -> (eps, process)
+    received = {}  # eps -> (result, errors, modulus), or the member's exception
     sweep_rows = []
     aniso_results = {}
-    errors = {}
     norm_table = {"hydro": hydro.norms}
     translation = None
-    for eps in eps_list:
-        run_dir = None if out_dir is None else os.path.join(out_dir, f"aniso_eps{eps_label(eps)}")
-        res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, quiet=quiet)
-        errs = spacetime_errors(res.history, hydro.history)
-        errors[eps] = errs
-        norm_table[eps] = res.norms
-        slack_min = float(np.min(res.energy.slack))
-        sweep_rows.append((eps, errs[0], errs[1], errs[2], slack_min, res.runtime_s))
-        if out_dir is not None:
-            write_csv(
-                os.path.join(out_dir, "sweep.csv"),
-                ["eps", "err_uH", "err_u3", "err_C", "energy_slack_min", "runtime_s"],
-                sweep_rows,
-            )
-        if eps == eps_list[0]:
-            # Translation-modulus certificate on the largest-eps run.
-            hs = _translation_shifts(res.history)
-            if hs is not None:
-                translation = translation_modulus(
-                    [s.C for s in res.history.states], res.history.dt, cfg.grid, hs
+    try:
+        for eps in eps_list:
+            while eps not in received:
+                failed = any(isinstance(r, Exception) for r in received.values())
+                while unstarted and len(running) < workers and not failed:
+                    e = unstarted.pop(0)
+                    recv, send = ctx.Pipe(duplex=False)
+                    proc = ctx.Process(
+                        target=_sweep_member,
+                        args=(send, cfg, e, hydro.history, out_dir, quiet, e == eps_list[0]),
+                    )
+                    proc.start()
+                    send.close()
+                    running[recv] = (e, proc)
+                for recv in wait(list(running)):
+                    e, proc = running.pop(recv)
+                    try:
+                        received[e] = recv.recv()
+                    except EOFError:
+                        proc.join()
+                        received[e] = RuntimeError(
+                            f"sweep member eps={e:g} exited with code {proc.exitcode} "
+                            "before sending a result"
+                        )
+                    recv.close()
+                    proc.join()
+            got = received.pop(eps)
+            if isinstance(got, Exception):
+                raise got
+            res, errs, modulus = got
+            # The member's grid came back as a (writeable) copy.
+            res.history.grid = cfg.grid
+            norm_table[eps] = res.norms
+            slack_min = float(np.min(res.energy.slack))
+            sweep_rows.append((eps, errs[0], errs[1], errs[2], slack_min, res.runtime_s))
+            if out_dir is not None:
+                write_csv(
+                    os.path.join(out_dir, "sweep.csv"),
+                    ["eps", "err_uH", "err_u3", "err_C", "energy_slack_min", "runtime_s"],
+                    sweep_rows,
                 )
-        # Free the bulky history once its metrics are extracted.
-        res.history.states = [res.history.states[0], res.history.states[-1]]
-        aniso_results[eps] = res
+            if modulus is not None:
+                translation = modulus
+            aniso_results[eps] = res
+    finally:
+        for recv, (_, proc) in running.items():
+            proc.terminate()
+            proc.join()
+            recv.close()
 
-    report = convergence_report([ConvergenceRow(eps, *errors[eps]) for eps in eps_list])
+    report = convergence_report([ConvergenceRow(*row[:4]) for row in sweep_rows])
     return SweepResult(report, hydro, aniso_results, translation, norm_table, out_dir)
 
 

@@ -1,5 +1,5 @@
 """Smoke test of scripts/ab_bench.py: one tensor_hydro pair, this checkout
-against itself."""
+against itself, at the default seed and at another."""
 
 import os
 import re
@@ -33,3 +33,18 @@ def test_refuses_checkout_paths_of_unequal_length():
     proc = ab_bench(ROOT, ROOT + "-longer", "--pairs", "1")
     assert proc.returncode == 2
     assert "unequal length" in proc.stderr
+
+
+def test_seed_reaches_every_execution():
+    """``--seed`` generates other inputs than the default seed 7, so the
+    payload digests differ, and both sides of a pair still agree."""
+    digests = {}
+    for seed in ("7", "3"):
+        args = ("--seed", seed) if seed != "7" else ()
+        proc = ab_bench(ROOT, ROOT, "--pairs", "1", "--workload", "tensor_hydro", *args)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert re.match(rf"seed={seed} pairs=1 cpus_usable=\d+\n", proc.stdout)
+        found = re.search(r"^tensor_hydro: digest parent (\w+) change (\w+)$", proc.stdout, re.M)
+        assert found and found[1] == found[2]
+        digests[seed] = found[1]
+    assert digests["7"] != digests["3"]

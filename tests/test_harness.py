@@ -8,14 +8,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hydrolimit import harness
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
 from hydrolimit.core import Grid
-from hydrolimit.diagnostics import APRIORI_NORM_NAMES, energy_balance, weak_residual
+from hydrolimit.diagnostics import (
+    APRIORI_NORM_NAMES,
+    energy_balance,
+    spacetime_errors,
+    translation_modulus,
+    weak_residual,
+)
 from hydrolimit.operators import StaggeredVelocity, divergence
 from hydrolimit.harness import (
     epsilon_sweep,
     initial_velocity,
+    preflight,
     read_csv,
     run_simulation,
     write_csv,
@@ -787,6 +795,104 @@ def test_sweep_runs_share_the_config_grid():
     assert res.hydro.history.grid is cfg.grid
     assert len(res.aniso) == 2 and all(r.history.grid is cfg.grid for r in res.aniso.values())
     assert run_simulation(cfg, 0.5, "aniso").history.grid is cfg.grid
+
+
+THREE_MEMBERS = SMALL_SWEEP.replace("eps_list = 0.5, 0.25", "eps_list = 0.5, 0.25, 0.125")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_equals_its_members_run_one_by_one(tmp_path, monkeypatch, cpus):
+    """The forked members give the files, errors, report rows and translation
+    modulus of the same runs made one by one in this process."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    cfg = parse_config(THREE_MEMBERS)
+    out = tmp_path / "sweep"
+    res = epsilon_sweep(cfg, out_dir=str(out))
+
+    eps_list = [0.5, 0.25, 0.125]
+    runs = [(e, "aniso") for e in eps_list] + [(0.5, "hydro")]
+    shared = replace(cfg, time=replace(cfg.time, dt_max=preflight(cfg, runs)))
+    hydro = run_simulation(shared, 0.5, "hydro")
+    rows = []
+    for eps in eps_list:
+        run_dir = tmp_path / "one_by_one" / f"aniso_eps{eps:g}"
+        member = run_simulation(shared, eps, "aniso", out_dir=str(run_dir))
+        for name in ("energy.csv", "norms.csv"):
+            assert (out / f"aniso_eps{eps:g}" / name).read_bytes() == (run_dir / name).read_bytes()
+        rows.append([eps, *spacetime_errors(member.history, hydro.history),
+                     float(np.min(member.energy.slack))])
+        if eps == eps_list[0]:
+            h = member.history
+            shifts = [m * h.dt for m in (1, 2, 4, 8) if m * h.dt < h.T / 2]
+            modulus = translation_modulus([s.C for s in h.states], h.dt, cfg.grid, shifts)
+
+    header, got = read_csv(str(out / "sweep.csv"))
+    assert header[-1] == "runtime_s" and [r[:-1] for r in got] == rows
+    assert [[r.eps, r.err_uH, r.err_u3, r.err_C] for r in res.report.rows] == [r[:4] for r in rows]
+    assert list(res.translation.h) == list(modulus.h)
+    assert list(res.translation.modulus) == list(modulus.modulus)
+    assert res.translation.exponent == modulus.exponent
+
+
+def _fail_member(monkeypatch, started, failing, error):
+    """Make the aniso run of eps ``failing`` raise ``error`` at once; every
+    aniso run that starts first records its eps as a file under ``started``
+    (forked members inherit the patch)."""
+    real = harness.run_simulation
+
+    def run(cfg, eps, mode, out_dir=None, quiet=True):
+        if mode == "aniso":
+            (started / f"{eps:g}").touch()
+            if eps == failing:
+                raise error(f"injected at eps={eps:g}")
+        return real(cfg, eps, mode, out_dir=out_dir, quiet=quiet)
+
+    monkeypatch.setattr(harness, "run_simulation", run)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing", [0.5, 0.25, 0.125], ids=["first", "middle", "smallest"])
+def test_sweep_member_failure(tmp_path, monkeypatch, capfd, cpus, failing):
+    """A member's NumericsError reaches the caller with its type and message,
+    after the rows of the members before it in eps order, and no member
+    starts once the failure is seen."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    started = tmp_path / "started"
+    started.mkdir()
+    _fail_member(monkeypatch, started, failing, NumericsError)
+    out = tmp_path / "sweep"
+    with pytest.raises(NumericsError) as err:
+        epsilon_sweep(parse_config(THREE_MEMBERS), out_dir=str(out))
+    assert type(err.value) is NumericsError and str(err.value) == f"injected at eps={failing:g}"
+    assert "Traceback" not in capfd.readouterr().err
+
+    eps_list = [0.5, 0.25, 0.125]
+    before = eps_list[: eps_list.index(failing)]
+    if before:
+        _, rows = read_csv(str(out / "sweep.csv"))
+        assert [r[0] for r in rows] == before
+    else:
+        assert not (out / "sweep.csv").exists()
+    # The failing member and those started with it or before it, and no
+    # other: each of these runs for longer than the failure takes to reach
+    # the parent.  One started beside the failing member may be terminated
+    # before it records itself.
+    may_start = eps_list[: max(eps_list.index(failing) + 1, cpus)]
+    recorded = {float(n) for n in os.listdir(started)}
+    assert failing in recorded and recorded <= set(may_start)
+
+
+def test_sweep_member_error_prints_its_traceback(tmp_path, monkeypatch, capfd):
+    """An exception other than a numerical abort reaches the caller with its
+    type and message, and the member prints the traceback that the
+    exception loses on its way to the caller."""
+    started = tmp_path / "started"
+    started.mkdir()
+    _fail_member(monkeypatch, started, 0.25, ValueError)
+    with pytest.raises(ValueError, match="^injected at eps=0.25$"):
+        epsilon_sweep(parse_config(THREE_MEMBERS))
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "ValueError: injected at eps=0.25" in err
 
 
 def test_cli_single_run_and_exit_codes(tmp_path):
