@@ -191,21 +191,23 @@ class DiffusionTensor:
     """Symmetric 3x3 diffusivity tensor, constant or one matrix per cell.
 
     ``m`` has shape (3,3) for the constant variant or (nx,ny,nz,3,3) for the
-    spatially varying one.  Symmetry and coercivity (smallest eigenvalue > 0
-    everywhere, see ``coercivity_constant``) are required at construction, so
-    the solvers never re-check them.  ``m`` is a read-only copy, so what is
-    derived from it at construction stays valid: ``coercivity``;
-    ``row_sums``, the max over cells of sum_j |M_dj| for d = 0, 1, 2 (the
-    explicit-diffusion stability bound); and the operands of the diffusion
-    stencil, ``entry(i, j)``, ``face_diagonal``, M_dd averaged to the faces
-    normal to axis d (``face_average``), and ``constant_diagonal``, whether
-    M is one matrix with zero off-diagonal entries.  A per-cell tensor keeps
-    its one copy as a C-contiguous (3,3,nx,ny,nz) array, so each entry is a
+    spatially varying one.  Finite entries, symmetry and coercivity are
+    required at construction, so the solvers never re-check them.  Coercivity
+    is checked by one batched Cholesky factorisation of every matrix
+    (``np.linalg.cholesky``), which fails on any matrix that is not positive
+    definite to working precision; only then is the smallest eigenvalue
+    computed, to name it in the refusal.  ``m`` is a read-only copy, so what
+    is derived from it at construction stays valid: ``row_sums``, the max
+    over cells of sum_j |M_dj| for d = 0, 1, 2 (the explicit-diffusion
+    stability bound); and the operands of the diffusion stencil,
+    ``entry(i, j)``, ``face_diagonal``, M_dd averaged to the faces normal to
+    axis d (``face_average``), and ``constant_diagonal``, whether M is one
+    matrix with zero off-diagonal entries.  A per-cell tensor keeps its one
+    copy as a C-contiguous (3,3,nx,ny,nz) array, so each entry is a
     contiguous field, and ``m`` is the (nx,ny,nz,3,3) view of it.
     """
 
     m: np.ndarray
-    coercivity: float = field(init=False)
     row_sums: tuple = field(init=False)
     face_diagonal: tuple = field(init=False, repr=False)
     constant_diagonal: bool = field(init=False)
@@ -230,9 +232,15 @@ class DiffusionTensor:
         asym = float(np.max(np.abs(m - np.swapaxes(m, -1, -2))))
         if asym > 1e-12 * scale:
             raise ValueError(f"tensor asymmetry {asym:.3e} exceeds 1e-12 relative")
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            lam = float(np.min(np.linalg.eigvalsh(m)))
+            raise ValueError(
+                f"coercivity violated: not positive definite, smallest eigenvalue {lam:.6e}"
+            ) from None
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coercivity", coercivity_constant(self))
         rows = tuple(float(np.max(np.sum(np.abs(m[..., d, :]), axis=-1))) for d in range(3))
         object.__setattr__(self, "row_sums", rows)
         object.__setattr__(self, "_cells", cells)
@@ -280,67 +288,16 @@ def face_average(cell_field: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _sym3_eigen_min(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of symmetric 3x3 matrices, closed form.
-
-    Trigonometric solution of the characteristic cubic, followed by two
-    Newton polish steps on the characteristic polynomial to recover full
-    precision near clustered spectra.
-    """
-    a11 = m[..., 0, 0]
-    a22 = m[..., 1, 1]
-    a33 = m[..., 2, 2]
-    a12 = m[..., 0, 1]
-    a13 = m[..., 0, 2]
-    a23 = m[..., 1, 2]
-
-    q = (a11 + a22 + a33) / 3.0
-    p1 = a12**2 + a13**2 + a23**2
-    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    safe = p > 0
-    ps = np.where(safe, p, 1.0)
-
-    b11 = (a11 - q) / ps
-    b22 = (a22 - q) / ps
-    b33 = (a33 - q) / ps
-    b12 = a12 / ps
-    b13 = a13 / ps
-    b23 = a23 / ps
-    detb = (
-        b11 * (b22 * b33 - b23**2)
-        - b12 * (b12 * b33 - b23 * b13)
-        + b13 * (b12 * b23 - b22 * b13)
-    )
-    r = np.clip(detb / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam = np.where(safe, q + 2.0 * ps * np.cos(phi + 2.0 * np.pi / 3.0), q)
-
-    # Newton polish on p(x) = det(M - x I); exact invariants of M.
-    c2 = a11 + a22 + a33
-    c1 = a11 * a22 + a11 * a33 + a22 * a33 - p1
-    c0 = (
-        a11 * (a22 * a33 - a23**2)
-        - a12 * (a12 * a33 - a23 * a13)
-        + a13 * (a12 * a23 - a22 * a13)
-    )
-    for _ in range(2):
-        pv = ((-lam + c2) * lam - c1) * lam + c0
-        dpv = (-3.0 * lam + 2.0 * c2) * lam - c1
-        lam = lam - np.where(np.abs(dpv) > 0, pv / np.where(dpv == 0, 1.0, dpv), 0.0)
-    return lam
-
-
 def coercivity_constant(M: DiffusionTensor) -> float:
-    """Smallest eigenvalue of M (minimum over cells for the spatial variant).
+    """Smallest eigenvalue of M (minimum over cells for the spatial variant),
+    from LAPACK's symmetric eigenvalue solver (``np.linalg.eigvalsh``).
 
-    Raises if it is not strictly positive.  Symmetry is checked by the
-    ``DiffusionTensor`` constructor, which calls this function.
+    The ``DiffusionTensor`` constructor has already established that M is
+    positive definite, so nothing is checked here.  The value is accurate to
+    about 1e-16 * |M|, so a tensor that is singular to working precision may
+    report a smallest eigenvalue that rounds to 0 or below.
     """
-    lam = float(np.min(_sym3_eigen_min(M.m)))
-    if not lam > 0.0:
-        raise ValueError(f"coercivity violated: smallest eigenvalue {lam:.6e} <= 0")
-    return lam
+    return float(np.min(np.linalg.eigvalsh(M.m)))
 
 
 @dataclass(frozen=True, eq=False)

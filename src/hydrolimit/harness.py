@@ -450,8 +450,11 @@ def run_simulation(
     exceed the initial stability limit; every step re-checks the limit and a
     violation aborts the run.  ``out_dir`` is created only once the source is
     sampled and the run scheduled, so a refused run leaves no directory.
-    Snapshots are taken every ``snapshot_every`` steps (plus the initial and
-    final states).
+    VTK snapshots are written every ``snapshot_every`` steps, plus the
+    initial and final states.  The history keeps a state every
+    min(snapshot_every, N) steps, so its spacing is uniform: a ragged final
+    step is a VTK snapshot only.  Unless ``quiet``, the run prints its step
+    count and dt before its first step, and one line when it ends.
     """
     if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -474,6 +477,10 @@ def run_simulation(
                 title=f"hydrolimit {mode} eps={eps:g} step={s.step}",
             )
 
+    if not quiet:
+        print(f"[{mode} eps={eps:g}] starting {n_steps} steps, dt={step_dt:.3e}", flush=True)
+    every = cfg.time.snapshot_every
+    spacing = min(every, n_steps)
     states = [state]
     snap(state)
     t0 = _time.perf_counter()
@@ -481,8 +488,9 @@ def run_simulation(
         for n in range(1, n_steps + 1):
             state, info = step(state, params, M, theta, source, step_dt, grid, mode, tol=cfg.run.tol)
             max_div = max(max_div, info["max_abs_div"])
-            if n % cfg.time.snapshot_every == 0 or n == n_steps:
+            if n % spacing == 0:
                 states.append(state)
+            if n % every == 0 or n == n_steps:
                 snap(state)
     except NumericsError:
         if out_dir is not None and states:
@@ -495,14 +503,6 @@ def run_simulation(
         raise
     runtime = _time.perf_counter() - t0
 
-    snap_dt = step_dt * cfg.time.snapshot_every
-    # The final snapshot may sit closer than one full interval to its
-    # predecessor; drop it from the uniform ledger if the spacing is ragged.
-    if n_steps % cfg.time.snapshot_every != 0:
-        if len(states) > 2:
-            states = states[:-1]
-        else:
-            snap_dt = n_steps * step_dt  # single interval: its actual length
     history = RunHistory(
         mode=mode,
         grid=grid,
@@ -510,7 +510,7 @@ def run_simulation(
         M=M,
         theta=theta,
         source=source,
-        dt=snap_dt,
+        dt=step_dt * spacing,
         states=states,
     )
 
@@ -675,8 +675,11 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
             if isinstance(got, Exception):
                 raise got
             res, errs, modulus = got
-            # The member's grid came back as a (writeable) copy.
-            res.history.grid = cfg.grid
+            # The member's config objects came back as pickled copies, and
+            # its source sample as a writeable one.
+            res.history = replace(res.history, grid=cfg.grid, M=cfg.diffusion, theta=cfg.theta)
+            if res.history.source is not None:
+                res.history.source.values.flags.writeable = False
             norm_table[eps] = res.norms
             slack_min = float(np.min(res.energy.slack))
             sweep_rows.append((eps, errs[0], errs[1], errs[2], slack_min, res.runtime_s))

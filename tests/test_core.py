@@ -174,7 +174,6 @@ def test_row_sums_match_per_cell_loop():
             for idx in np.ndindex(cells.shape[:3])
         )
         assert M.row_sums[d] == loop
-    assert M.coercivity == coercivity_constant(M)
 
 
 def test_tensor_is_a_read_only_copy():
@@ -182,7 +181,7 @@ def test_tensor_is_a_read_only_copy():
     m = np.diag([2.0, 3.0, 4.0])
     M = DiffusionTensor(m)
     m[0, 0] = -1.0
-    assert M.m[0, 0] == 2.0 and M.coercivity == 2.0 and M.row_sums == (2.0, 3.0, 4.0)
+    assert M.m[0, 0] == 2.0 and M.row_sums == (2.0, 3.0, 4.0)
     with pytest.raises(ValueError, match="read-only"):
         M.m[0, 0] = -1.0
 

@@ -11,7 +11,7 @@ import pytest
 from hydrolimit import harness
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
-from hydrolimit.core import Grid
+from hydrolimit.core import Grid, coercivity_constant
 from hydrolimit.diagnostics import (
     APRIORI_NORM_NAMES,
     energy_balance,
@@ -248,6 +248,31 @@ def test_parse_rejects_noncoercive_tensor_file(tmp_path):
     assert err.value.line == 6 and err.value.key == "tensor_file"
 
 
+def test_parse_accepts_tiny_positive_eigenvalue():
+    """Coercivity is positive definiteness, however small the constant."""
+    cfg = parse_config("[grid]\nnx = 8\n[diffusion]\nm33 = 1e-60\n")
+    assert coercivity_constant(cfg.diffusion) == 1e-60
+
+
+def test_parse_rejects_singular_entries_with_line():
+    with pytest.raises(ConfigError, match="coercivity violated") as err:
+        parse_config("[grid]\nnx = 8\n[diffusion]\nm33 = 0\n")
+    assert err.value.line == 4 and err.value.key == "m33"
+
+
+def test_parse_rejects_singular_tensor_file_cell(tmp_path):
+    n = 4
+    rows = [f"{n} {n} {n}"] + ["1.0 0.0 0.0 1.0 0.0 1.0"] * (n**3 - 1)
+    rows.insert(20, "1.0 0.0 0.0 1.0 0.0 0.0")  # one singular cell, diag(1, 1, 0)
+    (tmp_path / "tensor.txt").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match="coercivity violated") as err:
+        parse_config(
+            f"[grid]\nnx = {n}\nny = {n}\nnz = {n}\n[diffusion]\ntensor_file = tensor.txt\n",
+            base_dir=str(tmp_path),
+        )
+    assert err.value.line == 6 and err.value.key == "tensor_file"
+
+
 def test_config_rejection_is_total(tmp_path):
     """A bad config raises before anything touches the filesystem."""
     bad = tmp_path / "bad.cfg"
@@ -471,6 +496,45 @@ def test_run_max_div_is_max_over_states(mode):
     g = res.history.grid
     want = max(float(np.max(np.abs(divergence(s.u, g)))) for s in res.history.states)
     assert res.max_div == want
+
+
+def _fixed_steps_run(steps: int, every: int):
+    """SMALL_RUN cut to ``steps`` steps of dt = 1e-3, a snapshot every ``every``."""
+    text = SMALL_RUN.replace("T = 0.1", f"T = {steps * 1e-3!r}\ndt_max = 1e-3")
+    return parse_config(text.replace("snapshot_every = 2", f"snapshot_every = {every}"))
+
+
+@pytest.mark.parametrize(
+    "steps,every,ledger,vtk",
+    [
+        (33, 4, list(range(0, 33, 4)), list(range(0, 33, 4)) + [33]),  # ragged
+        (33, 64, [0, 33], [0, 33]),  # shorter than one interval
+    ],
+)
+def test_ledger_spacing_is_uniform(tmp_path, steps, every, ledger, vtk):
+    """The history keeps a state every min(snapshot_every, N) steps; the VTK
+    snapshots add the final state when it is off that spacing."""
+    res = run_simulation(_fixed_steps_run(steps, every), 0.5, "aniso", out_dir=str(tmp_path))
+    assert res.n_steps == steps and res.dt == 1e-3
+    assert [s.step for s in res.history.states] == ledger
+    assert res.history.dt == 1e-3 * (ledger[1] - ledger[0])
+    assert sorted(os.listdir(tmp_path / "snapshots")) == [f"step_{n:06d}.vtk" for n in vtk]
+    assert f"snapshots={len(ledger)}\n" in (tmp_path / "run.txt").read_text()
+
+
+def test_run_reports_its_steps_before_the_first(monkeypatch, capsys):
+    """A run that is not quiet prints its step count and dt before stepping,
+    so a run too long to wait for says so at once; a quiet one prints nothing."""
+
+    def fail(*args, **kwargs):
+        raise NumericsError("stopped at the first step")
+
+    monkeypatch.setattr(harness, "step", fail)
+    cfg = _fixed_steps_run(33, 4)
+    for quiet, out in ((True, ""), (False, "[aniso eps=0.5] starting 33 steps, dt=1.000e-03\n")):
+        with pytest.raises(NumericsError):
+            run_simulation(cfg, 0.5, "aniso", quiet=quiet)
+        assert capsys.readouterr().out == out
 
 
 def test_run_refuses_schedule_beyond_2_53_steps(tmp_path):
@@ -789,12 +853,17 @@ def test_sweep_isolated_run_directories(tmp_path):
 
 
 def test_sweep_runs_share_the_config_grid():
-    """The parsed config holds the one grid that every run and history uses."""
-    cfg = parse_config(SMALL_SWEEP)
+    """The parsed config holds the one grid, tensor and traction that every
+    run and history uses, and every history's source sample is read-only,
+    also for the members that ran in forked processes."""
+    cfg = parse_config(SMALL_SWEEP + "[bc]\ntheta_mode = constant\ntheta1 = 0.01\n")
     res = epsilon_sweep(cfg)
-    assert res.hydro.history.grid is cfg.grid
-    assert len(res.aniso) == 2 and all(r.history.grid is cfg.grid for r in res.aniso.values())
-    assert run_simulation(cfg, 0.5, "aniso").history.grid is cfg.grid
+    runs = [res.hydro, *res.aniso.values(), run_simulation(cfg, 0.5, "aniso")]
+    assert len(res.aniso) == 2 and cfg.theta is not None
+    for r in runs:
+        h = r.history
+        assert h.grid is cfg.grid and h.M is cfg.diffusion and h.theta is cfg.theta
+        assert not h.source.values.flags.writeable
 
 
 THREE_MEMBERS = SMALL_SWEEP.replace("eps_list = 0.5, 0.25", "eps_list = 0.5, 0.25, 0.125")
