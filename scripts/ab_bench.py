@@ -16,9 +16,10 @@ input.
 The first line gives the seed, the number of pairs and the CPUs this
 process may use.  Every pair is printed as it ends.  Then, per workload and
 end-to-end metric: the parent's median and interquartile range, the
-change's median and the number of pairs the change won.  A digest that differs between executions of
-one side is reported.  The exit status is 1 if any execution printed
-``"correct": false`` (or no result), else 0.
+change's median, the relative change of the medians and the number of pairs
+the change won, then a verdict line (``verdict``).  A digest that differs
+between executions of one side is reported.  The exit status is 1 if any
+execution printed ``"correct": false`` (or no result), else 0.
 """
 
 import argparse
@@ -53,6 +54,23 @@ def quartiles(values):
         return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def pairs_won(base, new, lower):
+    """Pairs in which the change read better; ties count for neither."""
+    return sum((b > c) if lower else (c > b) for b, c in zip(base, new))
+
+
+def verdict(base, new, lower):
+    """Return "gain" when the change won at least nine tenths of the pairs
+    and its median is better than the parent's by more than the parent's
+    interquartile range, else "no gain shown"."""
+    q1, q3 = quartiles(base)
+    better = statistics.median(base) - statistics.median(new)
+    if not lower:
+        better = -better
+    won = pairs_won(base, new, lower)
+    return "gain" if 10 * won >= 9 * len(base) and better > q3 - q1 else "no gain shown"
 
 
 def main(argv=None):
@@ -99,10 +117,12 @@ def main(argv=None):
             name, lower = m["name"], m["better"] == "lower"
             base, new = values["parent"][name], values["change"][name]
             q1, q3 = quartiles(base)
-            won = sum((b > c) if lower else (c > b) for b, c in zip(base, new))
-            print(f"{workload} {name}: parent {statistics.median(base):.4g} "
-                  f"(IQR {q1:.4g}-{q3:.4g}), change {statistics.median(new):.4g} {m['unit']}, "
-                  f"change won {won}/{len(base)}")
+            med_base, med_new = statistics.median(base), statistics.median(new)
+            rel = (med_new - med_base) / med_base if med_base else float("nan")
+            print(f"{workload} {name}: parent {med_base:.4g} "
+                  f"(IQR {q1:.4g}-{q3:.4g}), change {med_new:.4g} {m['unit']} ({rel:+.1%}), "
+                  f"change won {pairs_won(base, new, lower)}/{len(base)}")
+            print(f"{workload} {name} verdict: {verdict(base, new, lower)}")
     if not ok:
         print("error: an execution was not correct")
     return 0 if ok else 1

@@ -23,6 +23,7 @@ __all__ = [
     "NumericsError",
     "ProjectionError",
     "CFLError",
+    "stability_limits",
     "stable_dt",
 ]
 
@@ -65,6 +66,38 @@ class SimState:
         )
 
 
+def stability_limits(state: SimState, params: PhysParams, M: DiffusionTensor, grid: Grid) -> dict:
+    """The named explicit-step limits of ``state``, before cfl; inf where a
+    limit is absent.
+
+    "advective": the minimum of dx/|u1|max, dy/|u2|max and dz/|u3|max;
+    "momentum_diffusive": 1/(2 sum nu_d/h_d^2); "concentration_diffusive":
+    the same with the tensor's absolute row sums; "rotation":
+    1/(|alpha|max + eps*|beta|max).
+    """
+    dx, dy, dz = grid.spacing
+    advective = math.inf
+    for h, umax in zip((dx, dy, dz), state.u.max_abs()):
+        if umax > 0.0:
+            advective = min(advective, h / umax)
+
+    momentum = 1.0 / (2.0 * (params.nu1 / dx**2 + params.nu2 / dy**2 + params.nu3 / dz**2))
+
+    rows = M.row_sums
+    denom_c = 2.0 * (rows[0] / dx**2 + rows[1] / dy**2 + rows[2] / dz**2)
+
+    x2 = np.concatenate([grid.x2c, grid.x2f])
+    alpha, beta = coriolis_at(params, x2)
+    denom_r = float(np.max(np.abs(alpha)) + params.eps * np.max(np.abs(beta)))
+
+    return {
+        "advective": advective,
+        "momentum_diffusive": momentum,
+        "concentration_diffusive": 1.0 / denom_c if denom_c > 0.0 else math.inf,
+        "rotation": 1.0 / denom_r if denom_r > 0.0 else math.inf,
+    }
+
+
 def stable_dt(
     state: SimState,
     params: PhysParams,
@@ -73,33 +106,8 @@ def stable_dt(
     cfl: float,
     dt_max: float = math.inf,
 ) -> float:
-    """Explicit-step time limit.
-
-    cfl times the minimum of the advective limits dx/|u1|max (etc.), the
-    momentum diffusive limit 1/(2 sum nu_d/h_d^2), the concentration diffusive
-    limit with tensor absolute row sums, and the rotation limit
-    1/(|alpha|max + eps*|beta|max); capped by dt_max.
-    """
+    """Explicit-step time limit: cfl times the smallest of
+    ``stability_limits``, capped by dt_max."""
     if not (0.0 < cfl <= 1.0):
         raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
-    dx, dy, dz = grid.spacing
-    limits = [math.inf]
-
-    for h, umax in zip((dx, dy, dz), state.u.max_abs()):
-        if umax > 0.0:
-            limits.append(h / umax)
-
-    limits.append(1.0 / (2.0 * (params.nu1 / dx**2 + params.nu2 / dy**2 + params.nu3 / dz**2)))
-
-    rows = M.row_sums
-    denom_c = 2.0 * (rows[0] / dx**2 + rows[1] / dy**2 + rows[2] / dz**2)
-    if denom_c > 0.0:
-        limits.append(1.0 / denom_c)
-
-    x2 = np.concatenate([grid.x2c, grid.x2f])
-    alpha, beta = coriolis_at(params, x2)
-    denom_r = float(np.max(np.abs(alpha)) + params.eps * np.max(np.abs(beta)))
-    if denom_r > 0.0:
-        limits.append(1.0 / denom_r)
-
-    return min(cfl * min(limits), dt_max)
+    return min(cfl * min(stability_limits(state, params, M, grid).values()), dt_max)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aniso import CFLError, NumericsError, ProjectionError, SimState, stable_dt
+from .aniso import CFLError, NumericsError, ProjectionError, SimState, stability_limits, stable_dt
 from .config import RunConfig, eps_label
 from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, coriolis_at
 from .diagnostics import (
@@ -426,6 +426,38 @@ def preflight(cfg: RunConfig, runs) -> float:
     return min(limits)
 
 
+def _keep_freed_heap() -> None:
+    """Keep the memory that a step frees in the heap for the next step.
+
+    glibc serves a block at or above its mmap threshold (initially 128 KiB,
+    exactly one 32x32x16 field) by mmap, and returns free heap above its trim
+    threshold to the kernel; both thresholds then move with the blocks freed
+    so far.  A step's arrays, about 3 MiB at 32x32x16, were thus given back
+    and faulted in again on every step.  This fixes the mmap threshold at 32
+    MiB, the ceiling of glibc's own dynamic threshold on 64-bit, and the trim
+    threshold at 64 MiB, the value glibc sets after freeing such a block.
+    The setting is process-wide and inherited by forked sweep members.  On
+    any other libc, or if ``mallopt`` refuses, nothing changes; calling it
+    again is harmless.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    import ctypes  # here, not at import: it would add to every start-up
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 @dataclass
 class RunResult:
     history: RunHistory
@@ -450,6 +482,10 @@ def run_simulation(
     exceed the initial stability limit; every step re-checks the limit and a
     violation aborts the run.  ``out_dir`` is created only once the source is
     sampled and the run scheduled, so a refused run leaves no directory.
+    ``run.txt`` names the stability limit that fixed dt; a run aborted by a
+    NumericsError writes it with status=aborted, the cause and the step and
+    t of the last good state, which it also writes as
+    ``snapshots/last_good.vtk``, and re-raises.
     VTK snapshots are written every ``snapshot_every`` steps, plus the
     initial and final states.  The history keeps a state every
     min(snapshot_every, N) steps, so its spacing is uniform: a ragged final
@@ -458,6 +494,7 @@ def run_simulation(
     """
     if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
+    _keep_freed_heap()
     grid = cfg.grid
     params = cfg.phys_params(eps)
     M = cfg.diffusion
@@ -467,6 +504,22 @@ def run_simulation(
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
+        limits = {k: cfg.time.cfl * v for k, v in stability_limits(state, params, M, grid).items()}
+        bound = min(limits, key=limits.get)
+        manifest = {
+            "mode": mode,
+            "eps": eps,
+            "nx": grid.nx,
+            "ny": grid.ny,
+            "nz": grid.nz,
+            "T": cfg.time.T,
+            "dt": step_dt,
+            "steps": n_steps,
+            "cfl": cfg.time.cfl,
+            "tol": cfg.run.tol,
+            **{f"limit_{k}": v for k, v in limits.items()},
+            "dt_limit": bound if limits[bound] <= cfg.time.dt_max else "dt_max",
+        }
 
     def snap(s: SimState):
         if out_dir is not None:
@@ -492,13 +545,23 @@ def run_simulation(
                 states.append(state)
             if n % every == 0 or n == n_steps:
                 snap(state)
-    except NumericsError:
-        if out_dir is not None and states:
+    except NumericsError as exc:
+        if out_dir is not None:
             write_vtk(
-                states[-1],
+                state,
                 os.path.join(out_dir, "snapshots", "last_good.vtk"),
                 grid,
                 title=f"hydrolimit {mode} eps={eps:g} aborted",
+            )
+            _write_manifest(
+                os.path.join(out_dir, "run.txt"),
+                {
+                    **manifest,
+                    "status": "aborted",
+                    "cause": f"{type(exc).__name__}: {exc}".replace("\n", " "),
+                    "step": state.step,
+                    "t": state.t,
+                },
             )
         raise
     runtime = _time.perf_counter() - t0
@@ -531,17 +594,8 @@ def run_simulation(
         _write_manifest(
             os.path.join(out_dir, "run.txt"),
             {
-                "mode": mode,
-                "eps": eps,
-                "nx": grid.nx,
-                "ny": grid.ny,
-                "nz": grid.nz,
-                "T": cfg.time.T,
-                "dt": step_dt,
-                "steps": n_steps,
+                **manifest,
                 "snapshots": len(history.states),
-                "cfl": cfg.time.cfl,
-                "tol": cfg.run.tol,
                 "max_div": max_div,
                 "status": "completed",
             },

@@ -1,10 +1,13 @@
 """Smoke test of scripts/ab_bench.py: one tensor_hydro pair, this checkout
 against itself, at the default seed and at another."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "ab_bench.py")
@@ -48,3 +51,33 @@ def test_seed_reaches_every_execution():
         assert found and found[1] == found[2]
         digests[seed] = found[1]
     assert digests["7"] != digests["3"]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Ten parent runs with quartiles 1.0 and 1.1 (IQR 0.1) and median 1.05.
+PARENT = [0.9, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1, 1.1, 1.1, 1.2]
+
+
+@pytest.mark.parametrize(
+    "change, lower, expected",
+    [
+        ([b - 0.2 for b in PARENT], True, "gain"),  # 10/10, medians 0.2 apart
+        ([b - 0.2 for b in PARENT[:9]] + [1.3], True, "gain"),  # 9/10 is enough
+        ([b - 0.2 for b in PARENT[:8]] + [1.3, 1.3], True, "no gain shown"),  # 8/10
+        ([b - 0.2 for b in PARENT[:8]] + PARENT[8:], True, "no gain shown"),  # ties win nothing
+        ([b - 0.05 for b in PARENT], True, "no gain shown"),  # 10/10 within the IQR
+        ([b + 0.2 for b in PARENT], True, "no gain shown"),  # worse
+        ([b + 0.2 for b in PARENT], False, "gain"),  # higher is better
+    ],
+)
+def test_verdict_rule(change, lower, expected):
+    ab = _script()
+    q1, q3 = ab.quartiles(PARENT)
+    assert (q1, q3) == (1.0, 1.1)
+    assert ab.verdict(PARENT, change, lower) == expected

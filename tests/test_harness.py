@@ -3,6 +3,8 @@
 import filecmp
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -537,6 +539,138 @@ def test_run_reports_its_steps_before_the_first(monkeypatch, capsys):
         assert capsys.readouterr().out == out
 
 
+def _manifest(path) -> dict:
+    return dict(ln.split("=", 1) for ln in path.read_text().splitlines())
+
+
+def test_aborted_run_leaves_a_manifest(tmp_path, monkeypatch):
+    """A NumericsError at step 3 leaves run.txt with status=aborted, the cause
+    and the step and t of the last good state, which is also last_good.vtk;
+    the error is re-raised."""
+    real = harness.step
+
+    def step(state, *args, **kwargs):
+        if state.step == 3:
+            raise NumericsError("non-finite state after step 4")
+        return real(state, *args, **kwargs)
+
+    good = run_simulation(_fixed_steps_run(3, 4), 0.5, "aniso").history.states[-1]
+    monkeypatch.setattr(harness, "step", step)
+    with pytest.raises(NumericsError, match="after step 4"):
+        run_simulation(_fixed_steps_run(33, 4), 0.5, "aniso", out_dir=str(tmp_path))
+    manifest = _manifest(tmp_path / "run.txt")
+    assert manifest["status"] == "aborted"
+    assert manifest["cause"] == "NumericsError: non-finite state after step 4"
+    assert (manifest["step"], manifest["t"]) == ("3", repr(good.t))
+    assert (manifest["steps"], manifest["dt"]) == ("33", "0.001")
+    _, C, _, _ = _read_vtk(tmp_path / "snapshots" / "last_good.vtk", 8 * 8 * 6)
+    assert np.array_equal(C, good.C.ravel(order="F"))
+    assert not (tmp_path / "energy.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "phys, time, bound",
+    [
+        ("", "", "concentration_diffusive"),
+        ("f0 = 1e4", "", "rotation"),
+        ("", "dt_max = 1e-4", "dt_max"),
+    ],
+)
+def test_manifest_names_the_limit_that_fixed_dt(tmp_path, phys, time, bound):
+    """run.txt lists the four stability limits times cfl, inf where absent
+    (a zero velocity has no advective limit), and the one that bound dt."""
+    cfg = parse_config(f"[grid]\nnx = 8\nny = 8\nnz = 6\n[phys]\n{phys}\n[time]\nT = 0.002\n{time}\n")
+    res = run_simulation(cfg, 0.5, "aniso", out_dir=str(tmp_path))
+    manifest = _manifest(tmp_path / "run.txt")
+    names = ("advective", "momentum_diffusive", "concentration_diffusive", "rotation")
+    limits = {n: float(manifest[f"limit_{n}"]) for n in names}
+    assert manifest["dt_limit"] == bound and manifest["status"] == "completed"
+    assert limits["advective"] == math.inf
+    assert min(min(limits.values()), cfg.time.dt_max) * (1 + 1e-12) >= res.dt
+    if bound != "dt_max":
+        assert min(limits, key=limits.get) == bound and limits[bound] < cfg.time.dt_max
+
+
+_FRESH_BOX = """
+import resource
+from hydrolimit import harness
+from hydrolimit.config import parse_config
+
+BOX = '''
+[grid]
+nx = 32
+ny = 32
+nz = 16
+[phys]
+f0 = 1.0
+[init]
+velocity = taylor_green_h
+[time]
+T = {T!r}
+dt_max = 1e-4
+snapshot_every = {every}
+'''
+"""
+
+
+def _in_fresh_process(code: str) -> str:
+    """stdout of ``python -c`` running ``_FRESH_BOX`` and then ``code``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_BOX + code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap policy acts on glibc only")
+def test_steps_reuse_freed_heap():
+    """After a warm-up run, 32 steps at 32x32x16 take almost no minor page
+    faults: the heap a step frees stays mapped for the next one.  Without
+    the policy they took 22,600-24,000 (about 700 per step); with it, 0-4.
+    The bound of 500 leaves a margin of over 40x on each side.  A fresh
+    process, since this one's allocator history can hide the faults."""
+    out = _in_fresh_process(
+        """
+for mode in ("aniso", "hydro"):
+    harness.run_simulation(parse_config(BOX.format(T=4e-4, every=64)), 0.25, mode)
+    cfg = parse_config(BOX.format(T=32e-4, every=64))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    res = harness.run_simulation(cfg, 0.25, mode)
+    print(mode, res.n_steps, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    )
+    runs = [line.split() for line in out.splitlines()]
+    assert [run[:2] for run in runs] == [["aniso", "32"], ["hydro", "32"]]
+    assert all(int(run[2]) < 500 for run in runs), out
+
+
+def test_heap_policy_does_not_move_a_payload(tmp_path):
+    """The same 16-step 32x32x16 runs, with the heap policy and with it
+    replaced by a no-op, write byte-identical energy.csv and norms.csv."""
+    runs = """
+for mode in ("aniso", "hydro"):
+    cfg = parse_config(BOX.format(T=16e-4, every=4))
+    harness.run_simulation(cfg, 0.25, mode, out_dir=os.path.join(out, mode))
+"""
+    for policy in ("on", "off"):
+        off = "harness._keep_freed_heap = lambda: None\n" if policy == "off" else ""
+        _in_fresh_process(f"import os\nout = {str(tmp_path / policy)!r}\n{off}{runs}")
+    for mode in ("aniso", "hydro"):
+        for name in ("energy.csv", "norms.csv"):
+            on, off = (tmp_path / p / mode / name for p in ("on", "off"))
+            assert on.read_bytes() == off.read_bytes(), (mode, name)
+
+
 def test_run_refuses_schedule_beyond_2_53_steps(tmp_path):
     """T = 1e300 would take about 1e302 steps, past the 2**53 at which
     t + dt stops advancing: the run refuses to start and the CLI exits 2
@@ -1011,6 +1145,8 @@ def test_numerical_abort_exit_code_and_flush(tmp_path):
     assert rc == 2
     header, _, _, _ = _read_vtk(out / "snapshots" / "last_good.vtk", 8 * 8 * 6)
     assert header[1].endswith("aborted")
+    manifest = _manifest(out / "run.txt")
+    assert manifest["status"] == "aborted" and manifest["cause"].startswith("CFLError: ")
 
 
 def test_cli_config_error_exit_code(tmp_path):
