@@ -30,6 +30,7 @@ from .core import (
 from .operators import (
     BOUNDARY_CONDITIONS,
     StaggeredVelocity,
+    anisotropic_laplacian,
     apply_concentration_bcs,
     centre_average,
     centred_difference,
@@ -115,40 +116,22 @@ def _l2_in_time(values, dt: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def _grad_sq_axis(f: np.ndarray, axis: int, h: float, wall_lo: str, wall_hi: str) -> float:
-    """Sum of squared face differences along one axis.
-
-    Consecutive stored values contribute (df/h)^2 with full weight; a
-    "dirichlet" end adds the ghost-reflection difference (2 f_adj / h)^2 with
-    weight 1/2 (the half-cell the wall face owns).  Every other end (stored
-    boundary faces, the homogeneous Neumann ground) adds nothing.  These
-    conventions make  -<f, Lap_nu f> dV  an exact identity against
-    ``anisotropic_laplacian`` with the matching ghosts.
-    """
-    d = np.diff(f, axis=axis) / h
-    s = float(np.sum(d * d))
-    if wall_lo == "dirichlet":
-        first = np.take(f, 0, axis=axis)
-        s += 0.5 * float(np.sum((2.0 * first / h) ** 2))
-    if wall_hi == "dirichlet":
-        last = np.take(f, -1, axis=axis)
-        s += 0.5 * float(np.sum((2.0 * last / h) ** 2))
-    return s
-
-
 def velocity_dissipation(u: StaggeredVelocity, nu, grid: Grid) -> tuple:
-    """(|grad_nu u_H|^2, |grad_nu u3|^2) in the scheme-exact discretisation,
-    with the wall terms of ``BOUNDARY_CONDITIONS``.
+    """(|grad_nu u_H|^2, |grad_nu u3|^2): per component, -<u_d, Lap_nu u_d> dV
+    with the stepper's own ``anisotropic_laplacian`` over the ghosts of
+    ``extend_velocity``.
 
-    Uses the homogeneous (theta = 0) ground convention; the traction's
-    boundary work is accounted separately by ``boundary_pairing``.
+    u must satisfy the velocity boundary conditions (zero stored boundary
+    faces), as every state that ``harness.step`` returns does; summation by
+    parts then makes each term a sum of squared differences with the wall
+    terms of ``BOUNDARY_CONDITIONS``.  The ground ghosts are the homogeneous
+    (theta = 0) ones; the traction's boundary work is accounted separately
+    by ``boundary_pairing``.
     """
+    ext = extend_velocity(u, None, nu[2], grid, "aniso")
     d1, d2, d3 = (
-        sum(
-            n * _grad_sq_axis(f, axis, h, *ends)
-            for axis, (n, h, ends) in enumerate(zip(nu, grid.spacing, BOUNDARY_CONDITIONS[name]))
-        )
-        for name, f in zip(("u1", "u2", "u3"), u.components())
+        -float(np.sum(f * anisotropic_laplacian(fe, nu, grid)))
+        for f, fe in zip(u.components(), ext)
     )
     dV = grid.cell_volume
     return (d1 + d2) * dV, d3 * dV

@@ -6,9 +6,10 @@ steps with a fixed dt chosen once from the initial stability limit (so
 snapshots are uniformly spaced and schedules are shared across a sweep),
 writes binary legacy-VTK snapshots (for viewing) and the energy/norm CSV
 ledgers, and returns the in-memory history for diagnostics.  Outputs are
-deterministic for a fixed configuration; a numerical abort flushes the last
-good snapshot.  An eps sweep runs its anisotropic members side by side in
-forked processes, and its outputs equal those of the members run one by one.
+deterministic for a fixed configuration; an abort flushes the last good
+snapshot and an aborted manifest.  An eps sweep runs its anisotropic members
+side by side in forked processes, and its outputs equal those of the members
+run one by one.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def write_vtk(state: SimState, path: str, grid: Grid, title: str = "hydrolimit")
         fh.write(_be_block(velocity))
 
 
-def initial_velocity(cfg: RunConfig, grid: Grid) -> StaggeredVelocity:
-    """Velocity preset sampled on the faces (before projection)."""
+def initial_velocity(cfg: RunConfig) -> StaggeredVelocity:
+    """Velocity preset sampled on the faces of ``cfg.grid`` (before projection)."""
+    grid = cfg.grid
     kind = cfg.init.velocity
     if kind == "zero":
         return StaggeredVelocity.zeros(grid)
@@ -155,7 +157,8 @@ def initial_velocity(cfg: RunConfig, grid: Grid) -> StaggeredVelocity:
     raise ValueError(f"unknown velocity preset {kind!r}")
 
 
-def initial_concentration(cfg: RunConfig, grid: Grid) -> np.ndarray:
+def initial_concentration(cfg: RunConfig) -> np.ndarray:
+    grid = cfg.grid
     kind = cfg.init.concentration
     if kind == "zero":
         return np.zeros(grid.shape_cells)
@@ -338,7 +341,8 @@ def step(
 
     ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
     face/cell forcings (manufactured-solution hook); f_d acts on the
-    prognostic components only.
+    prognostic components only.  A new state with a non-finite entry raises
+    NumericsError naming each field that holds one and its first index.
     """
     if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
@@ -361,25 +365,30 @@ def step(
 
     new = SimState(t=state.t + dt, step=state.step + 1, u=u_new, p=p, C=c_new)
     if not new.is_finite():
-        raise NumericsError(f"non-finite state after step {new.step}")
+        bad = [
+            f"{name} at {tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])}"
+            for name, a in zip(("u1", "u2", "u3", "p", "C"), (*u_new.components(), p, c_new))
+            if not np.all(np.isfinite(a))
+        ]
+        raise NumericsError(f"non-finite {', '.join(bad)} after step {new.step}")
     return new, info
 
 
-def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfig, grid: Grid):
+def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfig):
     """Enforce the divergence-free initial hypothesis of the respective mode:
     (u, a zero pressure of the mode's shape, max|div u|)."""
-    u, p, info = project(apply_velocity_bcs(u0), mode, eps, 1.0, grid, cfg.run.tol)
+    u, p, info = project(apply_velocity_bcs(u0), mode, eps, 1.0, cfg.grid, cfg.run.tol)
     return u, np.zeros(p.shape), info["max_abs_div"]
 
 
-def _sample_source(cfg: RunConfig, eps: float, mode: str, grid: Grid) -> Source | None:
-    """The run's source sampled on ``grid``; a width whose sample is not
+def _sample_source(cfg: RunConfig, eps: float, mode: str) -> Source | None:
+    """The run's source sampled on ``cfg.grid``; a width whose sample is not
     finite is a NumericsError, like a run too long to schedule."""
     spec = cfg.source_spec(eps, mode)
     if spec is None:
         return None
     try:
-        return Source(spec, grid)
+        return Source(spec, cfg.grid)
     except ValueError as exc:
         raise NumericsError(str(exc)) from None
 
@@ -398,15 +407,16 @@ def _schedule(T: float, limit: float) -> tuple:
     return n_steps, T / n_steps
 
 
-def _start(cfg: RunConfig, eps: float, mode: str, grid: Grid) -> tuple:
+def _start(cfg: RunConfig, eps: float, mode: str) -> tuple:
     """(source, initial state, its max|div u|, initial stability limit) of one
     run: the source sampled, the initial velocity projected, and ``stable_dt``
     of that state, capped by dt_max."""
-    source = _sample_source(cfg, eps, mode, grid)
-    u0, p0, max_div = _project_initial(initial_velocity(cfg, grid), mode, eps, cfg, grid)
-    state = SimState(0.0, 0, u0, p0, initial_concentration(cfg, grid))
+    source = _sample_source(cfg, eps, mode)
+    u0, p0, max_div = _project_initial(initial_velocity(cfg), mode, eps, cfg)
+    state = SimState(0.0, 0, u0, p0, initial_concentration(cfg))
     limit = stable_dt(
-        state, cfg.phys_params(eps), cfg.diffusion, grid, cfl=cfg.time.cfl, dt_max=cfg.time.dt_max
+        state, cfg.phys_params(eps), cfg.diffusion, cfg.grid, cfl=cfg.time.cfl,
+        dt_max=cfg.time.dt_max,
     )
     return source, state, max_div, limit
 
@@ -421,7 +431,7 @@ def preflight(cfg: RunConfig, runs) -> float:
     """
     limits = []
     for eps, mode in runs:
-        limits.append(_start(cfg, eps, mode, cfg.grid)[3])
+        limits.append(_start(cfg, eps, mode)[3])
         _schedule(cfg.time.T, limits[-1])
     return min(limits)
 
@@ -482,10 +492,10 @@ def run_simulation(
     exceed the initial stability limit; every step re-checks the limit and a
     violation aborts the run.  ``out_dir`` is created only once the source is
     sampled and the run scheduled, so a refused run leaves no directory.
-    ``run.txt`` names the stability limit that fixed dt; a run aborted by a
-    NumericsError writes it with status=aborted, the cause and the step and
-    t of the last good state, which it also writes as
-    ``snapshots/last_good.vtk``, and re-raises.
+    ``run.txt`` names the stability limit that fixed dt.  Any exception
+    raised once the directory exists writes it with status=aborted, the
+    cause and the step and t of the last good state, which it also writes
+    as ``snapshots/last_good.vtk``, and is re-raised unchanged.
     VTK snapshots are written every ``snapshot_every`` steps, plus the
     initial and final states.  The history keeps a state every
     min(snapshot_every, N) steps, so its spacing is uniform: a ragged final
@@ -499,7 +509,7 @@ def run_simulation(
     params = cfg.phys_params(eps)
     M = cfg.diffusion
     theta = cfg.theta
-    source, state, max_div, limit = _start(cfg, eps, mode, grid)
+    source, state, max_div, limit = _start(cfg, eps, mode)
     n_steps, step_dt = _schedule(cfg.time.T, limit)
 
     if out_dir is not None:
@@ -535,9 +545,9 @@ def run_simulation(
     every = cfg.time.snapshot_every
     spacing = min(every, n_steps)
     states = [state]
-    snap(state)
-    t0 = _time.perf_counter()
     try:
+        snap(state)
+        t0 = _time.perf_counter()
         for n in range(1, n_steps + 1):
             state, info = step(state, params, M, theta, source, step_dt, grid, mode, tol=cfg.run.tol)
             max_div = max(max_div, info["max_abs_div"])
@@ -545,7 +555,42 @@ def run_simulation(
                 states.append(state)
             if n % every == 0 or n == n_steps:
                 snap(state)
-    except NumericsError as exc:
+        runtime = _time.perf_counter() - t0
+
+        history = RunHistory(
+            mode=mode,
+            grid=grid,
+            params=params,
+            M=M,
+            theta=theta,
+            source=source,
+            dt=step_dt * spacing,
+            states=states,
+        )
+        energy = energy_balance(history)
+        norms = apriori_norms(history)
+
+        if out_dir is not None:
+            write_csv(
+                os.path.join(out_dir, "energy.csv"),
+                ["t", "E", "D", "W", "Q", "slack"],
+                energy.rows(),
+            )
+            write_csv(
+                os.path.join(out_dir, "norms.csv"),
+                ["quantity", "value"],
+                [(k, norms[k]) for k in APRIORI_NORM_NAMES],
+            )
+            _write_manifest(
+                os.path.join(out_dir, "run.txt"),
+                {
+                    **manifest,
+                    "snapshots": len(history.states),
+                    "max_div": max_div,
+                    "status": "completed",
+                },
+            )
+    except Exception as exc:
         if out_dir is not None:
             write_vtk(
                 state,
@@ -564,42 +609,6 @@ def run_simulation(
                 },
             )
         raise
-    runtime = _time.perf_counter() - t0
-
-    history = RunHistory(
-        mode=mode,
-        grid=grid,
-        params=params,
-        M=M,
-        theta=theta,
-        source=source,
-        dt=step_dt * spacing,
-        states=states,
-    )
-
-    energy = energy_balance(history)
-    norms = apriori_norms(history)
-
-    if out_dir is not None:
-        write_csv(
-            os.path.join(out_dir, "energy.csv"),
-            ["t", "E", "D", "W", "Q", "slack"],
-            energy.rows(),
-        )
-        write_csv(
-            os.path.join(out_dir, "norms.csv"),
-            ["quantity", "value"],
-            [(k, norms[k]) for k in APRIORI_NORM_NAMES],
-        )
-        _write_manifest(
-            os.path.join(out_dir, "run.txt"),
-            {
-                **manifest,
-                "snapshots": len(history.states),
-                "max_div": max_div,
-                "status": "completed",
-            },
-        )
 
     if not quiet:
         print(

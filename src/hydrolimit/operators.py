@@ -17,8 +17,9 @@ Boundary conditions are written once, in ``BOUNDARY_CONDITIONS``: no slip
 (Dirichlet 0) on Gamma_A, the wind traction for u_H and no flux for C on the
 ground Gamma_G.  The ghost layers of ``extend_velocity`` and
 ``apply_concentration_bcs``, the stored faces that ``apply_velocity_bcs``
-zeroes, the wall terms of ``diagnostics.velocity_dissipation`` and the end
-conditions of the translation modulus's smoothing solve all derive from it.
+zeroes and the end conditions of the translation modulus's smoothing solve
+all derive from it; the energy ledger's dissipation pairs each field with
+its Laplacian over those ghosts, so it carries no wall terms of its own.
 ``anisotropic_laplacian`` and the advection operators consume extended
 arrays, so tests may substitute analytic ghost values.
 """

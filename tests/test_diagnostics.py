@@ -99,6 +99,63 @@ def test_u3_dissipation_identity(grid8):
     assert pair == pytest.approx(-diss_3, rel=1e-12)
 
 
+# Per component and axis (x, y, z), the (low, high) wall of the velocity
+# conditions: "face" (stored boundary faces, zero), "dirichlet" (no slip
+# half a cell beyond the last stored value) or "neumann" (the theta = 0
+# ground).
+_VELOCITY_WALLS = (
+    (("face", "face"), ("dirichlet", "dirichlet"), ("neumann", "dirichlet")),
+    (("dirichlet", "dirichlet"), ("face", "face"), ("neumann", "dirichlet")),
+    (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"), ("face", "face")),
+)
+
+
+def _grad_sq_by_parts(f, h, walls):
+    """Summation-by-parts form of sum_d |d_d f|^2 for unit nu along one axis
+    at a time: squared differences of consecutive stored values, plus, at a
+    "dirichlet" wall, the ghost-reflection difference (2 f_adj / h)^2 with
+    the half weight of the half cell the wall owns."""
+    out = []
+    for axis, (hd, ends) in enumerate(zip(h, walls)):
+        s = float(np.sum((np.diff(f, axis=axis) / hd) ** 2))
+        for end, side in zip(ends, (0, -1)):
+            if end == "dirichlet":
+                s += 0.5 * float(np.sum((2.0 * np.take(f, side, axis=axis) / hd) ** 2))
+        out.append(s)
+    return out
+
+
+def _random_velocity_with_bcs(rng, grid):
+    """Random entries with the stored boundary faces zeroed."""
+    shapes = (grid.shape_u1, grid.shape_u2, grid.shape_u3)
+    return apply_velocity_bcs(StaggeredVelocity(*(rng.normal(size=s) for s in shapes)))
+
+
+@pytest.mark.parametrize("seed", [60, 61, 62])
+def test_velocity_dissipation_matches_summation_by_parts(seed):
+    """Per component, on a non-unit box: the Laplacian pairing equals the
+    summation-by-parts form with the wall terms written out."""
+    grid = Grid(8, 7, 6, lx=1.3, ly=0.7, h=0.45)
+    rng = np.random.default_rng(seed)
+    nu = (0.03, 0.05, 0.02)
+    full = _random_velocity_with_bcs(rng, grid)
+    for c in range(3):
+        comps = [np.zeros_like(f) for f in full.components()]
+        comps[c] = full.components()[c]
+        per_axis = _grad_sq_by_parts(comps[c], grid.spacing, _VELOCITY_WALLS[c])
+        want = sum(n * s for n, s in zip(nu, per_axis)) * grid.cell_volume
+        d_h, d_3 = velocity_dissipation(StaggeredVelocity(*comps), nu, grid)
+        got, other = (d_3, d_h) if c == 2 else (d_h, d_3)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-12)
+        assert other == 0.0
+
+
+def test_velocity_dissipation_of_zero_field_is_zero():
+    grid = Grid(8, 7, 6, lx=1.3, ly=0.7, h=0.45)
+    assert velocity_dissipation(StaggeredVelocity.zeros(grid), (0.03, 0.05, 0.02), grid) == (0.0, 0.0)
+
+
 def test_concentration_dissipation_positive_diagonal(grid8):
     rng = np.random.default_rng(52)
     C = smooth_field(rng, grid8)

@@ -544,28 +544,90 @@ def _manifest(path) -> dict:
 
 
 def test_aborted_run_leaves_a_manifest(tmp_path, monkeypatch):
-    """A NumericsError at step 3 leaves run.txt with status=aborted, the cause
-    and the step and t of the last good state, which is also last_good.vtk;
-    the error is re-raised."""
+    """An error at step 3, a NumericsError or any other, leaves run.txt with
+    status=aborted, the cause and the step and t of the last good state,
+    which is also last_good.vtk; the error reaches the caller unchanged."""
+    real = harness.step
+    good = run_simulation(_fixed_steps_run(3, 4), 0.5, "aniso").history.states[-1]
+    for error in (NumericsError("non-finite state after step 4"), RuntimeError("injected")):
+
+        def step(state, *args, **kwargs):
+            if state.step == 3:
+                raise error
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "step", step)
+        out = tmp_path / type(error).__name__
+        with pytest.raises(type(error)) as err:
+            run_simulation(_fixed_steps_run(33, 4), 0.5, "aniso", out_dir=str(out))
+        assert err.value is error
+        manifest = _manifest(out / "run.txt")
+        assert manifest["status"] == "aborted"
+        assert manifest["cause"] == f"{type(error).__name__}: {error}"
+        assert (manifest["step"], manifest["t"]) == ("3", repr(good.t))
+        assert (manifest["steps"], manifest["dt"]) == ("33", "0.001")
+        _, C, _, _ = _read_vtk(out / "snapshots" / "last_good.vtk", 8 * 8 * 6)
+        assert np.array_equal(C, good.C.ravel(order="F"))
+        assert not (out / "energy.csv").exists()
+
+
+def test_error_after_the_last_step_leaves_an_aborted_manifest(tmp_path, monkeypatch):
+    """An error in the ledger, after every step has run, names the final
+    state as the last good one."""
+
+    def fail(history):
+        raise ValueError("ledger refused")
+
+    monkeypatch.setattr(harness, "energy_balance", fail)
+    with pytest.raises(ValueError, match="^ledger refused$"):
+        run_simulation(_fixed_steps_run(5, 4), 0.5, "aniso", out_dir=str(tmp_path))
+    manifest = _manifest(tmp_path / "run.txt")
+    assert manifest["status"] == "aborted" and manifest["cause"] == "ValueError: ledger refused"
+    assert manifest["step"] == "5"
+    assert (tmp_path / "snapshots" / "last_good.vtk").exists()
+
+
+def test_non_finite_abort_names_the_field_and_cell(tmp_path, monkeypatch):
+    """A NaN put into C at a known cell through the forcing hook is named,
+    with that cell, in the step's error and in the aborted run's manifest."""
     real = harness.step
 
-    def step(state, *args, **kwargs):
-        if state.step == 3:
-            raise NumericsError("non-finite state after step 4")
-        return real(state, *args, **kwargs)
+    def nan_in_c(t, grid):
+        fC = np.zeros(grid.shape_cells)
+        fC[3, 2, 0] = np.nan
+        return np.zeros(grid.shape_u1), np.zeros(grid.shape_u2), np.zeros(grid.shape_u3), fC
 
-    good = run_simulation(_fixed_steps_run(3, 4), 0.5, "aniso").history.states[-1]
+    def step(state, *args, **kwargs):
+        return real(state, *args, forcing=nan_in_c if state.step == 2 else None, **kwargs)
+
     monkeypatch.setattr(harness, "step", step)
-    with pytest.raises(NumericsError, match="after step 4"):
+    with pytest.raises(NumericsError, match=r"^non-finite C at \(3, 2, 0\) after step 3$"):
         run_simulation(_fixed_steps_run(33, 4), 0.5, "aniso", out_dir=str(tmp_path))
     manifest = _manifest(tmp_path / "run.txt")
+    assert manifest["cause"] == "NumericsError: non-finite C at (3, 2, 0) after step 3"
+    assert manifest["step"] == "2"
+
+
+def test_sweep_member_error_leaves_its_aborted_manifest(tmp_path, monkeypatch):
+    """A member whose run raises an error other than a NumericsError
+    leaves its run.txt with status=aborted, the cause and the last good
+    step; the error reaches the caller with its type and message."""
+    real = harness.step
+
+    def step(state, params, *args, **kwargs):
+        if params.eps == 0.25 and state.step == 3:
+            raise ValueError("injected at eps=0.25")
+        return real(state, params, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "step", step)
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match="^injected at eps=0.25$"):
+        epsilon_sweep(parse_config(THREE_MEMBERS), out_dir=str(out))
+    manifest = _manifest(out / "aniso_eps0.25" / "run.txt")
     assert manifest["status"] == "aborted"
-    assert manifest["cause"] == "NumericsError: non-finite state after step 4"
-    assert (manifest["step"], manifest["t"]) == ("3", repr(good.t))
-    assert (manifest["steps"], manifest["dt"]) == ("33", "0.001")
-    _, C, _, _ = _read_vtk(tmp_path / "snapshots" / "last_good.vtk", 8 * 8 * 6)
-    assert np.array_equal(C, good.C.ravel(order="F"))
-    assert not (tmp_path / "energy.csv").exists()
+    assert manifest["cause"] == "ValueError: injected at eps=0.25"
+    assert manifest["step"] == "3"
+    assert (out / "aniso_eps0.25" / "snapshots" / "last_good.vtk").exists()
 
 
 @pytest.mark.parametrize(
@@ -795,8 +857,7 @@ def test_lorentzian_normaliser_computed_once_per_run(monkeypatch):
 
 def test_taylor_green_preset_nontrivial():
     cfg = parse_config(SMALL_RUN)
-    g = cfg.grid
-    u = initial_velocity(cfg, g)
+    u = initial_velocity(cfg)
     assert np.max(np.abs(u.u1)) > 0.1
     assert np.max(np.abs(u.u3)) == 0.0
 
