@@ -41,12 +41,24 @@ def main() -> int:
         vals = "  ".join(f"{result.norm_table[e][name]:10.4e}" for e in eps_keys)
         print(f"{name:>16}  {vals}")
 
-    if result.translation is not None:
-        print(
-            f"\ntranslation modulus exponent (eps = {eps_keys[0]}): "
-            f"{result.translation.exponent:.3f}"
-        )
+    print_translation(result)
     return 0
+
+
+def print_translation(result) -> None:
+    """The translation modulus of the largest-eps run: each shift in
+    snapshot spacings, h and the modulus, then the fitted exponent; or why
+    there is none."""
+    eps = max(result.aniso)
+    tr = result.translation
+    print(f"\ntranslation modulus (eps = {eps})")
+    if tr is None:
+        print("  none: the largest-eps run spans fewer than 9 snapshot spacings")
+        return
+    print(f"{'spacings':>8}  {'h':>12}  {'modulus':>12}")
+    for h, mod in zip(tr.h, tr.modulus):
+        print(f"{round(h / tr.h[0]):8d}  {h:12.5e}  {mod:12.5e}")
+    print(f"fitted exponent: {tr.exponent:.3f}")
 
 
 if __name__ == "__main__":

@@ -205,11 +205,15 @@ _KEYS = {
 }
 
 
-# theta_mode -> the [bc] keys it leaves unused.
-_IGNORED_BC_KEYS = {
-    "zero": ("theta1", "theta2", "theta_file"),
-    "constant": ("theta_file",),
-    "file": ("theta1", "theta2"),
+# (section, selector key) -> {selector value: the keys of that section it leaves unused}.
+_IGNORED_KEYS = {
+    ("bc", "theta_mode"): {
+        "zero": ("theta1", "theta2", "theta_file"),
+        "constant": ("theta_file",),
+        "file": ("theta1", "theta2"),
+    },
+    ("init", "velocity"): {"zero": ("velocity_amp",)},
+    ("init", "concentration"): {"zero": ("blob_amp", "blob_center", "blob_width")},
 }
 
 
@@ -330,10 +334,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc), lines_of.get(("source", "x_s")), "x_s") from None
 
+    for (name, selector), unused in _IGNORED_KEYS.items():
+        word = section_values(name)[selector]
+        ignored = first_given(name, unused.get(word, ()))
+        if ignored is not None:
+            raise ConfigError(f"is ignored under {selector} = {word}", *ignored)
+
     bc = section_values("bc")
-    ignored = first_given("bc", _IGNORED_BC_KEYS[bc["theta_mode"]])
-    if ignored is not None:
-        raise ConfigError(f"is ignored under theta_mode = {bc['theta_mode']}", *ignored)
     theta = None
     if bc["theta_mode"] == "constant":
         theta = BoundaryForcing.constant(grid, bc["theta1"], bc["theta2"])

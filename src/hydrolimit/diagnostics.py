@@ -70,7 +70,8 @@ __all__ = [
 @dataclass
 class RunHistory:
     """Uniformly spaced snapshots of one run plus everything diagnostics need,
-    including the source as the run sampled it."""
+    including the source as the run sampled it.  ``dt`` is the spacing of
+    the states: n states must span (n - 1) * dt, to within half a spacing."""
 
     mode: str  # "aniso" | "hydro"
     grid: Grid
@@ -86,6 +87,9 @@ class RunHistory:
             raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.states) < 2:
             raise ValueError(f"a history needs at least two states, got {len(self.states)}")
+        span = self.states[-1].t - self.states[0].t
+        if not (self.dt > 0 and abs(span - (len(self.states) - 1) * self.dt) <= self.dt / 2):
+            raise ValueError(f"states spanning {span!r} are not spaced dt = {self.dt!r}")
 
     @property
     def times(self) -> np.ndarray:
@@ -116,10 +120,10 @@ def _l2_in_time(values, dt: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def velocity_dissipation(u: StaggeredVelocity, nu, grid: Grid) -> tuple:
+def velocity_dissipation(u: StaggeredVelocity, nu, grid: Grid, mode: str = "aniso") -> tuple:
     """(|grad_nu u_H|^2, |grad_nu u3|^2): per component, -<u_d, Lap_nu u_d> dV
     with the stepper's own ``anisotropic_laplacian`` over the ghosts of
-    ``extend_velocity``.
+    ``extend_velocity`` in ``mode``; u3 in "hydro", diagnosed, contributes 0.0.
 
     u must satisfy the velocity boundary conditions (zero stored boundary
     faces), as every state that ``harness.step`` returns does; summation by
@@ -128,9 +132,9 @@ def velocity_dissipation(u: StaggeredVelocity, nu, grid: Grid) -> tuple:
     (theta = 0) ones; the traction's boundary work is accounted separately
     by ``boundary_pairing``.
     """
-    ext = extend_velocity(u, None, nu[2], grid, "aniso")
+    ext = extend_velocity(u, None, nu[2], grid, mode)
     d1, d2, d3 = (
-        -float(np.sum(f * anisotropic_laplacian(fe, nu, grid)))
+        0.0 if fe is None else -float(np.sum(f * anisotropic_laplacian(fe, nu, grid)))
         for f, fe in zip(u.components(), ext)
     )
     dV = grid.cell_volume
@@ -233,7 +237,7 @@ def energy_balance(history: RunHistory) -> EnergyReport:
         if aniso:
             e += 0.5 * eps**2 * _l2sq(s.u.u3, dV)
         E[m] = e
-        dH, d3 = velocity_dissipation(s.u, params.nu, grid)
+        dH, d3 = velocity_dissipation(s.u, params.nu, grid, history.mode)
         d = dH + concentration_dissipation(s.C, history.M, grid)
         if aniso:
             d += eps**2 * d3
@@ -336,9 +340,11 @@ class TranslationReport:
     exponent: float
 
 
-def translation_modulus(C_history: list, dt: float, grid: Grid, h_list) -> TranslationReport:
+def translation_modulus(history: RunHistory) -> TranslationReport | None:
     """Time-translation modulus of the concentration in an H^2-dual surrogate.
 
+    The shifts are whole snapshot spacings, h = s * dt for s in {1, 2, 4, 8}
+    with 2s < n - 1 (n states, so h < T/2); fewer than three give None.
     For each shift h: solve (I - Lap_h) N = C(t+h) - C(t) with C's ends in
     ``BOUNDARY_CONDITIONS`` (Dirichlet on Gamma_A, Neumann on the ground),
     take the L^2 norm of N, then the L^2(0, T-h) norm in time; fit
@@ -347,30 +353,24 @@ def translation_modulus(C_history: list, dt: float, grid: Grid, h_list) -> Trans
     standard computable proxy for the negative norm, so the fitted exponent
     is a soft certificate.
     """
-    if len(h_list) < 3:
-        raise ValueError("need at least 3 shift values h")
-    n = len(C_history)
-    T = (n - 1) * dt
+    n = len(history.states)
+    shifts = [s for s in (1, 2, 4, 8) if 2 * s < n - 1]
+    if len(shifts) < 3:
+        return None
+    grid = history.grid
     dV = grid.cell_volume
     axes = [(1.0 / h**2, *ends) for h, ends in zip(grid.spacing, BOUNDARY_CONDITIONS["C"])]
 
-    smoothed = [solve_separable(c, axes, shift=1.0) for c in C_history]
-    hs = []
+    smoothed = [solve_separable(st.C, axes, shift=1.0) for st in history.states]
     moduli = []
-    for h in h_list:
-        s = int(round(h / dt))
-        if s < 1 or abs(s * dt - h) > 1e-9 * max(dt, h):
-            raise ValueError(f"shift {h} is not a positive multiple of the spacing {dt}")
-        if h >= T / 2:
-            raise ValueError(f"shift {h} must be below T/2 = {T / 2}")
+    for s in shifts:
         vals = np.empty(n - s)
         for m in range(n - s):
             nn = smoothed[m + s] - smoothed[m]
             vals[m] = np.sum(nn * nn) * dV
-        hs.append(h)
-        moduli.append(_l2_in_time(vals, dt))
+        moduli.append(_l2_in_time(vals, history.dt))
 
-    hs = np.array(hs)
+    hs = np.array([s * history.dt for s in shifts])
     moduli = np.array(moduli)
     if np.all(moduli > 0):
         exponent = float(np.polyfit(np.log(hs), np.log(moduli), 1)[0])
@@ -550,17 +550,16 @@ class WeakResidualRecord:
 def _solution_center_gradients(u: StaggeredVelocity, history: RunHistory):
     """Gradients of the solution components interpolated to cell centres:
     d_d u_c is the face difference for d = c, else the centred difference
-    on the ghost-extended u_c averaged to the centres along c."""
+    on the ghost-extended u_c averaged to the centres along c.  A component
+    that ``extend_velocity`` does not extend (u3 in "hydro") gets None."""
     grid = history.grid
     ext = extend_velocity(u, history.theta, history.params.nu3, grid, history.mode)
-    # The hydrostatic u3 has no lateral condition: edge copies are its ghosts.
-    e3 = ext.u3e if history.mode == "aniso" else np.pad(u.u3, 1, mode="edge")
     return tuple(
-        tuple(
+        None if e is None else tuple(
             np.diff(f, axis=c) / h if d == c else centre_average(centred_difference(e, d, h), c)
             for d, h in enumerate(grid.spacing)
         )
-        for c, (f, e) in enumerate(zip(u.components(), (ext.u1e, ext.u2e, e3)))
+        for c, (f, e) in enumerate(zip(u.components(), ext))
     )
 
 

@@ -647,20 +647,17 @@ def _sweep_member(conn, cfg: RunConfig, eps: float, hydro: RunHistory, out_dir, 
 
     Runs eps into ``aniso_eps<label>/`` under ``out_dir``, measures it
     against the hydrostatic history, takes the translation modulus if
-    ``translate``, trims its history to two states and sends (result,
-    errors, modulus) through ``conn``; an exception is sent in their place.
+    ``translate``, trims its history to its first and last states, with dt
+    their separation, and sends (result, errors, modulus) through ``conn``;
+    an exception is sent in their place.
     """
     try:
         run_dir = None if out_dir is None else os.path.join(out_dir, f"aniso_eps{eps_label(eps)}")
         res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, quiet=quiet)
         errs = spacetime_errors(res.history, hydro)
-        hs = _translation_shifts(res.history) if translate else None
-        modulus = None
-        if hs is not None:
-            modulus = translation_modulus(
-                [s.C for s in res.history.states], res.history.dt, cfg.grid, hs
-            )
-        res.history.states = [res.history.states[0], res.history.states[-1]]
+        modulus = translation_modulus(res.history) if translate else None
+        first, last = res.history.states[0], res.history.states[-1]
+        res.history = replace(res.history, dt=last.t - first.t, states=[first, last])
         conn.send((res, errs, modulus))
     except Exception as exc:
         if not isinstance(exc, NumericsError):
@@ -763,10 +760,3 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
 
     report = convergence_report([ConvergenceRow(*row[:4]) for row in sweep_rows])
     return SweepResult(report, hydro, aniso_results, translation, norm_table, out_dir)
-
-
-def _translation_shifts(history: RunHistory):
-    """Shifts {1,2,4,8}*dt_snap intersected with (0, T/2)."""
-    T = history.T
-    hs = [m * history.dt for m in (1, 2, 4, 8) if m * history.dt < T / 2]
-    return hs if len(hs) >= 3 else None

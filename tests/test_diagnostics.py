@@ -1,6 +1,7 @@
 """Energy ledger, norm tables, translation modulus, weak residuals, metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,29 @@ def test_u3_dissipation_identity(grid8):
     pair = float(np.sum(u.u3 * lap3) * grid8.cell_volume)
     _, diss_3 = velocity_dissipation(u, nu, grid8)
     assert pair == pytest.approx(-diss_3, rel=1e-12)
+
+
+def test_hydrostatic_dissipation_and_gradients_skip_the_diagnosed_u3(grid8):
+    """In "hydro" u3 is diagnosed and not extended: its dissipation is 0.0
+    and it has no gradients, while u_H's terms are those of "aniso"."""
+    from hydrolimit.diagnostics import _solution_center_gradients
+
+    rng = np.random.default_rng(52)
+    nu = (0.03, 0.05, 0.02)
+    u = apply_velocity_bcs(smooth_velocity(rng, grid8))
+    hydro = velocity_dissipation(u, nu, grid8, "hydro")
+    aniso = velocity_dissipation(u, nu, grid8)
+    assert hydro[1] == 0.0 and aniso[1] > 0.0
+    assert hydro[0] == aniso[0]
+
+    states = [SimState(m * 0.1, m, u, np.zeros((grid8.nx, grid8.ny)), np.zeros(grid8.shape_cells))
+              for m in range(2)]
+    hist = make_history(grid8, default_params(), DiffusionTensor.identity(), states, 0.1, "hydro")
+    g1, g2, g3 = _solution_center_gradients(u, hist)
+    assert g3 is None
+    a1, a2, _ = _solution_center_gradients(u, replace(hist, mode="aniso"))
+    for a, b in zip(g1 + g2, a1 + a2):
+        assert np.array_equal(a, b)
 
 
 # Per component and axis (x, y, z), the (low, high) wall of the velocity
@@ -276,12 +300,20 @@ def test_apriori_eps_weighting(grid8):
 # ---------------------------------------------------------------------------
 
 
+def concentration_history(grid, fields, dt):
+    """A history at rest whose states hold ``fields`` as C, spaced dt."""
+    states = [
+        SimState(m * dt, m, StaggeredVelocity.zeros(grid), np.zeros(grid.shape_cells), C)
+        for m, C in enumerate(fields)
+    ]
+    return make_history(grid, default_params(), DiffusionTensor.identity(), states, dt)
+
+
 def test_translation_modulus_time_constant_zero(grid8):
     rng = np.random.default_rng(57)
     C = smooth_field(rng, grid8)
     dt = 0.05
-    history = [C] * 21
-    rep = translation_modulus(history, dt, grid8, [dt, 2 * dt, 4 * dt])
+    rep = translation_modulus(concentration_history(grid8, [C] * 21, dt))
     assert np.all(rep.modulus == 0.0)
 
 
@@ -290,11 +322,10 @@ def test_translation_modulus_linear_growth_closed_form(grid8):
     rng = np.random.default_rng(58)
     g = smooth_field(rng, grid8)
     dt = 0.05
-    n = 21
+    n = 17
     T = (n - 1) * dt
-    history = [m * dt * g for m in range(n)]
-    hs = [dt, 2 * dt, 4 * dt]
-    rep = translation_modulus(history, dt, grid8, hs)
+    rep = translation_modulus(concentration_history(grid8, [m * dt * g for m in range(n)], dt))
+    assert list(rep.h) == [dt, 2 * dt, 4 * dt]
     walls = ("dirichlet", "dirichlet")
     axes = (
         (1.0 / grid8.dx**2, *walls),
@@ -314,10 +345,10 @@ def test_translation_modulus_linear_growth_closed_form(grid8):
 def test_translation_modulus_time_reversal_symmetric(grid8):
     rng = np.random.default_rng(59)
     dt = 0.05
-    history = [smooth_field(rng, grid8) for _ in range(16)]
-    hs = [dt, 2 * dt, 3 * dt]
-    a = translation_modulus(history, dt, grid8, hs)
-    b = translation_modulus(history[::-1], dt, grid8, hs)
+    fields = [smooth_field(rng, grid8) for _ in range(16)]
+    a = translation_modulus(concentration_history(grid8, fields, dt))
+    # the reversed fields, re-timed forward from t = 0
+    b = translation_modulus(concentration_history(grid8, fields[::-1], dt))
     assert np.allclose(a.modulus, b.modulus, rtol=1e-12)
 
 
@@ -331,7 +362,8 @@ def test_translation_modulus_matches_per_pair_solves():
     history = [smooth_field(rng, grid)]
     for d in steps:
         history.append(history[-1] + d)
-    rep = translation_modulus(history, dt, grid, [dt, 2 * dt, 4 * dt, 8 * dt])
+    rep = translation_modulus(concentration_history(grid, history, dt))
+    assert list(rep.h) == [s * dt for s in (1, 2, 4, 8)]
     walls = ("dirichlet", "dirichlet")
     axes = (
         (1.0 / grid.dx**2, *walls),
@@ -348,8 +380,33 @@ def test_translation_modulus_matches_per_pair_solves():
 
 
 def test_translation_modulus_requires_three_shifts(grid8):
-    with pytest.raises(ValueError, match="3"):
-        translation_modulus([np.zeros(grid8.shape_cells)] * 10, 0.1, grid8, [0.1, 0.2])
+    """Nine states (eight spacings) fit only the shifts 1 and 2: no fit."""
+    zeros = [np.zeros(grid8.shape_cells)] * 9
+    assert translation_modulus(concentration_history(grid8, zeros, 0.1)) is None
+
+
+@pytest.mark.parametrize("n, shifts", [(10, (1, 2, 4)), (17, (1, 2, 4)), (18, (1, 2, 4, 8))])
+def test_translation_modulus_shifts_are_whole_spacings_below_half_the_span(grid8, n, shifts):
+    """s in {1, 2, 4, 8} with 2s < n - 1, at the boundaries of the counts
+    (nine states, the case above, fit only two)."""
+    dt = 0.1
+    rng = np.random.default_rng(61)
+    fields = [smooth_field(rng, grid8) for _ in range(n)]
+    rep = translation_modulus(concentration_history(grid8, fields, dt))
+    assert list(rep.h) == [s * dt for s in shifts]
+
+
+def test_history_refuses_a_spacing_its_states_do_not_have(grid8):
+    """n states must span (n - 1) dt to within half a spacing; a history
+    cut to its ends that keeps the run's spacing is refused."""
+    hist = zero_history(grid8, default_params(), DiffusionTensor.identity(), n=5)
+    ends = [hist.states[0], hist.states[-1]]
+    with pytest.raises(ValueError, match="not spaced"):
+        replace(hist, states=ends)
+    for dt in (0.0, -0.1, 0.08, 0.12):
+        with pytest.raises(ValueError, match="not spaced"):
+            replace(hist, dt=dt)
+    assert replace(hist, dt=0.4, states=ends).dt == 0.4
 
 
 # ---------------------------------------------------------------------------

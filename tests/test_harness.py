@@ -375,8 +375,13 @@ def test_parse_rejects_slope_on_f_plane(mode):
         ("[bc]\ntheta_mode = constant\ntheta1 = 1\ntheta_file = cells.txt\n", "theta_file", 4),
         ("[bc]\ntheta_mode = file\ntheta_file = cells.txt\ntheta2 = 1\n", "theta2", 4),
         ("[source]\nkind = delta_deposit\nwidth = 0.1\n", "width", 3),
+        ("[init]\nvelocity = zero\nvelocity_amp = 5\n", "velocity_amp", 3),
+        ("[init]\nvelocity_amp = 5\n", "velocity_amp", 2),
+        ("[init]\nconcentration = zero\nblob_width = 0.3\nblob_amp = 7\n", "blob_width", 3),
+        ("[init]\nblob_amp = 7\nblob_center = 0.5, 0.5, 0.5\n", "blob_amp", 2),
     ],
-    ids=["theta1-zero", "theta_file-zero", "theta_file-constant", "theta2-file", "width-delta"],
+    ids=["theta1-zero", "theta_file-zero", "theta_file-constant", "theta2-file", "width-delta",
+         "velocity_amp-zero", "velocity_amp-default", "blob-zero", "blob-default"],
 )
 def test_parse_rejects_ignored_keys(tmp_path, text, key, line):
     """A key that another key makes irrelevant is an error at its own line."""
@@ -384,6 +389,19 @@ def test_parse_rejects_ignored_keys(tmp_path, text, key, line):
     with pytest.raises(ConfigError, match="is ignored") as err:
         parse_config(GRID4 + text, base_dir=str(tmp_path))
     assert err.value.key == key and err.value.line == 4 + line
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[init]\nvelocity_amp = 5\n", "is ignored under velocity = zero"),
+        ("[init]\nblob_center = 0.5, 0.5, 0.5\n", "is ignored under concentration = zero"),
+    ],
+)
+def test_ignored_key_names_the_key_that_ignores_it(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(GRID4 + text)
+    assert str(err.value).endswith(message)
 
 
 @pytest.mark.parametrize("key", ["lx", "ly", "h"])
@@ -1086,9 +1104,7 @@ def test_sweep_equals_its_members_run_one_by_one(tmp_path, monkeypatch, cpus):
         rows.append([eps, *spacetime_errors(member.history, hydro.history),
                      float(np.min(member.energy.slack))])
         if eps == eps_list[0]:
-            h = member.history
-            shifts = [m * h.dt for m in (1, 2, 4, 8) if m * h.dt < h.T / 2]
-            modulus = translation_modulus([s.C for s in h.states], h.dt, cfg.grid, shifts)
+            modulus = translation_modulus(member.history)
 
     header, got = read_csv(str(out / "sweep.csv"))
     assert header[-1] == "runtime_s" and [r[:-1] for r in got] == rows
@@ -1157,6 +1173,78 @@ def test_sweep_member_error_prints_its_traceback(tmp_path, monkeypatch, capfd):
         epsilon_sweep(parse_config(THREE_MEMBERS))
     err = capfd.readouterr().err
     assert "Traceback" in err and "ValueError: injected at eps=0.25" in err
+
+
+def test_sweep_member_history_is_spaced_by_its_two_states():
+    """A member's history keeps its first and last states with dt their
+    separation, so its ledger integrates over the run's whole span."""
+    cfg = parse_config(SMALL_SWEEP)
+    res = epsilon_sweep(cfg)
+    for member in res.aniso.values():
+        h = member.history
+        assert h.mode == "aniso" and len(h.states) == 2 and all(s.is_finite() for s in h.states)
+        assert h.dt == h.states[-1].t - h.states[0].t
+        assert h.states[-1].t == pytest.approx(cfg.time.T, rel=1e-12)
+    # the parent's trim kept the run's spacing with two states; it is refused
+    with pytest.raises(ValueError, match="not spaced"):
+        replace(h, dt=member.dt * cfg.time.snapshot_every)
+
+
+# The schedule of 33 steps, 17 states, whose accumulated last time rounds
+# just above 16 snapshot spacings: the shift 8 dt equals T/2.
+HALF_SPAN_SWEEP = """
+[grid]
+nx = 8
+ny = 8
+nz = 6
+[init]
+velocity = taylor_green_h
+[time]
+T = 0.05
+snapshot_every = 2
+[run]
+mode = sweep
+eps_list = 0.5, 0.25
+"""
+
+
+def test_cli_sweep_whose_half_span_is_a_shift_completes(tmp_path):
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(HALF_SPAN_SWEEP)
+    out = tmp_path / "out"
+    assert cli_main([str(cfgfile), "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(str(out / "sweep.csv"))
+    assert [r[0] for r in rows] == [0.5, 0.25]
+    res = epsilon_sweep(parse_config(HALF_SPAN_SWEEP))
+    dt = res.aniso[0.5].dt * 2
+    assert res.aniso[0.5].n_steps == 33
+    assert list(res.translation.h) == [dt, 2 * dt, 4 * dt]
+
+
+@pytest.mark.parametrize("every, table", [(2, True), (4, False)])
+def test_run_sweep_script_prints_the_modulus_or_why_not(capsys, every, table):
+    """Shifts in spacings, h and moduli behind the exponent; with 8
+    spacings (33 steps, one state every 4) there is no modulus."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_sweep.py")
+    spec = importlib.util.spec_from_file_location("run_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = HALF_SPAN_SWEEP.replace("snapshot_every = 2", f"snapshot_every = {every}")
+    res = epsilon_sweep(parse_config(text))
+    capsys.readouterr()
+    script.print_translation(res)
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "translation modulus (eps = 0.5)"
+    if table:
+        rows = [ln.split() for ln in lines[2:-1]]
+        assert [int(r[0]) for r in rows] == [1, 2, 4]
+        assert [float(r[1]) for r in rows] == [float(f"{h:.5e}") for h in res.translation.h]
+        assert lines[-1] == f"fitted exponent: {res.translation.exponent:.3f}"
+    else:
+        assert res.translation is None
+        assert lines[1:] == ["  none: the largest-eps run spans fewer than 9 snapshot spacings"]
 
 
 def test_cli_single_run_and_exit_codes(tmp_path):
