@@ -13,21 +13,56 @@ the parent runs first in odd pairs and the change in even ones.  The seed
 that was not used while making the change guards against tuning to one
 input.
 
-The first line gives the seed, the number of pairs and the CPUs this
-process may use.  Every pair is printed as it ends.  Then, per workload and
-end-to-end metric: the parent's median and interquartile range, the
-change's median, the relative change of the medians and the number of pairs
-the change won, then a verdict line (``verdict``).  A digest that differs
-between executions of one side is reported.  The exit status is 1 if any
-execution printed ``"correct": false`` (or no result), else 0.
+The first line gives the seed, the number of pairs, the CPUs this process
+may use and each checkout's line total of ``src/hydrolimit/*.py``
+(``src_lines``).  A warning line follows when the checkouts' BENCHMARK.json
+or ``perfbench/*.py`` differ: each side then runs its own benchmark, and the
+A/B compares two different programs.  Every pair is printed as it ends.
+Then, per workload and end-to-end metric: the parent's median and
+interquartile range, the change's median, the relative change of the
+medians and the number of pairs the change won, then a verdict line
+(``verdict``).  A digest that differs between executions of one side is
+reported.  The exit status is 1 if any execution printed
+``"correct": false`` (or no result), else 0.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
 import subprocess
 import sys
+
+
+def source_lines(root):
+    """Line total of ``src/hydrolimit/*.py`` in the checkout ``root``,
+    counted as ``wc -l`` counts: newline characters."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "hydrolimit", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
+def _read(path):
+    """The bytes of ``path``, or None when there is no such file."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def benchmark_differences(parent, change):
+    """Sorted relative paths of the benchmark files, BENCHMARK.json and
+    ``perfbench/*.py``, whose contents differ between the two checkouts; a
+    file that only one of them has differs."""
+    names = {"BENCHMARK.json"}
+    for root in (parent, change):
+        names.update(os.path.relpath(p, root) for p in glob.glob(os.path.join(root, "perfbench", "*.py")))
+    return sorted(n for n in names
+                  if _read(os.path.join(parent, n)) != _read(os.path.join(change, n)))
 
 
 def run_once(root, workload, seed):
@@ -92,7 +127,13 @@ def main(argv=None):
     metrics = spec["end_to_end"]
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
 
-    print(f"seed={args.seed} pairs={args.pairs} cpus_usable={len(os.sched_getaffinity(0))}", flush=True)
+    print(f"seed={args.seed} pairs={args.pairs} cpus_usable={len(os.sched_getaffinity(0))} "
+          f"src_lines={source_lines(sides['parent'])}/{source_lines(sides['change'])} "
+          "(parent/change)", flush=True)
+    differ = benchmark_differences(sides["parent"], sides["change"])
+    if differ:
+        print(f"warning: {', '.join(differ)} differ between the checkouts: each side runs its "
+              "own benchmark, so the A/B compares two different programs", flush=True)
     ok = True
     for workload in workloads:
         values = {side: {m["name"]: [] for m in metrics} for side in sides}

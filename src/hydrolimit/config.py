@@ -104,7 +104,6 @@ class RunConfig:
     nu2: float
     nu3: float
     f0: float
-    coriolis_mode: str
     l0: float
     l_slope: float
     diffusion: DiffusionTensor
@@ -115,7 +114,8 @@ class RunConfig:
     run: RunBlock
 
     def phys_params(self, eps: float) -> PhysParams:
-        return PhysParams(eps=eps, **{key: getattr(self, key) for key in _KEYS["phys"]})
+        names = ("nu1", "nu2", "nu3", "f0", "l0", "l_slope")
+        return PhysParams(eps=eps, **{name: getattr(self, name) for name in names})
 
     def source_spec(self, eps: float, mode: str) -> SourceSpec | None:
         s = self.source
@@ -156,7 +156,7 @@ _KEYS = {
         "nu2": ("float", 1e-2, _POSITIVE),
         "nu3": ("float", 1e-2, _POSITIVE),
         "f0": ("float", 1.0, None),
-        "coriolis_mode": (("f_plane", "beta_plane"), "f_plane", None),
+        "coriolis_mode": (("f_plane", "beta_plane"), "f_plane", None),  # only checks l_slope
         "l0": ("float", math.pi / 4.0, None),
         "l_slope": ("float", 0.0, None),
     },
@@ -212,6 +212,7 @@ _IGNORED_KEYS = {
         "constant": ("theta_file",),
         "file": ("theta1", "theta2"),
     },
+    ("source", "kind"): {"delta_deposit": ("width",)},
     ("init", "velocity"): {"zero": ("velocity_amp",)},
     ("init", "concentration"): {"zero": ("blob_amp", "blob_center", "blob_width")},
 }
@@ -297,12 +298,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     grid = Grid(**g)
 
     phys = section_values("phys")
-    if phys["coriolis_mode"] == "f_plane" and phys["l_slope"] != 0.0:
-        raise ConfigError(
-            "is ignored on the f-plane; set coriolis_mode = beta_plane",
-            lines_of[("phys", "l_slope")],
-            "l_slope",
-        )
+    if phys.pop("coriolis_mode") == "f_plane" and phys["l_slope"] != 0.0:
+        message = "is ignored on the f-plane; set coriolis_mode = beta_plane"
+        raise ConfigError(message, lines_of[("phys", "l_slope")], "l_slope")
 
     entries = section_values("diffusion")
     tensor_file = entries.pop("tensor_file")
@@ -326,8 +324,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             raise ConfigError(str(exc), ln, "tensor_file") from None
 
     source = SourceConfig(**section_values("source"))
-    if source.kind == "delta_deposit" and source.width is not None:
-        raise ConfigError("is ignored for kind = delta_deposit", *first_given("source", ["width"]))
     if source.intensity > 0:
         try:
             check_location(source.x_s, grid)

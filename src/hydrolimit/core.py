@@ -146,9 +146,8 @@ class PhysParams:
     """Rescaled viscosities, aspect ratio and rotation profile.
 
     nu3 is the already-rescaled vertical viscosity (the physical vertical
-    viscosity is eps^2 * nu3).  The latitude profile is affine,
-    l(x2) = l0 + l_slope*x2, which covers both the f-plane (l_slope = 0,
-    mode "f_plane") and the beta-plane.
+    viscosity is eps^2 * nu3).  The latitude is l(x2) = l0 + l_slope*x2 in
+    every run: the f-plane is the beta-plane with l_slope = 0.
     """
 
     nu1: float
@@ -156,7 +155,6 @@ class PhysParams:
     nu3: float
     eps: float = 1.0
     f0: float = 0.0
-    coriolis_mode: str = "f_plane"
     l0: float = 0.0
     l_slope: float = 0.0
 
@@ -167,22 +165,15 @@ class PhysParams:
                 raise ValueError(f"{name} must be positive, got {v!r}")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps!r}")
-        if self.coriolis_mode not in ("f_plane", "beta_plane"):
-            raise ValueError(f"unknown coriolis_mode {self.coriolis_mode!r}")
 
     @property
     def nu(self) -> tuple:
         return (self.nu1, self.nu2, self.nu3)
 
-    def latitude(self, x2):
-        if self.coriolis_mode == "f_plane":
-            return self.l0 + np.zeros_like(np.asarray(x2, dtype=float))
-        return self.l0 + self.l_slope * np.asarray(x2, dtype=float)
-
 
 def coriolis_at(params: PhysParams, x2):
-    """Rotation coefficients alpha = 2 f0 sin(l(x2)), beta = 2 f0 cos(l(x2))."""
-    lat = params.latitude(x2)
+    """Rotation coefficients alpha = 2 f0 sin(l), beta = 2 f0 cos(l), l = l0 + l_slope*x2."""
+    lat = params.l0 + params.l_slope * np.asarray(x2, dtype=float)
     return 2.0 * params.f0 * np.sin(lat), 2.0 * params.f0 * np.cos(lat)
 
 

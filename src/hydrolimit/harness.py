@@ -642,6 +642,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class MemberStopped(Exception):
+    """Raised by SIGTERM in a sweep member, so that its run leaves an aborted manifest."""
+
+
 def _sweep_member(conn, cfg: RunConfig, eps: float, hydro: RunHistory, out_dir, quiet, translate):
     """One anisotropic member of a sweep, in a forked process.
 
@@ -649,18 +653,27 @@ def _sweep_member(conn, cfg: RunConfig, eps: float, hydro: RunHistory, out_dir, 
     against the hydrostatic history, takes the translation modulus if
     ``translate``, trims its history to its first and last states, with dt
     their separation, and sends (result, errors, modulus) through ``conn``;
-    an exception is sent in their place.
+    an exception is sent in their place.  SIGTERM raises ``MemberStopped`` while the run steps.
     """
+    import signal  # loaded already by multiprocessing
+
+    def stop(signum, frame):
+        raise MemberStopped("the sweep stopped this member after another member failed")
+
     try:
         run_dir = None if out_dir is None else os.path.join(out_dir, f"aniso_eps{eps_label(eps)}")
-        res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, quiet=quiet)
+        signal.signal(signal.SIGTERM, stop)
+        try:
+            res = run_simulation(cfg, eps, "aniso", out_dir=run_dir, quiet=quiet)
+        finally:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so a blocked send cannot hang
         errs = spacetime_errors(res.history, hydro)
         modulus = translation_modulus(res.history) if translate else None
         first, last = res.history.states[0], res.history.states[-1]
         res.history = replace(res.history, dt=last.t - first.t, states=[first, last])
         conn.send((res, errs, modulus))
     except Exception as exc:
-        if not isinstance(exc, NumericsError):
+        if not isinstance(exc, (NumericsError, MemberStopped)):
             import traceback  # here, not at import: it would add to every start-up
 
             traceback.print_exc()  # the member's frames do not travel with exc
@@ -680,7 +693,7 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     Results are taken in eps order, and sweep.csv is rewritten with one more
     row after each.  Once a member has failed no other member starts; the
     first failure in eps order is raised after the rows before it are
-    written, and members still running are terminated.
+    written; members still running are terminated and leave aborted manifests.
     """
     import multiprocessing
     from multiprocessing.connection import wait

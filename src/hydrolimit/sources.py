@@ -157,12 +157,10 @@ def _spatial_profile(spec: SourceSpec, grid: Grid) -> np.ndarray:
         eps = spec.width
         pulse = 1.0 / (1.0 + (math.pi * eps) ** 2 * _r2_at_centers(spec, grid))
         pulse /= _lorentzian_domain_integral(eps, spec.x_s, grid)
-    elif spec.kind == "unit_impulse":
+    else:  # unit_impulse
         eps = spec.width
         inside = eps * np.sqrt(_r2_at_centers(spec, grid)) < 1.0
         pulse = np.where(inside, eps / 2.0, 0.0)
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
     return pulse
 
 

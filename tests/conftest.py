@@ -72,4 +72,4 @@ def random_spd_tensor(rng, spread=1.0):
 
 
 def default_params(eps=0.5, nu=0.01, f0=1.0):
-    return PhysParams(nu, nu, nu, eps=eps, f0=f0, coriolis_mode="f_plane", l0=np.pi / 4)
+    return PhysParams(nu, nu, nu, eps=eps, f0=f0, l0=np.pi / 4)

@@ -64,7 +64,7 @@ class ManufacturedHydro:
     """Forced hydrostatic solution with hand-coded defect forcings."""
 
     def __init__(self, grid, params, M, amp_u=0.05, amp_c=0.4, omega=3.0):
-        if params.coriolis_mode != "f_plane":
+        if params.l_slope != 0.0:
             raise ValueError("manufactured solution assumes an f-plane")
         m = M.m
         if M.is_spatial or np.count_nonzero(m - np.diag(np.diag(m))) != 0:

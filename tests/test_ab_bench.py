@@ -1,5 +1,6 @@
 """Smoke test of scripts/ab_bench.py: one tensor_hydro pair, this checkout
-against itself, at the default seed and at another."""
+against itself, at the default seed and at another; and its pure helpers on
+temporary checkouts."""
 
 import importlib.util
 import os
@@ -28,7 +29,7 @@ def test_one_pair_of_this_checkout_against_itself():
     for name in ("wall_s", "setup_s", "peak_rss_mb", "output_mb"):
         assert re.search(rf"^tensor_hydro {name}: parent \S+ \(IQR \S+-\S+\), change \S+ .*"
                          r"change won [01]/1$", out, re.M), name
-    assert "disagree" not in out
+    assert "disagree" not in out and "warning" not in out
 
 
 def test_refuses_checkout_paths_of_unequal_length():
@@ -46,7 +47,9 @@ def test_seed_reaches_every_execution():
         args = ("--seed", seed) if seed != "7" else ()
         proc = ab_bench(ROOT, ROOT, "--pairs", "1", "--workload", "tensor_hydro", *args)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert re.match(rf"seed={seed} pairs=1 cpus_usable=\d+\n", proc.stdout)
+        lines = _script().source_lines(ROOT)
+        assert re.match(rf"seed={seed} pairs=1 cpus_usable=\d+ src_lines={lines}/{lines} "
+                        r"\(parent/change\)\n", proc.stdout)
         found = re.search(r"^tensor_hydro: digest parent (\w+) change (\w+)$", proc.stdout, re.M)
         assert found and found[1] == found[2]
         digests[seed] = found[1]
@@ -81,3 +84,60 @@ def test_verdict_rule(change, lower, expected):
     q1, q3 = ab.quartiles(PARENT)
     assert (q1, q3) == (1.0, 1.1)
     assert ab.verdict(PARENT, change, lower) == expected
+
+
+def _checkout(root, files):
+    """A checkout holding ``files``, relative path -> text; None leaves a file out."""
+    for name, text in files.items():
+        if text is None:
+            continue
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+def test_source_lines_counts_the_package_modules(tmp_path):
+    """Newlines of src/hydrolimit/*.py, as ``wc -l`` counts them; other
+    files and subdirectories do not count."""
+    root = _checkout(tmp_path, {
+        "src/hydrolimit/a.py": "x = 1\ny = 2\n\n",
+        "src/hydrolimit/b.py": "z = 3",  # no final newline: 0 lines for wc -l
+        "src/hydrolimit/c.py": "\n\n",
+        "src/hydrolimit/data.txt": "1\n2\n",
+        "src/hydrolimit/sub/d.py": "1\n",
+        "tests/e.py": "1\n",
+    })
+    assert _script().source_lines(root) == 5
+
+
+BENCH_FILES = {
+    "BENCHMARK.json": '{"workloads": []}\n',
+    "perfbench/run.py": "print('run')\n",
+    "perfbench/child.py": "print('child')\n",
+    "perfbench/README.md": "notes\n",
+    "src/hydrolimit/core.py": "x = 1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        ({}, []),
+        ({"perfbench/run.py": "print('other')\n"}, ["perfbench/run.py"]),
+        ({"BENCHMARK.json": "{}\n", "perfbench/child.py": ""},
+         ["BENCHMARK.json", "perfbench/child.py"]),
+        ({"perfbench/spans.py": "pass\n"}, ["perfbench/spans.py"]),  # in one checkout only
+        ({"BENCHMARK.json": None}, ["BENCHMARK.json"]),
+        ({"perfbench/README.md": "other\n", "src/hydrolimit/core.py": "x = 2\n"}, []),
+    ],
+    ids=["same", "script", "spec-and-script", "one-side-only", "spec-missing",
+         "not-benchmark-code"],
+)
+def test_benchmark_differences(tmp_path, edit, expected):
+    parent = _checkout(tmp_path / "parent", BENCH_FILES)
+    change = _checkout(tmp_path / "change", {**BENCH_FILES, **edit})
+    ab = _script()
+    assert ab.benchmark_differences(parent, change) == expected
+    assert ab.benchmark_differences(change, parent) == expected
+

@@ -234,7 +234,7 @@ def test_criterion_06_dense_oracle():
     g = Grid(6, 6, 6)
     rng = np.random.default_rng(123)
     params = PhysParams(
-        0.05, 0.04, 0.06, eps=0.5, f0=1.2, coriolis_mode="beta_plane", l0=0.5, l_slope=0.3
+        0.05, 0.04, 0.06, eps=0.5, f0=1.2, l0=0.5, l_slope=0.3
     )
     M = DiffusionTensor(np.array([[1.0, 0.2, 0.1], [0.2, 0.8, 0.15], [0.1, 0.15, 1.2]]))
     from hydrolimit.core import BoundaryForcing

@@ -676,7 +676,7 @@ def test_step_matches_dense_oracle():
     g = Grid(6, 6, 6)
     rng = np.random.default_rng(99)
     params = PhysParams(
-        0.05, 0.04, 0.06, eps=0.5, f0=1.2, coriolis_mode="beta_plane", l0=0.5, l_slope=0.3
+        0.05, 0.04, 0.06, eps=0.5, f0=1.2, l0=0.5, l_slope=0.3
     )
     M = DiffusionTensor(np.array([[1.0, 0.2, 0.1], [0.2, 0.8, 0.15], [0.1, 0.15, 1.2]]))
     theta = BoundaryForcing.constant(g, 0.3, -0.2)
@@ -707,7 +707,7 @@ def test_hydro_step_matches_dense_oracle():
     g = Grid(6, 6, 6)
     rng = np.random.default_rng(99)
     params = PhysParams(
-        0.05, 0.04, 0.06, eps=0.5, f0=1.2, coriolis_mode="beta_plane", l0=0.5, l_slope=0.3
+        0.05, 0.04, 0.06, eps=0.5, f0=1.2, l0=0.5, l_slope=0.3
     )
     M = DiffusionTensor(np.array([[1.0, 0.2, 0.1], [0.2, 0.8, 0.15], [0.1, 0.15, 1.2]]))
     theta = BoundaryForcing.constant(g, 0.3, -0.2)

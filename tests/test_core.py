@@ -192,21 +192,21 @@ def test_tensor_is_a_read_only_copy():
 
 
 def test_coriolis_f_plane_pole():
-    p = PhysParams(1, 1, 1, f0=1.0, coriolis_mode="f_plane", l0=math.pi / 2)
+    p = PhysParams(1, 1, 1, f0=1.0, l0=math.pi / 2)
     a, b = coriolis_at(p, 0.3)
     assert a == pytest.approx(2.0)
     assert b == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coriolis_f_plane_equator():
-    p = PhysParams(1, 1, 1, f0=1.0, coriolis_mode="f_plane", l0=0.0)
+    p = PhysParams(1, 1, 1, f0=1.0, l0=0.0)
     a, b = coriolis_at(p, 0.9)
     assert a == pytest.approx(0.0, abs=1e-15)
     assert b == pytest.approx(2.0)
 
 
 def test_coriolis_beta_plane():
-    p = PhysParams(1, 1, 1, f0=1.0, coriolis_mode="beta_plane", l0=math.pi / 6, l_slope=0.1)
+    p = PhysParams(1, 1, 1, f0=1.0, l0=math.pi / 6, l_slope=0.1)
     a, b = coriolis_at(p, 1.0)
     assert a == pytest.approx(2.0 * math.sin(math.pi / 6 + 0.1), rel=1e-14)
     assert b == pytest.approx(2.0 * math.cos(math.pi / 6 + 0.1), rel=1e-14)

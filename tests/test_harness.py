@@ -2,9 +2,12 @@
 
 import filecmp
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from hydrolimit import harness
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
-from hydrolimit.core import Grid, coercivity_constant
+from hydrolimit.core import Grid, coercivity_constant, coriolis_at
 from hydrolimit.diagnostics import (
     APRIORI_NORM_NAMES,
     energy_balance,
@@ -367,6 +370,31 @@ def test_parse_rejects_slope_on_f_plane(mode):
     assert parse_config(f"[phys]\n{mode}l_slope = 0\n").l_slope == 0.0
 
 
+PLANE_RUN = SMALL_RUN.replace("[phys]\n", "[phys]\nf0 = 3\n")
+
+
+def test_f_plane_is_the_zero_slope_beta_plane(tmp_path):
+    """coriolis_mode only declares the plane: f_plane and beta_plane with
+    l_slope = 0 give one rotation profile, and runs that write the same
+    bytes in both modes."""
+    f_plane = parse_config(PLANE_RUN.replace("[phys]\n", "[phys]\ncoriolis_mode = f_plane\n"))
+    beta = parse_config(
+        PLANE_RUN.replace("[phys]\n", "[phys]\ncoriolis_mode = beta_plane\nl_slope = 0\n")
+    )
+    grid = f_plane.grid
+    for x in (grid.x2c, grid.x2f):
+        alpha, beta_ = coriolis_at(f_plane.phys_params(0.5), x)
+        lat = np.full(x.shape, f_plane.l0)
+        assert np.array_equal(alpha, 2.0 * 3.0 * np.sin(lat))
+        assert np.array_equal(beta_, 2.0 * 3.0 * np.cos(lat))
+    for mode in ("aniso", "hydro"):
+        for name, cfg in (("f", f_plane), ("beta", beta)):
+            run_simulation(cfg, 0.5, mode, out_dir=str(tmp_path / name / mode))
+        for csv in ("energy.csv", "norms.csv"):
+            got = [(tmp_path / name / mode / csv).read_bytes() for name in ("f", "beta")]
+            assert got[0] == got[1], (mode, csv)
+
+
 @pytest.mark.parametrize(
     "text,key,line",
     [
@@ -396,6 +424,7 @@ def test_parse_rejects_ignored_keys(tmp_path, text, key, line):
     [
         ("[init]\nvelocity_amp = 5\n", "is ignored under velocity = zero"),
         ("[init]\nblob_center = 0.5, 0.5, 0.5\n", "is ignored under concentration = zero"),
+        ("[source]\nkind = delta_deposit\nwidth = 0.1\n", "is ignored under kind = delta_deposit"),
     ],
 )
 def test_ignored_key_names_the_key_that_ignores_it(text, message):
@@ -1160,6 +1189,68 @@ def test_sweep_member_failure(tmp_path, monkeypatch, capfd, cpus, failing):
     may_start = eps_list[: max(eps_list.index(failing) + 1, cpus)]
     recorded = {float(n) for n in os.listdir(started)}
     assert failing in recorded and recorded <= set(may_start)
+
+
+def test_terminated_member_leaves_its_aborted_manifest(tmp_path, monkeypatch, capfd):
+    """A member that the sweep terminates after another member failed writes
+    run.txt with status=aborted and that cause, and its last good state,
+    and prints no traceback; the caller gets the failing member's error."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    out = tmp_path / "sweep"
+    first_snapshot = out / "aniso_eps0.25" / "snapshots" / "step_000000.vtk"
+    real = harness.step
+
+    def step(state, params, M, theta, source, dt, grid, mode, **kwargs):
+        if mode == "aniso" and params.eps == 0.5 and state.step == 2:
+            # wait until the eps = 0.25 run writes its first snapshot, so
+            # that the sweep terminates it while it steps
+            deadline = time.monotonic() + 60.0
+            while not first_snapshot.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise NumericsError("injected at step 3")
+        if mode == "aniso" and params.eps == 0.25:
+            time.sleep(0.05)
+        return real(state, params, M, theta, source, dt, grid, mode, **kwargs)
+
+    monkeypatch.setattr(harness, "step", step)
+    with pytest.raises(NumericsError, match="^injected at step 3$"):
+        epsilon_sweep(parse_config(THREE_MEMBERS), out_dir=str(out))
+    manifest = _manifest(out / "aniso_eps0.25" / "run.txt")
+    assert manifest["status"] == "aborted"
+    assert manifest["cause"] == (
+        "MemberStopped: the sweep stopped this member after another member failed"
+    )
+    assert (out / "aniso_eps0.25" / "snapshots" / "last_good.vtk").exists()
+    assert not (out / "aniso_eps0.125").exists()
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_member_terminated_while_sending_its_result_exits(monkeypatch):
+    """A member whose run has ended and which is blocked sending a result
+    larger than the pipe's buffer, that no one reads, dies of SIGTERM: it
+    has no manifest left to write and must not block again sending one."""
+    cfg = parse_config(SMALL_RUN)
+    hydro = run_simulation(cfg, 0.5, "hydro")
+    res = run_simulation(cfg, 0.5, "aniso")
+    res.padding = np.zeros(1 << 17)  # 1 MiB pickled, far above a pipe's 64 KiB
+    monkeypatch.setattr(harness, "run_simulation", lambda *args, **kwargs: res)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    args = (send, cfg, 0.5, hydro.history, None, True, False)
+    proc = ctx.Process(target=harness._sweep_member, args=args)
+    proc.start()
+    send.close()
+    try:
+        assert recv.poll(60.0)  # the member has begun to send
+        time.sleep(0.2)
+        proc.terminate()
+        proc.join(10.0)
+        assert proc.exitcode == -signal.SIGTERM
+    finally:
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+        recv.close()
 
 
 def test_sweep_member_error_prints_its_traceback(tmp_path, monkeypatch, capfd):
