@@ -8,7 +8,11 @@ paths must have the same length: ``peak_rss_mb`` moves by 0.2-0.3 MiB with
 the path length alone.  For each workload (default: every workload that the
 parent's BENCHMARK.json names) and each pair, both checkouts run
 ``perfbench/run.py --workload W --seed N --seconds 0``, one execution each;
-the parent runs first in odd pairs and the change in even ones.  The seed
+the parent runs first in odd pairs and the change in even ones.  Before
+pair 1 of each workload, each side runs one warm-up execution, the change
+first, so that no side is charged a cold start: its correctness and digest
+count, but its values enter no median, interquartile range, tally or
+verdict.  The seed
 (default 7) generates the workloads' inputs; checking a claim on a seed
 that was not used while making the change guards against tuning to one
 input.
@@ -17,7 +21,8 @@ The first line gives the seed, the number of pairs, the CPUs this process
 may use and each checkout's line total of ``src/hydrolimit/*.py``
 (``src_lines``).  A warning line follows when the checkouts' BENCHMARK.json
 or ``perfbench/*.py`` differ: each side then runs its own benchmark, and the
-A/B compares two different programs.  Every pair is printed as it ends.
+A/B compares two different programs.  The warm-up and every pair are
+printed as they end.
 Then, per workload and end-to-end metric: the parent's median and
 interquartile range, the change's median, the relative change of the
 medians and the number of pairs the change won, then a verdict line
@@ -138,7 +143,7 @@ def main(argv=None):
     for workload in workloads:
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
         digests = {side: set() for side in sides}
-        for pair in range(1, args.pairs + 1):
+        for pair in range(args.pairs + 1):  # pair 0 is the warm-up
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
                 got, correct, digest = run_once(sides[side], workload, args.seed)
@@ -146,7 +151,7 @@ def main(argv=None):
                 digests[side].add(digest)
                 for m in metrics:
                     values[side][m["name"]].append(got.get(m["name"], float("nan")))
-            print(f"{workload} pair {pair} ({order[0]} first): " + " ".join(
+            print(f"{workload} {f'pair {pair}' if pair else 'warm-up'} ({order[0]} first): " + " ".join(
                 f"{m['name']}={values['parent'][m['name']][-1]:.4g}/{values['change'][m['name']][-1]:.4g}"
                 for m in metrics) + " (parent/change)", flush=True)
         for side in sides:
@@ -156,7 +161,7 @@ def main(argv=None):
               f"change {'/'.join(sorted(map(str, digests['change'])))}")
         for m in metrics:
             name, lower = m["name"], m["better"] == "lower"
-            base, new = values["parent"][name], values["change"][name]
+            base, new = values["parent"][name][1:], values["change"][name][1:]  # no warm-up
             q1, q3 = quartiles(base)
             med_base, med_new = statistics.median(base), statistics.median(new)
             rel = (med_new - med_base) / med_base if med_base else float("nan")

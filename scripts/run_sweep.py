@@ -33,12 +33,13 @@ def main() -> int:
         f"u3 {result.report.rate_u3:.2f}, C {result.report.rate_C:.2f}"
     )
 
-    eps_keys = sorted(k for k in result.norm_table if k != "hydro")[::-1]
+    norms = {eps: r.norms for eps, r in result.aniso.items()}
+    eps_keys = sorted(norms)[::-1]
     print("\na-priori norms across eps (uniform boundedness check)")
     header = "  ".join(f"{e:>10}" for e in eps_keys)
     print(f"{'norm':>16}  {header}")
     for name in APRIORI_NORM_NAMES:
-        vals = "  ".join(f"{result.norm_table[e][name]:10.4e}" for e in eps_keys)
+        vals = "  ".join(f"{norms[e][name]:10.4e}" for e in eps_keys)
         print(f"{name:>16}  {vals}")
 
     print_translation(result)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,15 +33,6 @@ class ConfigError(ValueError):
         super().__init__(f"{loc}:{kk} {message}")
         self.line = line
         self.key = key
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    kind: str
-    intensity: float
-    t_s: float
-    x_s: tuple
-    width: float | None  # None: use the run's eps
 
 
 @dataclass(frozen=True)
@@ -100,35 +91,28 @@ class RunBlock:
 @dataclass(frozen=True)
 class RunConfig:
     grid: Grid
-    nu1: float
-    nu2: float
-    nu3: float
-    f0: float
-    l0: float
-    l_slope: float
+    phys: PhysParams  # eps = 1: phys_params sets the run's eps
     diffusion: DiffusionTensor
-    source: SourceConfig
+    source: SourceSpec  # width None: the run's eps
     theta: BoundaryForcing | None  # ground traction; None for theta_mode = zero
     init: InitConfig
     time: TimeConfig
     run: RunBlock
 
     def phys_params(self, eps: float) -> PhysParams:
-        names = ("nu1", "nu2", "nu3", "f0", "l0", "l_slope")
-        return PhysParams(eps=eps, **{name: getattr(self, name) for name in names})
+        return replace(self.phys, eps=eps)
 
     def source_spec(self, eps: float, mode: str) -> SourceSpec | None:
         s = self.source
         if s.intensity == 0.0:
             return None
-        if mode == "hydro" and s.kind == "gaussian" and s.width is None:
+        if s.width is not None or s.kind == "delta_deposit":
+            return s
+        if mode == "hydro" and s.kind == "gaussian":
             # Default pairing: the hydrostatic reference takes the limit
             # (single-cell deposit) form of the source.
-            return SourceSpec("delta_deposit", s.intensity, s.t_s, s.x_s)
-        width = s.width if s.width is not None else eps
-        if s.kind == "delta_deposit":
-            return SourceSpec(s.kind, s.intensity, s.t_s, s.x_s)
-        return SourceSpec(s.kind, s.intensity, s.t_s, s.x_s, width)
+            return replace(s, kind="delta_deposit")
+        return replace(s, width=eps)
 
 
 # A rule is (predicate, what it requires); it applies to every number of a
@@ -323,18 +307,18 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc), ln, "tensor_file") from None
 
-    source = SourceConfig(**section_values("source"))
-    if source.intensity > 0:
-        try:
-            check_location(source.x_s, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc), lines_of.get(("source", "x_s")), "x_s") from None
-
     for (name, selector), unused in _IGNORED_KEYS.items():
         word = section_values(name)[selector]
         ignored = first_given(name, unused.get(word, ()))
         if ignored is not None:
             raise ConfigError(f"is ignored under {selector} = {word}", *ignored)
+
+    source = SourceSpec(**section_values("source"))
+    if source.intensity > 0:
+        try:
+            check_location(source.x_s, grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc), lines_of.get(("source", "x_s")), "x_s") from None
 
     bc = section_values("bc")
     theta = None
@@ -361,7 +345,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     return RunConfig(
         grid=grid,
-        **phys,
+        phys=PhysParams(**phys),
         diffusion=diffusion,
         source=source,
         theta=theta,

@@ -630,7 +630,6 @@ class SweepResult:
     hydro: RunResult
     aniso: dict  # eps -> RunResult
     translation: object
-    norm_table: dict  # eps -> norms dict, plus "hydro"
     out_dir: str | None
 
 
@@ -716,7 +715,6 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     received = {}  # eps -> (result, errors, modulus), or the member's exception
     sweep_rows = []
     aniso_results = {}
-    norm_table = {"hydro": hydro.norms}
     translation = None
     try:
         for eps in eps_list:
@@ -753,7 +751,6 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
             res.history = replace(res.history, grid=cfg.grid, M=cfg.diffusion, theta=cfg.theta)
             if res.history.source is not None:
                 res.history.source.values.flags.writeable = False
-            norm_table[eps] = res.norms
             slack_min = float(np.min(res.energy.slack))
             sweep_rows.append((eps, errs[0], errs[1], errs[2], slack_min, res.runtime_s))
             if out_dir is not None:
@@ -772,4 +769,4 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
             recv.close()
 
     report = convergence_report([ConvergenceRow(*row[:4]) for row in sweep_rows])
-    return SweepResult(report, hydro, aniso_results, translation, norm_table, out_dir)
+    return SweepResult(report, hydro, aniso_results, translation, out_dir)

@@ -484,21 +484,14 @@ def _advect_face_component(
     return adv
 
 
-def advect_velocity(
-    u: StaggeredVelocity,
-    grid: Grid,
-    ext: VelocityExtension | None = None,
-) -> StaggeredVelocity:
+def advect_velocity(u: StaggeredVelocity, grid: Grid, ext: VelocityExtension) -> StaggeredVelocity:
     """Self-advection u . grad u, componentwise on face-native stencils, in
     first-order upwind form.
 
-    ``ext`` supplies the ghost-extended components (from ``extend_velocity``);
-    without it a constant edge extension is used, which is adequate for
-    interior verification against analytic fields.  A component without an
-    extension (u3 in mode "hydro") is not prognostic and gets a zero term.
+    ``ext`` supplies the ghost-extended components (from ``extend_velocity``).
+    A component without an extension (u3 in mode "hydro") is not prognostic
+    and gets a zero term.
     """
-    if ext is None:
-        ext = VelocityExtension(*(np.pad(c, 1, mode="edge") for c in u.components()))
     raw = u.components()
     return StaggeredVelocity(*(
         np.zeros_like(f) if fe is None else _advect_face_component(f, axis, raw, fe, grid)

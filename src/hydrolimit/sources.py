@@ -42,7 +42,8 @@ class SourceSpec:
     """Pulse kind, intensity, switch-on time, location and width parameter.
 
     ``width`` is the eps of the gaussian/lorentzian pulse (support radius
-    1/width for the unit impulse); it is ignored by delta_deposit.
+    1/width for the unit impulse); delta_deposit takes none.  A width of None
+    on another kind is unresolved: ``Source`` refuses it.
     """
 
     kind: str
@@ -61,8 +62,10 @@ class SourceSpec:
         if len(self.x_s) != 3:
             raise ValueError("x_s must be a 3-tuple")
         object.__setattr__(self, "x_s", tuple(float(c) for c in self.x_s))
-        if self.kind != "delta_deposit":
-            if self.width is None or not (self.width > 0 and math.isfinite(self.width)):
+        if self.width is not None:
+            if self.kind == "delta_deposit":
+                raise ValueError("delta_deposit source takes no width")
+            if not (self.width > 0 and math.isfinite(self.width)):
                 raise ValueError(f"{self.kind} source requires a positive width")
 
 
@@ -168,10 +171,11 @@ def _spatial_profile(spec: SourceSpec, grid: Grid) -> np.ndarray:
 class Source:
     """A source spec sampled once on a grid.
 
-    Construction checks the location (``check_location``) and stores
-    ``values``, the read-only field I * pulse(x) at the cell centres.  A
-    sample that overflows or is not finite (a width too far from the grid
-    scale for double precision) is a ValueError naming the kind and width.
+    Construction refuses an unresolved width, checks the location
+    (``check_location``) and stores ``values``, the read-only field
+    I * pulse(x) at the cell centres.  A sample that overflows or is not
+    finite (a width too far from the grid scale for double precision) is a
+    ValueError naming the kind and width.
     """
 
     spec: SourceSpec
@@ -179,6 +183,8 @@ class Source:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, grid: Grid):
+        if self.spec.width is None and self.spec.kind != "delta_deposit":
+            raise ValueError(f"{self.spec.kind} source width is unresolved")
         check_location(self.spec.x_s, grid)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):

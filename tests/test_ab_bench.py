@@ -1,6 +1,6 @@
 """Smoke test of scripts/ab_bench.py: one tensor_hydro pair, this checkout
-against itself, at the default seed and at another; and its pure helpers on
-temporary checkouts."""
+against itself, at the default seed and at another; its pure helpers on
+temporary checkouts; and its warm-up with a stubbed execution."""
 
 import importlib.util
 import os
@@ -23,6 +23,7 @@ def test_one_pair_of_this_checkout_against_itself():
     proc = ab_bench(ROOT, ROOT, "--pairs", "1", "--workload", "tensor_hydro")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     out = proc.stdout
+    assert re.search(r"^tensor_hydro warm-up \(change first\): wall_s=\S+/\S+ ", out, re.M)
     assert re.search(r"^tensor_hydro pair 1 \(parent first\): wall_s=\S+/\S+ ", out, re.M)
     digests = re.search(r"^tensor_hydro: digest parent (\w+) change (\w+)$", out, re.M)
     assert digests and digests[1] == digests[2] and len(digests[1]) == 64
@@ -141,3 +142,44 @@ def test_benchmark_differences(tmp_path, edit, expected):
     assert ab.benchmark_differences(parent, change) == expected
     assert ab.benchmark_differences(change, parent) == expected
 
+
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", "output_mb")
+
+
+def _fake_run_once(first_correct):
+    """A ``run_once`` whose first call, the change's warm-up, reads 100 on
+    every metric and has its own digest; later calls read 1.0 for the parent
+    and 0.9 for the change."""
+    calls = []
+
+    def run_once(root, workload, seed):
+        calls.append(root)
+        if len(calls) == 1:
+            return {name: 100.0 for name in METRICS}, first_correct, "cold"
+        value = 1.0 if root.endswith("a") else 0.9
+        return {name: value for name in METRICS}, True, "warm"
+
+    return run_once, calls
+
+
+@pytest.mark.parametrize("first_correct", [True, False])
+def test_warm_up_enters_no_statistic(tmp_path, monkeypatch, capsys, first_correct):
+    """The warm-up executions are printed and their correctness and digests
+    count, but the medians, IQRs and tallies hold only the pairs."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = fh.read()
+    parent = _checkout(tmp_path / "a", {"BENCHMARK.json": spec})
+    change = _checkout(tmp_path / "b", {"BENCHMARK.json": spec})
+    ab = _script()
+    fake, calls = _fake_run_once(first_correct)
+    monkeypatch.setattr(ab, "run_once", fake)
+    rc = ab.main([parent, change, "--pairs", "2", "--workload", "tensor_hydro"])
+    out = capsys.readouterr().out
+    assert calls == [change, parent, parent, change, change, parent]
+    assert re.search(r"^tensor_hydro warm-up \(change first\): wall_s=1/100 ", out, re.M)
+    assert re.search(r"^tensor_hydro pair 2 \(change first\): wall_s=1/0.9 ", out, re.M)
+    for name in METRICS:
+        assert re.search(rf"^tensor_hydro {name}: parent 1 \(IQR 1-1\), change 0.9 \S+ "
+                         r"\(-10.0%\), change won 2/2$", out, re.M), name
+    assert "tensor_hydro: change executions disagree on the digest: ['cold', 'warm']" in out
+    assert rc == (0 if first_correct else 1)

@@ -16,7 +16,7 @@ import pytest
 from hydrolimit import harness
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
-from hydrolimit.core import Grid, coercivity_constant, coriolis_at
+from hydrolimit.core import Grid, PhysParams, coercivity_constant, coriolis_at
 from hydrolimit.diagnostics import (
     APRIORI_NORM_NAMES,
     energy_balance,
@@ -35,6 +35,7 @@ from hydrolimit.harness import (
     write_vtk,
 )
 from hydrolimit.aniso import NumericsError, SimState
+from hydrolimit.sources import SourceSpec
 
 
 SMALL_RUN = """
@@ -97,7 +98,7 @@ def test_parse_empty_config_defaults():
     assert cfg.source.kind == "gaussian"
     assert cfg.source.t_s == 0.1
     assert np.allclose(cfg.diffusion.m, np.eye(3))
-    assert cfg.l0 == pytest.approx(math.pi / 4)
+    assert cfg.phys.l0 == pytest.approx(math.pi / 4)
 
 
 def test_parse_eps_list():
@@ -367,7 +368,7 @@ def test_parse_rejects_slope_on_f_plane(mode):
     with pytest.raises(ConfigError, match="beta_plane") as err:
         parse_config(f"[phys]\n{mode}l_slope = 0.5\n")
     assert err.value.key == "l_slope" and err.value.line == 2 + bool(mode)
-    assert parse_config(f"[phys]\n{mode}l_slope = 0\n").l_slope == 0.0
+    assert parse_config(f"[phys]\n{mode}l_slope = 0\n").phys.l_slope == 0.0
 
 
 PLANE_RUN = SMALL_RUN.replace("[phys]\n", "[phys]\nf0 = 3\n")
@@ -384,7 +385,7 @@ def test_f_plane_is_the_zero_slope_beta_plane(tmp_path):
     grid = f_plane.grid
     for x in (grid.x2c, grid.x2f):
         alpha, beta_ = coriolis_at(f_plane.phys_params(0.5), x)
-        lat = np.full(x.shape, f_plane.l0)
+        lat = np.full(x.shape, f_plane.phys.l0)
         assert np.array_equal(alpha, 2.0 * 3.0 * np.sin(lat))
         assert np.array_equal(beta_, 2.0 * 3.0 * np.cos(lat))
     for mode in ("aniso", "hydro"):
@@ -431,6 +432,59 @@ def test_ignored_key_names_the_key_that_ignores_it(text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(GRID4 + text)
     assert str(err.value).endswith(message)
+
+
+def test_delta_width_is_refused_before_the_location():
+    """The ignored-key table runs before the source is built, so a delta
+    width is reported even when x_s is also bad."""
+    text = "[source]\nkind = delta_deposit\nx_s = 2, 0.5, 0.5\nwidth = 0.1\n"
+    with pytest.raises(ConfigError, match="is ignored under kind = delta_deposit") as err:
+        parse_config(GRID4 + text)
+    assert err.value.key == "width" and err.value.line == 8
+
+
+def test_phys_parses_to_phys_params():
+    cfg = parse_config(
+        "[phys]\nnu1 = 0.02\nnu2 = 0.03\nnu3 = 0.04\nf0 = 2\n"
+        "coriolis_mode = beta_plane\nl0 = 0.5\nl_slope = 0.25\n"
+    )
+    assert cfg.phys == PhysParams(nu1=0.02, nu2=0.03, nu3=0.04, f0=2.0, l0=0.5, l_slope=0.25)
+    assert cfg.phys_params(0.25) == PhysParams(
+        nu1=0.02, nu2=0.03, nu3=0.04, eps=0.25, f0=2.0, l0=0.5, l_slope=0.25
+    )
+
+
+_X = (0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("intensity", [0.0, 2.0])
+@pytest.mark.parametrize(
+    "kind,width,mode,expected",
+    [
+        ("gaussian", None, "aniso", SourceSpec("gaussian", 2.0, 0.1, _X, 0.25)),
+        ("gaussian", None, "hydro", SourceSpec("delta_deposit", 2.0, 0.1, _X)),
+        ("gaussian", 0.3, "aniso", SourceSpec("gaussian", 2.0, 0.1, _X, 0.3)),
+        ("gaussian", 0.3, "hydro", SourceSpec("gaussian", 2.0, 0.1, _X, 0.3)),
+        ("lorentzian", None, "aniso", SourceSpec("lorentzian", 2.0, 0.1, _X, 0.25)),
+        ("lorentzian", None, "hydro", SourceSpec("lorentzian", 2.0, 0.1, _X, 0.25)),
+        ("lorentzian", 0.3, "aniso", SourceSpec("lorentzian", 2.0, 0.1, _X, 0.3)),
+        ("lorentzian", 0.3, "hydro", SourceSpec("lorentzian", 2.0, 0.1, _X, 0.3)),
+        ("unit_impulse", None, "aniso", SourceSpec("unit_impulse", 2.0, 0.1, _X, 0.25)),
+        ("unit_impulse", None, "hydro", SourceSpec("unit_impulse", 2.0, 0.1, _X, 0.25)),
+        ("unit_impulse", 0.3, "aniso", SourceSpec("unit_impulse", 2.0, 0.1, _X, 0.3)),
+        ("unit_impulse", 0.3, "hydro", SourceSpec("unit_impulse", 2.0, 0.1, _X, 0.3)),
+        ("delta_deposit", None, "aniso", SourceSpec("delta_deposit", 2.0, 0.1, _X)),
+        ("delta_deposit", None, "hydro", SourceSpec("delta_deposit", 2.0, 0.1, _X)),
+    ],
+)
+def test_source_spec_table(kind, width, mode, expected, intensity):
+    """The parsed [source] resolved for eps = 0.25: a given width is kept, an
+    omitted one is eps, and the hydrostatic run of the default gaussian takes
+    the delta deposit; intensity 0 is no source."""
+    text = f"[source]\nkind = {kind}\nintensity = {intensity}\n"
+    cfg = parse_config(text + (f"width = {width}\n" if width is not None else ""))
+    assert cfg.source == SourceSpec(kind, intensity, 0.1, _X, width)
+    assert cfg.source_spec(0.25, mode) == (expected if intensity else None)
 
 
 @pytest.mark.parametrize("key", ["lx", "ly", "h"])

@@ -16,17 +16,22 @@ def centered_grid(n=5):
     return Grid(n, n, n)
 
 
+def _width(kind, width):
+    """``width``, or None for delta_deposit, which takes none."""
+    return None if kind == "delta_deposit" else width
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "unit_impulse", "lorentzian", "delta_deposit"])
 def test_source_off_before_switch(kind):
     g = Grid(8, 8, 8)
-    spec = SourceSpec(kind, 1.0, t_s=0.5, x_s=(0.5, 0.5, 0.5), width=0.3)
+    spec = SourceSpec(kind, 1.0, t_s=0.5, x_s=(0.5, 0.5, 0.5), width=_width(kind, 0.3))
     assert np.max(np.abs(Source(spec, g).at(0.49))) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "delta_deposit"])
 def test_source_on_at_switch_time(kind):
     g = Grid(8, 8, 8)
-    spec = SourceSpec(kind, 2.0, t_s=0.5, x_s=(0.5, 0.5, 0.5), width=0.3)
+    spec = SourceSpec(kind, 2.0, t_s=0.5, x_s=(0.5, 0.5, 0.5), width=_width(kind, 0.3))
     assert np.max(Source(spec, g).at(0.5)) > 0.0  # H(0) = 1
 
 
@@ -84,7 +89,7 @@ def test_normalisation_refines_monotonically(kind):
 @pytest.mark.parametrize("kind", ["gaussian", "unit_impulse", "lorentzian", "delta_deposit"])
 def test_pulses_nonnegative(kind):
     g = Grid(9, 9, 9)
-    spec = SourceSpec(kind, 1.3, 0.0, (0.47, 0.52, 0.5), width=0.35)
+    spec = SourceSpec(kind, 1.3, 0.0, (0.47, 0.52, 0.5), width=_width(kind, 0.35))
     assert np.min(Source(spec, g).at(1.0)) >= 0.0
 
 
@@ -131,7 +136,7 @@ def test_source_rejects_outside_domain():
 @pytest.mark.parametrize("kind", ["gaussian", "unit_impulse", "lorentzian", "delta_deposit"])
 def test_source_samples_once_and_switches_on(kind):
     g = Grid(8, 8, 8)
-    spec = SourceSpec(kind, 2.0, 0.5, (0.5, 0.5, 0.5), None if kind == "delta_deposit" else 0.3)
+    spec = SourceSpec(kind, 2.0, 0.5, (0.5, 0.5, 0.5), _width(kind, 0.3))
     src = Source(spec, g)
     assert not src.values.flags.writeable
     assert np.array_equal(src.values, Source(spec, g).at(0.5))
@@ -140,6 +145,19 @@ def test_source_samples_once_and_switches_on(kind):
     assert before.shape == g.shape_cells and np.all(before == 0.0) and before.flags.writeable
     with pytest.raises(ValueError, match="time"):
         src.at(-1.0)
+
+
+def test_delta_deposit_takes_no_width():
+    with pytest.raises(ValueError, match="delta_deposit source takes no width"):
+        SourceSpec("delta_deposit", width=0.3)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "unit_impulse", "lorentzian"])
+def test_source_refuses_unresolved_width(kind):
+    """A width of None, which a config leaves to the run's eps, must be
+    resolved before the pulse is sampled."""
+    with pytest.raises(ValueError, match=f"{kind} source width is unresolved"):
+        Source(SourceSpec(kind), Grid(8, 8, 8))
 
 
 def test_source_checks_location_at_construction():
