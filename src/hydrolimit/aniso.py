@@ -104,10 +104,9 @@ def stable_dt(
     M: DiffusionTensor,
     grid: Grid,
     cfl: float,
-    dt_max: float = math.inf,
 ) -> float:
     """Explicit-step time limit: cfl times the smallest of
-    ``stability_limits``, capped by dt_max."""
+    ``stability_limits``."""
     if not (0.0 < cfl <= 1.0):
         raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
-    return min(cfl * min(stability_limits(state, params, M, grid).values()), dt_max)
+    return cfl * min(stability_limits(state, params, M, grid).values())

@@ -170,7 +170,7 @@ _KEYS = {
         "velocity": (("zero", "taylor_green_h"), "zero", None),
         "velocity_amp": ("float", 1.0, None),
         "concentration": (("zero", "gaussian_blob"), "zero", None),
-        "blob_amp": ("float", 1.0, None),
+        "blob_amp": ("float", 1.0, _NONNEGATIVE),
         "blob_center": ("float3", (0.5, 0.5, 0.5), None),
         "blob_width": ("float", 0.1, _POSITIVE),
     },

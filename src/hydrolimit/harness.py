@@ -14,6 +14,8 @@ run one by one.
 
 from __future__ import annotations
 
+import contextlib
+import fnmatch
 import math
 import os
 import time as _time
@@ -374,29 +376,37 @@ def step(
     return new, info
 
 
-def _project_initial(u0: StaggeredVelocity, mode: str, eps: float, cfg: RunConfig):
-    """Enforce the divergence-free initial hypothesis of the respective mode:
-    (u, a zero pressure of the mode's shape, max|div u|)."""
-    u, p, info = project(apply_velocity_bcs(u0), mode, eps, 1.0, cfg.grid, cfg.run.tol)
-    return u, np.zeros(p.shape), info["max_abs_div"]
-
-
-def _sample_source(cfg: RunConfig, eps: float, mode: str) -> Source | None:
-    """The run's source sampled on ``cfg.grid``; a width whose sample is not
-    finite is a NumericsError, like a run too long to schedule."""
+def _start(cfg: RunConfig, eps: float, mode: str) -> tuple:
+    """(source, initial state, its max|div u|, its limits): the one set-up of
+    a run.  The source sampled (a width whose sample is not finite is a
+    NumericsError), the initial velocity projected with a zero pressure of
+    the mode's shape, and that state's ``stability_limits`` times cfl."""
     spec = cfg.source_spec(eps, mode)
-    if spec is None:
-        return None
     try:
-        return Source(spec, cfg.grid)
+        source = None if spec is None else Source(spec, cfg.grid)
     except ValueError as exc:
         raise NumericsError(str(exc)) from None
+    u0 = apply_velocity_bcs(initial_velocity(cfg))
+    u, p, info = project(u0, mode, eps, 1.0, cfg.grid, cfg.run.tol)
+    state = SimState(0.0, 0, u, np.zeros(p.shape), initial_concentration(cfg))
+    cfl = cfg.time.cfl
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
+    limits = stability_limits(state, cfg.phys_params(eps), cfg.diffusion, cfg.grid)
+    return source, state, info["max_abs_div"], {k: cfl * v for k, v in limits.items()}
 
 
-def _schedule(T: float, limit: float) -> tuple:
-    """(n_steps, dt) of a run to T: the fewest equal steps no longer than
-    ``limit``.  More than 2**53 steps is a NumericsError: past that, t + dt
-    stops advancing."""
+def _schedule(cfg: RunConfig, limits: dict) -> tuple:
+    """(n_steps, dt, spacing, bound) of a run to T whose start has ``limits``:
+    the fewest equal steps no longer than min(limits, dt_max), a history
+    state every min(snapshot_every, n_steps) steps, and the name of the bound
+    that fixed dt, "dt_max" only when the cap is strictly smaller.  More than
+    2**53 steps is a NumericsError: past that, t + dt stops advancing."""
+    T, dt_max = cfg.time.T, cfg.time.dt_max
+    bound = min(limits, key=limits.get)
+    if dt_max < limits[bound]:
+        bound = "dt_max"
+    limit = limits.get(bound, dt_max)
     steps = T / limit
     if not steps <= 2.0**53:
         raise NumericsError(
@@ -404,36 +414,22 @@ def _schedule(T: float, limit: float) -> tuple:
             "more than 2**53: t + dt would stop advancing"
         )
     n_steps = max(1, math.ceil(steps - 1e-12))
-    return n_steps, T / n_steps
-
-
-def _start(cfg: RunConfig, eps: float, mode: str) -> tuple:
-    """(source, initial state, its max|div u|, initial stability limit) of one
-    run: the source sampled, the initial velocity projected, and ``stable_dt``
-    of that state, capped by dt_max."""
-    source = _sample_source(cfg, eps, mode)
-    u0, p0, max_div = _project_initial(initial_velocity(cfg), mode, eps, cfg)
-    state = SimState(0.0, 0, u0, p0, initial_concentration(cfg))
-    limit = stable_dt(
-        state, cfg.phys_params(eps), cfg.diffusion, cfg.grid, cfl=cfg.time.cfl,
-        dt_max=cfg.time.dt_max,
-    )
-    return source, state, max_div, limit
+    return n_steps, T / n_steps, min(cfg.time.snapshot_every, n_steps), bound
 
 
 def preflight(cfg: RunConfig, runs) -> float:
-    """The smallest initial stability limit of ``runs``, (eps, mode) pairs.
+    """The smallest bound on dt of ``runs``, (eps, mode) pairs.
 
-    Sets up each run's start in turn and drops it, so that a run that would
-    be refused (a source that cannot be sampled, a start that cannot be
-    projected, more than 2**53 steps) raises NumericsError before any run
+    Starts and schedules each run in turn and drops it, so that a run that
+    would be refused (a source that cannot be sampled, a start that cannot
+    be projected, more than 2**53 steps) raises NumericsError before any run
     writes, while only one start is held at a time.
     """
-    limits = []
+    bounds = []
     for eps, mode in runs:
-        limits.append(_start(cfg, eps, mode)[3])
-        _schedule(cfg.time.T, limits[-1])
-    return min(limits)
+        limits = _start(cfg, eps, mode)[3]
+        bounds.append(limits.get(_schedule(cfg, limits)[3], cfg.time.dt_max))
+    return min(bounds)
 
 
 def _keep_freed_heap() -> None:
@@ -488,16 +484,17 @@ def run_simulation(
 ) -> RunResult:
     """Run one simulation to T and persist its artifacts.
 
-    The time step is fixed up front: dt = T/N with N chosen so dt does not
-    exceed the initial stability limit; every step re-checks the limit and a
-    violation aborts the run.  ``out_dir`` is created only once the source is
-    sampled and the run scheduled, so a refused run leaves no directory.
-    ``run.txt`` names the stability limit that fixed dt.  Any exception
-    raised once the directory exists writes it with status=aborted, the
-    cause and the step and t of the last good state, which it also writes
-    as ``snapshots/last_good.vtk``, and is re-raised unchanged.
-    VTK snapshots are written every ``snapshot_every`` steps, plus the
-    initial and final states.  The history keeps a state every
+    The schedule is fixed up front, from the start's limits (``_start``,
+    ``_schedule``): N steps of dt = T/N, no longer than the initial stability
+    limit or dt_max; every step re-checks the limit and a violation aborts
+    the run.  ``out_dir`` is created, and the files of an earlier run there
+    removed, only once the run is started and scheduled, so a refused run
+    touches nothing.  ``run.txt`` names the bound that fixed dt.  Any
+    exception raised once the directory exists writes it with
+    status=aborted, the cause and the step and t of the last good state,
+    which it also writes as ``snapshots/last_good.vtk``, and is re-raised
+    unchanged.  VTK snapshots are written every ``snapshot_every`` steps,
+    plus the initial and final states.  The history keeps a state every
     min(snapshot_every, N) steps, so its spacing is uniform: a ragged final
     step is a VTK snapshot only.  Unless ``quiet``, the run prints its step
     count and dt before its first step, and one line when it ends.
@@ -509,13 +506,11 @@ def run_simulation(
     params = cfg.phys_params(eps)
     M = cfg.diffusion
     theta = cfg.theta
-    source, state, max_div, limit = _start(cfg, eps, mode)
-    n_steps, step_dt = _schedule(cfg.time.T, limit)
+    source, state, max_div, limits = _start(cfg, eps, mode)
+    n_steps, step_dt, spacing, bound = _schedule(cfg, limits)
 
     if out_dir is not None:
-        os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
-        limits = {k: cfg.time.cfl * v for k, v in stability_limits(state, params, M, grid).items()}
-        bound = min(limits, key=limits.get)
+        _clear_run_dir(out_dir)
         manifest = {
             "mode": mode,
             "eps": eps,
@@ -528,7 +523,7 @@ def run_simulation(
             "cfl": cfg.time.cfl,
             "tol": cfg.run.tol,
             **{f"limit_{k}": v for k, v in limits.items()},
-            "dt_limit": bound if limits[bound] <= cfg.time.dt_max else "dt_max",
+            "dt_limit": bound,
         }
 
     def snap(s: SimState):
@@ -543,7 +538,6 @@ def run_simulation(
     if not quiet:
         print(f"[{mode} eps={eps:g}] starting {n_steps} steps, dt={step_dt:.3e}", flush=True)
     every = cfg.time.snapshot_every
-    spacing = min(every, n_steps)
     states = [state]
     try:
         snap(state)
@@ -616,6 +610,19 @@ def run_simulation(
             f"max|div|={max_div:.3e}, {runtime:.1f}s"
         )
     return RunResult(history, energy, norms, step_dt, n_steps, max_div, runtime)
+
+
+def _clear_run_dir(out_dir: str) -> None:
+    """Create ``out_dir`` and its ``snapshots/``, and remove the files that
+    an earlier run wrote there, so that the directory holds only the files
+    of the run about to start.  Other files stay."""
+    snapshots = os.path.join(out_dir, "snapshots")
+    os.makedirs(snapshots, exist_ok=True)
+    names = ["run.txt", "energy.csv", "norms.csv", "snapshots/last_good.vtk"]
+    names += [f"snapshots/{n}" for n in fnmatch.filter(os.listdir(snapshots), "step_*.vtk")]
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
 
 
 def _write_manifest(path: str, entries: dict) -> None:
@@ -693,6 +700,8 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     row after each.  Once a member has failed no other member starts; the
     first failure in eps order is raised after the rows before it are
     written; members still running are terminated and leave aborted manifests.
+    An earlier sweep's sweep.csv in ``out_dir`` is removed after
+    ``preflight``, so no row of it outlives this sweep.
     """
     import multiprocessing
     from multiprocessing.connection import wait
@@ -704,6 +713,9 @@ def epsilon_sweep(cfg: RunConfig, out_dir: str | None = None, quiet: bool = True
     # mode of the initial projection.  A run that would be refused is
     # refused before any run writes.
     cfg = replace(cfg, time=replace(cfg.time, dt_max=preflight(cfg, runs)))
+    if out_dir is not None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "sweep.csv"))
 
     hydro_dir = os.path.join(out_dir, "hydro") if out_dir is not None else None
     hydro = run_simulation(cfg, eps_list[0], "hydro", out_dir=hydro_dir, quiet=quiet)

@@ -52,14 +52,6 @@ def test_stable_dt_halves_with_doubled_viscosity():
     assert dt2 == pytest.approx(dt1 / 2.0, rel=1e-12)
 
 
-def test_stable_dt_respects_dt_max():
-    g = Grid(4, 4, 4)
-    st0 = SimState.zeros(g)
-    dt = stable_dt(st0, PhysParams(1.0, 1.0, 1.0, f0=0.0), DiffusionTensor.identity(), g,
-                   cfl=1.0, dt_max=1e-4)
-    assert dt == 1e-4
-
-
 def test_stable_dt_advective_limit():
     g = Grid(4, 4, 4)
     u = StaggeredVelocity.zeros(g)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hydrolimit import harness
+from hydrolimit import aniso, harness
 from hydrolimit.cli import main as cli_main
 from hydrolimit.config import _KEYS, ConfigError, parse_config
 from hydrolimit.core import Grid, PhysParams, coercivity_constant, coriolis_at
@@ -113,6 +113,22 @@ def test_parse_rejects_negative_viscosity_with_line():
     assert "nu1" in str(err.value)
     assert "line 3" in str(err.value)
     assert "positive" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,key,line",
+    [
+        ("[source]\nintensity = -1\n", "intensity", 2),
+        ("[init]\nconcentration = gaussian_blob\nblob_amp = -0.5\n", "blob_amp", 3),
+    ],
+    ids=["intensity", "blob_amp"],
+)
+def test_parse_rejects_negative_amount_with_line(text, key, line):
+    """A source intensity or blob amplitude below zero would start or feed
+    the pollutant below zero: a config error at its key and line."""
+    with pytest.raises(ConfigError, match="must be >= 0") as err:
+        parse_config(text)
+    assert err.value.key == key and err.value.line == line
 
 
 def test_parse_rejects_unknown_key_with_line():
@@ -731,32 +747,134 @@ def test_sweep_member_error_leaves_its_aborted_manifest(tmp_path, monkeypatch):
     assert (out / "aniso_eps0.25" / "snapshots" / "last_good.vtk").exists()
 
 
+def _listing(run_dir) -> list:
+    return sorted(os.listdir(run_dir)) + sorted(os.listdir(run_dir / "snapshots"))
+
+
+def test_rerun_leaves_only_its_own_files(tmp_path, monkeypatch):
+    """A run into a directory that holds an earlier run's files removes
+    them first: an aborted rerun leaves no earlier energy.csv, norms.csv or
+    snapshot, a shorter one no later snapshot, and a completed one no
+    last_good.vtk.  A sweep whose first member fails leaves no earlier
+    sweep.csv.  Files that no run writes stay."""
+    out = tmp_path / "run"
+    run_simulation(_fixed_steps_run(3, 2), 0.5, "aniso", out_dir=str(out))
+    (out / "notes.txt").write_text("kept\n")
+    real = harness.step
+
+    def fail_at(step_no):
+        def step(state, params, *args, **kwargs):
+            if state.step == step_no and params.eps == 0.5:
+                raise NumericsError("injected")
+            return real(state, params, *args, **kwargs)
+
+        return step
+
+    monkeypatch.setattr(harness, "step", fail_at(1))
+    with pytest.raises(NumericsError):
+        run_simulation(_fixed_steps_run(3, 2), 0.5, "aniso", out_dir=str(out))
+    manifest = _manifest(out / "run.txt")
+    assert (manifest["status"], manifest["step"]) == ("aborted", "1")
+    assert _listing(out) == ["notes.txt", "run.txt", "snapshots", "last_good.vtk", "step_000000.vtk"]
+    monkeypatch.setattr(harness, "step", real)
+    run_simulation(_fixed_steps_run(3, 2), 0.5, "aniso", out_dir=str(out))
+    run_simulation(_fixed_steps_run(2, 2), 0.5, "aniso", out_dir=str(out))
+    assert _manifest(out / "run.txt")["status"] == "completed"
+    assert _listing(out) == [
+        "energy.csv", "norms.csv", "notes.txt", "run.txt", "snapshots",
+        "step_000000.vtk", "step_000002.vtk",
+    ]
+
+    sweep = tmp_path / "sweep"
+    cfg = parse_config(SMALL_SWEEP.replace("T = 0.1", "T = 0.004\ndt_max = 1e-3"))
+    epsilon_sweep(cfg, out_dir=str(sweep))
+    assert (sweep / "sweep.csv").exists()
+    monkeypatch.setattr(harness, "step", fail_at(2))
+    with pytest.raises(NumericsError, match="^injected$"):
+        epsilon_sweep(cfg, out_dir=str(sweep))
+    assert not (sweep / "sweep.csv").exists()
+
+
+def test_run_evaluates_its_start_limits_once(tmp_path, monkeypatch):
+    """A run evaluates the stability limits of its start once, and the
+    CLI's preflight once more; every other evaluation is a step's own check
+    of the state it advances."""
+    calls = []
+    real = harness.stability_limits
+
+    def counting(state, *args):
+        calls.append(state.step)
+        return real(state, *args)
+
+    monkeypatch.setattr(aniso, "stability_limits", counting)
+    monkeypatch.setattr(harness, "stability_limits", counting)
+    text = SMALL_RUN.replace("T = 0.1", "T = 0.005\ndt_max = 1e-3")
+    res = run_simulation(parse_config(text), 0.5, "aniso", out_dir=str(tmp_path / "run"))
+    assert res.n_steps == 5 and calls == [0, 0, 1, 2, 3, 4]
+    calls.clear()
+    (tmp_path / "run.cfg").write_text(text)
+    assert cli_main([str(tmp_path / "run.cfg"), "--out", str(tmp_path / "cli"), "--quiet"]) == 0
+    assert calls == [0, 0, 0, 1, 2, 3, 4]
+
+
 @pytest.mark.parametrize(
     "phys, time, bound",
     [
         ("", "", "concentration_diffusive"),
         ("f0 = 1e4", "", "rotation"),
         ("", "dt_max = 1e-4", "dt_max"),
+        pytest.param(
+            "[init]\nvelocity = taylor_green_h\nvelocity_amp = 200", "", "advective", id="advective"
+        ),
+        pytest.param(
+            "nu1 = 1\nnu2 = 1\nnu3 = 1\n[diffusion]\nm11 = 0.1\nm22 = 0.1\nm33 = 0.1",
+            "",
+            "momentum_diffusive",
+            id="momentum_diffusive",
+        ),
     ],
 )
 def test_manifest_names_the_limit_that_fixed_dt(tmp_path, phys, time, bound):
     """run.txt lists the four stability limits times cfl, inf where absent
-    (a zero velocity has no advective limit), and the one that bound dt."""
+    (a zero velocity has no advective limit), and the one that bound dt:
+    each name that ``_schedule`` can return."""
     cfg = parse_config(f"[grid]\nnx = 8\nny = 8\nnz = 6\n[phys]\n{phys}\n[time]\nT = 0.002\n{time}\n")
     res = run_simulation(cfg, 0.5, "aniso", out_dir=str(tmp_path))
     manifest = _manifest(tmp_path / "run.txt")
     names = ("advective", "momentum_diffusive", "concentration_diffusive", "rotation")
     limits = {n: float(manifest[f"limit_{n}"]) for n in names}
     assert manifest["dt_limit"] == bound and manifest["status"] == "completed"
-    assert limits["advective"] == math.inf
+    assert (limits["advective"] == math.inf) == (bound != "advective")
     assert min(min(limits.values()), cfg.time.dt_max) * (1 + 1e-12) >= res.dt
     if bound != "dt_max":
         assert min(limits, key=limits.get) == bound and limits[bound] < cfg.time.dt_max
 
 
+def test_schedule_caps_dt_at_dt_max():
+    """``_schedule`` takes the fewest equal steps no longer than the smallest
+    limit and dt_max, and names the bound: dt_max when the cap is strictly
+    smaller, the named limit when the two tie."""
+    limits = {
+        "advective": math.inf,
+        "momentum_diffusive": 2e-3,
+        "concentration_diffusive": 1e-3,
+        "rotation": 0.5,
+    }
+    for cap, want in (
+        ("", (10, 1e-3, 4, "concentration_diffusive")),
+        ("dt_max = 1e-4", (100, 1e-4, 4, "dt_max")),
+        ("dt_max = 1e-3", (10, 1e-3, 4, "concentration_diffusive")),
+        ("dt_max = 2.5e-3", (10, 1e-3, 4, "concentration_diffusive")),
+    ):
+        cfg = parse_config(f"[time]\nT = 0.01\nsnapshot_every = 4\n{cap}\n")
+        assert harness._schedule(cfg, limits) == want, cap
+    short = parse_config("[time]\nT = 0.002\nsnapshot_every = 4\n")
+    assert harness._schedule(short, limits) == (2, 1e-3, 2, "concentration_diffusive")
+
+
 _FRESH_BOX = """
 import resource
-from hydrolimit import harness
+from hydrolimit import aniso, harness
 from hydrolimit.config import parse_config
 
 BOX = '''
@@ -1361,9 +1479,9 @@ def test_cli_sweep_whose_half_span_is_a_shift_completes(tmp_path):
     _, rows = read_csv(str(out / "sweep.csv"))
     assert [r[0] for r in rows] == [0.5, 0.25]
     res = epsilon_sweep(parse_config(HALF_SPAN_SWEEP))
-    dt = res.aniso[0.5].dt * 2
-    assert res.aniso[0.5].n_steps == 33
-    assert list(res.translation.h) == [dt, 2 * dt, 4 * dt]
+    spacing = res.hydro.history.dt
+    assert len(res.hydro.history.states) == 17
+    assert list(res.translation.h) == [spacing, 2 * spacing, 4 * spacing]
 
 
 @pytest.mark.parametrize("every, table", [(2, True), (4, False)])
