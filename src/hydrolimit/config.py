@@ -6,10 +6,12 @@ number it came from.  An empty config is valid and yields the documented
 defaults.
 
 ``_KEYS`` is the one place where a key's type, default and admissible range
-are written, except ``eps_list``, which ``RunBlock`` checks itself so that
-no way of building a config gets round it.  Every float must be finite.
-The files a config names (tensor, traction) are read and checked while it
-is parsed, so a parsed config holds no path that a run still has to open.
+are written, except ``eps_list``, which ``RunBlock`` checks itself.
+``InitConfig`` and ``TimeConfig`` apply their section's ranges again when
+built, so that no way of building a config gets round them.  Every float
+must be finite.  The files a config names (tensor, traction) are read and
+checked while it is parsed, so a parsed config holds no path that a run
+still has to open.
 """
 
 from __future__ import annotations
@@ -35,6 +37,18 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def _check_rules(section: str, block) -> None:
+    """Refuse a field of ``block`` that breaks its rule in ``_KEYS[section]``,
+    or that is not an integer where the kind is "int", so that a block built
+    without the parser (``dataclasses.replace``) meets the parser's ranges."""
+    for key, (kind, _, rule) in _KEYS[section].items():
+        value = getattr(block, key)
+        if kind == "int" and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"[{section}] {key} must be an integer, got {value!r}")
+        if rule is not None and not rule[0](value):
+            raise ValueError(f"[{section}] {key} {rule[1]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InitConfig:
     velocity: str
@@ -44,6 +58,9 @@ class InitConfig:
     blob_center: tuple
     blob_width: float
 
+    def __post_init__(self):
+        _check_rules("init", self)
+
 
 @dataclass(frozen=True)
 class TimeConfig:
@@ -51,6 +68,9 @@ class TimeConfig:
     cfl: float
     dt_max: float
     snapshot_every: int
+
+    def __post_init__(self):
+        _check_rules("time", self)
 
 
 def eps_label(eps: float) -> str:

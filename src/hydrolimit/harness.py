@@ -389,11 +389,8 @@ def _start(cfg: RunConfig, eps: float, mode: str) -> tuple:
     u0 = apply_velocity_bcs(initial_velocity(cfg))
     u, p, info = project(u0, mode, eps, 1.0, cfg.grid, cfg.run.tol)
     state = SimState(0.0, 0, u, np.zeros(p.shape), initial_concentration(cfg))
-    cfl = cfg.time.cfl
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
     limits = stability_limits(state, cfg.phys_params(eps), cfg.diffusion, cfg.grid)
-    return source, state, info["max_abs_div"], {k: cfl * v for k, v in limits.items()}
+    return source, state, info["max_abs_div"], {k: cfg.time.cfl * v for k, v in limits.items()}
 
 
 def _schedule(cfg: RunConfig, limits: dict) -> tuple:
@@ -493,11 +490,11 @@ def run_simulation(
     exception raised once the directory exists writes it with
     status=aborted, the cause and the step and t of the last good state,
     which it also writes as ``snapshots/last_good.vtk``, and is re-raised
-    unchanged.  VTK snapshots are written every ``snapshot_every`` steps,
-    plus the initial and final states.  The history keeps a state every
-    min(snapshot_every, N) steps, so its spacing is uniform: a ragged final
-    step is a VTK snapshot only.  Unless ``quiet``, the run prints its step
-    count and dt before its first step, and one line when it ends.
+    unchanged.  The initial state and every min(snapshot_every, N)-th step
+    are both a VTK snapshot and a history state, so the history's spacing
+    is uniform; a ragged final step is a VTK snapshot only.  Unless
+    ``quiet``, the run prints its step count and dt before its first step,
+    and one line when it ends.
     """
     if mode not in ("aniso", "hydro"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -537,7 +534,6 @@ def run_simulation(
 
     if not quiet:
         print(f"[{mode} eps={eps:g}] starting {n_steps} steps, dt={step_dt:.3e}", flush=True)
-    every = cfg.time.snapshot_every
     states = [state]
     try:
         snap(state)
@@ -547,7 +543,7 @@ def run_simulation(
             max_div = max(max_div, info["max_abs_div"])
             if n % spacing == 0:
                 states.append(state)
-            if n % every == 0 or n == n_steps:
+            if n % spacing == 0 or n == n_steps:
                 snap(state)
         runtime = _time.perf_counter() - t0
 

@@ -472,6 +472,38 @@ def test_weak_residual_delta_source_uses_point_value(grid8):
     assert rec.rhs["source"] == pytest.approx(want, rel=1e-12)
 
 
+def test_weak_residual_traction_term():
+    """The traction term of a stream test velocity is the trapezoid sum
+    -sum_m w_m eta(t_m) sum theta . u~_H(x3 = 0) dA, and with its sign flipped
+    the velocity residual grows.  The traction is sheared: a uniform one does
+    no work against a stream test velocity, whose ground values sum to zero."""
+    from hydrolimit.config import parse_config
+    from hydrolimit.harness import run_simulation
+
+    cfg = parse_config(
+        "[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nintensity = 0\n"
+        "[time]\nT = 0.1\nsnapshot_every = 1\n"
+    )
+    g = cfg.grid
+    x, y = np.meshgrid(g.x1c, g.x2c, indexing="ij")
+    theta1, theta2 = 0.5 * (y - 0.5), -0.5 * (x - 0.5)
+    hist = run_simulation(replace(cfg, theta=BoundaryForcing(theta1, theta2)), 0.5, "aniso").history
+    rec = weak_residual(hist)[0]  # StreamTestVelocity(t_cut=T - dt), kx = ky = 1
+    a, b = math.pi / g.lx, math.pi / g.ly
+    ground1 = np.sin(a * x) ** 2 * b * np.sin(2 * b * y)  # phi(0) = 1
+    ground2 = -a * np.sin(2 * a * x) * np.sin(b * y) ** 2
+    pairing = float(np.sum(theta1 * ground1 + theta2 * ground2)) * g.dx * g.dy
+    t_cut, n = hist.T - hist.dt, len(hist.states)
+    want = 0.0
+    for m, s in enumerate(hist.states):
+        w = hist.dt * (0.5 if m in (0, n - 1) else 1.0)
+        want -= w * max(0.0, 1.0 - s.t / t_cut) ** 2 * pairing
+    assert rec.label == "velocity[0]" and abs(want) > 1e-3
+    assert rec.rhs["traction"] == pytest.approx(want, rel=1e-12)
+    flipped = abs(sum(rec.lhs.values()) - sum(rec.rhs.values()) + 2.0 * rec.rhs["traction"])
+    assert rec.residual < flipped
+
+
 def test_weak_residual_rejects_bad_test_function(grid8):
     params = default_params(eps=0.5)
     hist = zero_history(grid8, params, DiffusionTensor.identity(), n=4)

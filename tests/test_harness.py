@@ -203,6 +203,46 @@ def test_run_block_refuses_eps_list_set_by_replace(tmp_path, eps_list):
     assert not out.exists()
 
 
+# A 4x4x4 Taylor-Green run with a blob, one step of dt = T at the parent
+# for dt_max = -1.
+TINY_BLOB_RUN = """
+[grid]
+nx = 4
+ny = 4
+nz = 4
+[init]
+velocity = taylor_green_h
+concentration = gaussian_blob
+[time]
+T = 0.01
+"""
+
+
+@pytest.mark.parametrize(
+    "section, changes",
+    [
+        ("time", {"dt_max": -1.0}),
+        ("time", {"snapshot_every": 0}),
+        ("time", {"snapshot_every": 2.5}),
+        ("time", {"T": -0.01}),
+        ("time", {"cfl": 1.5}),
+        ("init", {"blob_amp": -1.0, "blob_width": -0.1}),
+        ("init", {"blob_width": -0.1}),
+    ],
+)
+def test_time_and_init_blocks_refuse_replace_outside_their_ranges(tmp_path, section, changes):
+    """``TimeConfig`` and ``InitConfig`` apply their section's ``_KEYS``
+    rules when built, so ``dataclasses.replace`` cannot set a value that
+    the parser refuses: it is refused at once, before any run writes."""
+    cfg = parse_config(TINY_BLOB_RUN)
+    out = tmp_path / "out"
+    key = next(iter(changes))
+    with pytest.raises(ValueError, match=rf"\[{section}\] {key} must"):
+        changed = replace(cfg, **{section: replace(getattr(cfg, section), **changes)})
+        run_simulation(changed, 0.5, "aniso", out_dir=str(out))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["0", "1.5", "nan"])
 def test_cli_refuses_eps_flag_outside_unit_interval(tmp_path, eps):
     (tmp_path / "run.cfg").write_text(SMALL_RUN)
@@ -1074,6 +1114,26 @@ def test_lorentzian_normaliser_computed_once_per_run(monkeypatch):
     assert any(r.rhs["source"] != 0.0 for r in records if r.kind == "concentration")
 
 
+def test_gaussian_blob_is_sampled_at_the_cell_centres():
+    """blob_amp * exp(-|x - c|^2 / w^2) at the cell centres of a non-unit
+    box, and a run's first history state holds that field."""
+    cfg = parse_config(
+        "[grid]\nnx = 8\nny = 4\nnz = 6\nlx = 2.0\nly = 0.5\nh = 1.5\n"
+        "[source]\nintensity = 0\n"
+        "[init]\nconcentration = gaussian_blob\nblob_amp = 0.7\n"
+        "blob_center = 1.2, 0.2, 0.5\nblob_width = 0.4\n[time]\nT = 0.01\n"
+    )
+    x = (np.arange(8) + 0.5) * 2.0 / 8
+    y = (np.arange(4) + 0.5) * 0.5 / 4
+    z = (np.arange(6) + 0.5) * 1.5 / 6
+    X, Y, Z = np.meshgrid(x, y, z, indexing="ij")
+    want = 0.7 * np.exp(-((X - 1.2) ** 2 + (Y - 0.2) ** 2 + (Z - 0.5) ** 2) / 0.4**2)
+    C0 = harness.initial_concentration(cfg)
+    np.testing.assert_allclose(C0, want, rtol=1e-14, atol=0)
+    assert C0.max() > 1e5 * C0.min()  # the box holds the blob, not its flat tail
+    assert np.array_equal(run_simulation(cfg, 0.5, "aniso").history.states[0].C, C0)
+
+
 def test_taylor_green_preset_nontrivial():
     cfg = parse_config(SMALL_RUN)
     u = initial_velocity(cfg)
@@ -1484,21 +1544,48 @@ def test_cli_sweep_whose_half_span_is_a_shift_completes(tmp_path):
     assert list(res.translation.h) == [spacing, 2 * spacing, 4 * spacing]
 
 
+def test_cli_sweep_prints_its_certificates(tmp_path, capsys):
+    """Without --quiet a sweep prints its convergence table (sweep.csv's
+    values to the printed precision) and the report's fitted rates, every
+    member's a-priori norms across eps, and the translation block; with
+    --quiet it prints nothing."""
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(SMALL_SWEEP)
+    out = tmp_path / "out"
+    assert cli_main([str(cfgfile), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    res = epsilon_sweep(parse_config(SMALL_SWEEP))
+    _, rows = read_csv(str(out / "sweep.csv"))
+    i = lines.index("convergence against the hydrostatic reference") + 2
+    printed = [[float(v) for v in ln.split()] for ln in lines[i : i + len(rows)]]
+    assert printed == [[float(f"{r[0]:.4f}")] + [float(f"{v:.5e}") for v in r[1:4]] for r in rows]
+    rep = res.report
+    rates = f"fitted rates: uH {rep.rate_uH:.2f}, u3 {rep.rate_u3:.2f}, C {rep.rate_C:.2f}"
+    assert lines[i + len(rows)] == rates
+    j = lines.index("a-priori norms across eps (uniform boundedness check)") + 1
+    assert lines[j].split() == ["norm", "0.5", "0.25"]
+    table = [ln.split() for ln in lines[j + 1 : j + 1 + len(APRIORI_NORM_NAMES)]]
+    assert [r[0] for r in table] == list(APRIORI_NORM_NAMES)
+    assert [[float(v) for v in r[1:]] for r in table] == [
+        [float(f"{res.aniso[e].norms[name]:.4e}") for e in (0.5, 0.25)] for name in APRIORI_NORM_NAMES
+    ]
+    assert lines[j + 1 + len(APRIORI_NORM_NAMES) :][1] == "translation modulus (eps = 0.5)"
+    assert lines[-1] == f"fitted exponent: {res.translation.exponent:.3f}"
+    assert cli_main([str(cfgfile), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("every, table", [(2, True), (4, False)])
-def test_run_sweep_script_prints_the_modulus_or_why_not(capsys, every, table):
+def test_cli_sweep_prints_the_modulus_or_why_not(tmp_path, capsys, every, table):
     """Shifts in spacings, h and moduli behind the exponent; with 8
     spacings (33 steps, one state every 4) there is no modulus."""
-    import importlib.util
-
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_sweep.py")
-    spec = importlib.util.spec_from_file_location("run_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     text = HALF_SPAN_SWEEP.replace("snapshot_every = 2", f"snapshot_every = {every}")
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(text)
+    assert cli_main([str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out
     res = epsilon_sweep(parse_config(text))
-    capsys.readouterr()
-    script.print_translation(res)
-    lines = capsys.readouterr().out.strip().split("\n")
+    lines = printed[printed.index("translation modulus") :].strip().split("\n")
     assert lines[0] == "translation modulus (eps = 0.5)"
     if table:
         rows = [ln.split() for ln in lines[2:-1]]
