@@ -33,7 +33,7 @@ from .aniso import (
     NumericsError,
     ProjectionError,
     SimState,
-    stable_dt,
+    stability_limits,
 )
 from .diagnostics import (
     ConvergenceReport,

@@ -1,4 +1,4 @@
-"""Run state, time-step limit and numerical errors of both models.
+"""Run state, named stability limits and numerical errors of both models.
 
 The epsilon^2 factor multiplying the vertical momentum equation of the
 rescaled anisotropic system is divided out (legitimate for eps > 0), which
@@ -24,7 +24,6 @@ __all__ = [
     "ProjectionError",
     "CFLError",
     "stability_limits",
-    "stable_dt",
 ]
 
 
@@ -38,7 +37,7 @@ class ProjectionError(NumericsError):
 
 
 class CFLError(NumericsError):
-    """A step was attempted with dt above the stability limit."""
+    """A step was attempted with dt above its smallest stability limit."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class SimState:
 
 def stability_limits(state: SimState, params: PhysParams, M: DiffusionTensor, grid: Grid) -> dict:
     """The named explicit-step limits of ``state``, before cfl; inf where a
-    limit is absent.
+    limit is absent.  ``harness.step`` refuses a dt above the smallest.
 
     "advective": the minimum of dx/|u1|max, dy/|u2|max and dz/|u3|max;
     "momentum_diffusive": 1/(2 sum nu_d/h_d^2); "concentration_diffusive":
@@ -96,17 +95,3 @@ def stability_limits(state: SimState, params: PhysParams, M: DiffusionTensor, gr
         "concentration_diffusive": 1.0 / denom_c if denom_c > 0.0 else math.inf,
         "rotation": 1.0 / denom_r if denom_r > 0.0 else math.inf,
     }
-
-
-def stable_dt(
-    state: SimState,
-    params: PhysParams,
-    M: DiffusionTensor,
-    grid: Grid,
-    cfl: float,
-) -> float:
-    """Explicit-step time limit: cfl times the smallest of
-    ``stability_limits``."""
-    if not (0.0 < cfl <= 1.0):
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
-    return cfl * min(stability_limits(state, params, M, grid).values())

@@ -6,7 +6,8 @@
 Flags override the corresponding config values.  Unless ``--quiet``, each
 run prints a line when it starts and when it ends, and a sweep then prints
 its certificates (``_print_certificates``).  Exit codes: 0 success,
-1 configuration error, 2 numerical abort.
+1 configuration error or an output directory that cannot be written (one
+line naming the error and the path), 2 numerical abort.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

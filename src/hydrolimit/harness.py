@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aniso import CFLError, NumericsError, ProjectionError, SimState, stability_limits, stable_dt
+from .aniso import CFLError, NumericsError, ProjectionError, SimState, stability_limits
 from .config import RunConfig, eps_label
 from .core import BoundaryForcing, DiffusionTensor, Grid, PhysParams, coriolis_at
 from .diagnostics import (
@@ -191,10 +191,7 @@ def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: G
     and a larger one raises ProjectionError.  An input whose divergence of F
     already lies within tol of its mean is returned unchanged with p = 0.
 
-    Returns (u, p, info) with info = {"iterations", "max_div",
-    "max_abs_div"}: iterations is 0 for that pass-through and 1 for a solve;
-    max_div is max|div F - mean| of the returned u, and max_abs_div is
-    max|div u| of the returned 3-D field.
+    Returns (u, p, max|div u| of the returned 3-D velocity).
     """
     if mode not in ("aniso", "hydro") or not (tol > 0 and dt > 0 and 0 < eps <= 1):
         raise ValueError(
@@ -232,9 +229,9 @@ def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: G
     np.negative(b, out=b)
     b /= dt
     if np.max(np.abs(b)) <= tol / dt:
-        p, iters = np.zeros(b.shape), 0
+        p = np.zeros(b.shape)
     else:
-        p, iters = solve_separable(b, [(c, "neumann", "neumann") for c in weights]), 1
+        p = solve_separable(b, [(c, "neumann", "neumann") for c in weights])
 
     # A 2-D surface pressure gets a level axis of length 1, so its
     # correction broadcasts over every level.
@@ -251,12 +248,12 @@ def project(u_star: StaggeredVelocity, mode: str, eps: float, dt: float, grid: G
         u_new, max_abs_div = hydrostatic_velocity(*u, grid)
     div -= mean
     np.abs(div, out=div)
-    max_div = float(np.max(div))
-    if max_div > tol:
+    residual = float(np.max(div))
+    if residual > tol:
         raise ProjectionError(
-            f"projected divergence {max_div:.3e} exceeds tol {tol:.3e} ({mode}, eps={eps:g})"
+            f"projected divergence {residual:.3e} exceeds tol {tol:.3e} ({mode}, eps={eps:g})"
         )
-    return u_new, p, {"iterations": iters, "max_div": max_div, "max_abs_div": max_abs_div}
+    return u_new, p, max_abs_div
 
 
 def _predict(
@@ -334,7 +331,7 @@ def step(
     forcing=None,
 ) -> tuple:
     """Advance the state of the ``mode`` ("aniso" | "hydro") model by one
-    explicit step; return (new state, the projection's info dict).
+    explicit step; return (new state, max|div u| of its velocity).
 
     Forward-Euler momentum predictor (``_predict``), projection
     (``project``), then the concentration update with the projected
@@ -343,16 +340,22 @@ def step(
 
     ``forcing`` is an optional callable t -> (f1, f2, f3, fC) of extra
     face/cell forcings (manufactured-solution hook); f_d acts on the
-    prognostic components only.  A new state with a non-finite entry raises
-    NumericsError naming each field that holds one and its first index.
+    prognostic components only.  A dt above the smallest of the state's
+    ``stability_limits`` raises CFLError naming that limit, and a new state
+    with a non-finite entry raises NumericsError naming each field that holds
+    one and its first index.
     """
-    if dt > stable_dt(state, params, M, grid, cfl=1.0) * (1.0 + 1e-9):
-        raise CFLError(f"dt={dt:.3e} exceeds the stability limit at step {state.step}")
+    limits = stability_limits(state, params, M, grid)
+    name = min(limits, key=limits.get)
+    if dt > limits[name] * (1.0 + 1e-9):
+        raise CFLError(
+            f"dt={dt:.3e} exceeds the {name} limit {limits[name]:.3e} at step {state.step}"
+        )
     f = f_c = None
     if forcing is not None:
         *f, f_c = forcing(state.t, grid)
 
-    u_new, p, info = project(
+    u_new, p, max_div = project(
         _predict(state, params, theta, dt, grid, mode, f), mode, params.eps, dt, grid, tol
     )
 
@@ -373,7 +376,7 @@ def step(
             if not np.all(np.isfinite(a))
         ]
         raise NumericsError(f"non-finite {', '.join(bad)} after step {new.step}")
-    return new, info
+    return new, max_div
 
 
 def _start(cfg: RunConfig, eps: float, mode: str) -> tuple:
@@ -387,10 +390,10 @@ def _start(cfg: RunConfig, eps: float, mode: str) -> tuple:
     except ValueError as exc:
         raise NumericsError(str(exc)) from None
     u0 = apply_velocity_bcs(initial_velocity(cfg))
-    u, p, info = project(u0, mode, eps, 1.0, cfg.grid, cfg.run.tol)
+    u, p, max_div = project(u0, mode, eps, 1.0, cfg.grid, cfg.run.tol)
     state = SimState(0.0, 0, u, np.zeros(p.shape), initial_concentration(cfg))
     limits = stability_limits(state, cfg.phys_params(eps), cfg.diffusion, cfg.grid)
-    return source, state, info["max_abs_div"], {k: cfg.time.cfl * v for k, v in limits.items()}
+    return source, state, max_div, {k: cfg.time.cfl * v for k, v in limits.items()}
 
 
 def _schedule(cfg: RunConfig, limits: dict) -> tuple:
@@ -539,8 +542,8 @@ def run_simulation(
         snap(state)
         t0 = _time.perf_counter()
         for n in range(1, n_steps + 1):
-            state, info = step(state, params, M, theta, source, step_dt, grid, mode, tol=cfg.run.tol)
-            max_div = max(max_div, info["max_abs_div"])
+            state, div = step(state, params, M, theta, source, step_dt, grid, mode, tol=cfg.run.tol)
+            max_div = max(max_div, div)
             if n % spacing == 0:
                 states.append(state)
             if n % spacing == 0 or n == n_steps:

@@ -26,7 +26,7 @@ from hydrolimit.operators import (
     diffuse_concentration,
 )
 from hydrolimit.sources import Source, SourceSpec, source_norm_bound
-from hydrolimit.aniso import SimState, stable_dt
+from hydrolimit.aniso import SimState, stability_limits
 from hydrolimit.diagnostics import (
     RunHistory,
     diffusion_quadratic_form,
@@ -109,7 +109,7 @@ def test_criterion_02_energy_inequality():
                 else:
                     up, ps, _ = project(u, "hydro", eps, 1.0, g, 1e-11)
                     st = SimState(0.0, 0, up, ps, C0)
-                dt = stable_dt(st, params, M, g, cfl=0.4)
+                dt = 0.4 * min(stability_limits(st, params, M, g).values())
                 states = [st]
                 for _ in range(40):
                     st, _ = step(st, params, M, None, None, dt, g, mode, tol=1e-11)
@@ -244,7 +244,7 @@ def test_criterion_06_dense_oracle():
     u0 = projected_velocity(rng, g, eps=0.5, tol=1e-12)
     C0 = np.abs(smooth_field(rng, g))
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
-    dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
+    dt = 0.5 * min(stability_limits(st, params, M, g).values())
 
     new, _ = step(st, params, M, theta, Source(src, g), dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
@@ -394,7 +394,7 @@ def test_criterion_10_weak_residuals():
         st = mfg.initial_state(g)
         u, _, _ = project(st.u, "hydro", params.eps, 1.0, g, 1e-11)
         st = SimState(0.0, 0, u, np.zeros((g.nx, g.ny)), st.C)
-        dt = stable_dt(st, params, M, g, cfl=0.4)
+        dt = 0.4 * min(stability_limits(st, params, M, g).values())
         T = 0.2
         n_steps = int(math.ceil(T / dt))
         dt = T / n_steps
@@ -522,7 +522,7 @@ def test_manufactured_solution_tracked_by_solver():
     st = mfg.initial_state(g)
     u, _, _ = project(st.u, "hydro", params.eps, 1.0, g, 1e-11)
     st = SimState(0.0, 0, u, np.zeros((g.nx, g.ny)), st.C)
-    dt = stable_dt(st, params, M, g, cfl=0.4)
+    dt = 0.4 * min(stability_limits(st, params, M, g).values())
     n_steps = int(math.ceil(0.1 / dt))
     for _ in range(n_steps):
         st, _ = step(st, params, M, None, None, dt, g, "hydro", tol=1e-10,

@@ -23,7 +23,7 @@ from hydrolimit.aniso import (
     CFLError,
     ProjectionError,
     SimState,
-    stable_dt,
+    stability_limits,
 )
 from hydrolimit.harness import project, step
 
@@ -31,34 +31,34 @@ from conftest import default_params, projected_velocity, smooth_field, smooth_ve
 
 
 # ---------------------------------------------------------------------------
-# stable_dt
+# stability_limits
 # ---------------------------------------------------------------------------
 
 
-def test_stable_dt_diffusive_limit():
+def test_stability_limits_diffusive_limit():
     g = Grid(4, 4, 4)
     params = PhysParams(1.0, 1.0, 1.0, eps=0.5, f0=0.0)
     st0 = SimState.zeros(g)
-    dt = stable_dt(st0, params, DiffusionTensor.identity(), g, cfl=1.0)
+    dt = min(stability_limits(st0, params, DiffusionTensor.identity(), g).values())
     assert dt == pytest.approx(1.0 / 96.0, rel=1e-12)
 
 
-def test_stable_dt_halves_with_doubled_viscosity():
+def test_stability_limits_halve_with_doubled_viscosity():
     g = Grid(4, 4, 4)
     st0 = SimState.zeros(g)
     M = DiffusionTensor(1e-6 * np.eye(3))  # concentration limit inactive
-    dt1 = stable_dt(st0, PhysParams(1.0, 1.0, 1.0, f0=0.0), M, g, cfl=1.0)
-    dt2 = stable_dt(st0, PhysParams(2.0, 2.0, 2.0, f0=0.0), M, g, cfl=1.0)
+    dt1 = min(stability_limits(st0, PhysParams(1.0, 1.0, 1.0, f0=0.0), M, g).values())
+    dt2 = min(stability_limits(st0, PhysParams(2.0, 2.0, 2.0, f0=0.0), M, g).values())
     assert dt2 == pytest.approx(dt1 / 2.0, rel=1e-12)
 
 
-def test_stable_dt_advective_limit():
+def test_stability_limits_advective_limit():
     g = Grid(4, 4, 4)
     u = StaggeredVelocity.zeros(g)
     u.u1[2, 2, 2] = 10.0  # dx/|u1| = 0.025 dominates
     st0 = SimState(0.0, 0, u, np.zeros(g.shape_cells), np.zeros(g.shape_cells))
     M = DiffusionTensor(1e-9 * np.eye(3))
-    dt = stable_dt(st0, PhysParams(1e-6, 1e-6, 1e-6, f0=0.0), M, g, cfl=1.0)
+    dt = min(stability_limits(st0, PhysParams(1e-6, 1e-6, 1e-6, f0=0.0), M, g).values())
     assert dt == pytest.approx(0.25 / 10.0, rel=1e-12)
 
 
@@ -66,9 +66,14 @@ def test_step_rejects_cfl_violation(grid8):
     params = default_params()
     M = DiffusionTensor.identity()
     st0 = SimState.zeros(grid8)
-    limit = stable_dt(st0, params, M, grid8, cfl=1.0)
-    with pytest.raises(CFLError):
+    limits = stability_limits(st0, params, M, grid8)
+    limit = limits["concentration_diffusive"]
+    assert limit == min(limits.values())
+    with pytest.raises(CFLError) as err:
         step(st0, params, M, None, None, 2.0 * limit, grid8, "aniso")
+    assert str(err.value) == (
+        f"dt={2.0 * limit:.3e} exceeds the concentration_diffusive limit {limit:.3e} at step 0"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,30 +127,33 @@ def test_projection_divergence_tolerance(grid8, mode, eps):
 
 @pytest.mark.parametrize("mode, eps", MODE_EPS3)
 def test_projection_reports_true_divergence(grid8, mode, eps):
-    """info["max_div"] is the divergence of the returned field's constrained
-    flux about the (conserved) mean, not an estimate carried by the solver."""
+    """tol bounds the divergence of the returned field's constrained flux
+    about the (conserved) mean, not an estimate carried by the solver: the
+    projection passes at tol just above that figure and refuses just below."""
     u = _smooth_wall_velocity(grid8)
-    up, _, info = project(u, mode, eps, 1.0, grid8, 1e-10)
+    up, _, _ = project(u, mode, eps, 1.0, grid8, 1e-10)
     mean = np.mean(_constrained_divergence(u, mode, grid8))
     true = np.max(np.abs(_constrained_divergence(up, mode, grid8) - mean))
-    assert info["max_div"] == pytest.approx(true, rel=1e-12, abs=0.0)
+    assert true > 0.0
+    project(u, mode, eps, 1.0, grid8, true * (1.0 + 1e-9))
+    with pytest.raises(ProjectionError, match="exceeds tol"):
+        project(u, mode, eps, 1.0, grid8, true * (1.0 - 1e-9))
 
 
 @pytest.mark.parametrize(
     "mode, solve", [("aniso", True), ("aniso", False), ("hydro", True), ("hydro", False)]
 )
 def test_projection_info_contract(grid8, mode, solve):
-    """Both modes report the same keys; iterations is 1 for a solve and 0 for
-    the pass-through of an already projected field; max_abs_div is
-    max|div u| of the returned 3-D field exactly (run_simulation's max_div
-    relies on it)."""
+    """Both modes return max|div u| of the returned 3-D field exactly
+    (run_simulation's max_div relies on it), and pass an already projected
+    field through unchanged with p = 0."""
     u = _smooth_wall_velocity(grid8)
     if not solve:
         u, _, _ = project(u, mode, 0.5, 1.0, grid8, 1e-10)
-    up, _, info = project(u, mode, 0.5, 1.0, grid8, 1e-10)
-    assert sorted(info) == ["iterations", "max_abs_div", "max_div"]
-    assert info["iterations"] == (1 if solve else 0)
-    assert info["max_abs_div"] == float(np.max(np.abs(divergence(up, grid8))))
+    up, p, max_div = project(u, mode, 0.5, 1.0, grid8, 1e-10)
+    assert max_div == float(np.max(np.abs(divergence(up, grid8))))
+    passed = all(np.array_equal(a, b) for a, b in zip(up.components(), u.components()))
+    assert passed == (not p.any()) == (not solve)
 
 
 def test_projection_tolerance_below_roundoff_raises(grid8):
@@ -160,9 +168,8 @@ def test_projection_divfree_input_is_fixed_point(grid8):
     """A divergence-free input passes through unchanged with p = 0."""
     rng = np.random.default_rng(22)
     u = projected_velocity(rng, grid8, eps=1.0, tol=1e-12)
-    up, p, info = project(u, "aniso", 1.0, 0.01, grid8, 1e-8)
-    assert info["iterations"] == 0
-    assert np.max(np.abs(p)) < 1e-12
+    up, p, _ = project(u, "aniso", 1.0, 0.01, grid8, 1e-8)
+    assert not p.any()
     assert np.array_equal(up.u1, u.u1)
 
 
@@ -254,7 +261,7 @@ def test_zero_state_is_fixed_point(grid8):
     params = default_params(eps=0.5)
     M = DiffusionTensor.identity()
     st0 = SimState.zeros(grid8)
-    dt = stable_dt(st0, params, M, grid8, cfl=0.5)
+    dt = 0.5 * min(stability_limits(st0, params, M, grid8).values())
     st = st0
     for _ in range(5):
         st, _ = step(st, params, M, None, None, dt, grid8, "aniso")
@@ -269,7 +276,7 @@ def test_one_way_coupling_velocity_stays_zero(grid8):
     M = DiffusionTensor.identity()
     src = SourceSpec("gaussian", 1.0, t_s=0.0, x_s=(0.5, 0.5, 0.5), width=0.25)
     st = SimState.zeros(grid8)
-    dt = stable_dt(st, params, M, grid8, cfl=0.5)
+    dt = 0.5 * min(stability_limits(st, params, M, grid8).values())
     for _ in range(10):
         st, _ = step(st, params, M, None, Source(src, grid8), dt, grid8, "aniso")
     assert np.max(np.abs(st.u.u1)) == 0.0
@@ -283,7 +290,7 @@ def test_step_keeps_divergence_small(grid8):
     M = DiffusionTensor.identity()
     u0 = projected_velocity(rng, grid8, eps=0.25, tol=1e-12)
     st = SimState(0.0, 0, u0, np.zeros(grid8.shape_cells), smooth_field(rng, grid8))
-    dt = stable_dt(st, params, M, grid8, cfl=0.4)
+    dt = 0.4 * min(stability_limits(st, params, M, grid8).values())
     tol = 1e-9
     for _ in range(5):
         st, _ = step(st, params, M, None, None, dt, grid8, "aniso", tol=tol)
@@ -297,7 +304,7 @@ def test_energy_nonincreasing_unforced(grid8):
     u0 = projected_velocity(rng, grid8, eps=0.25, tol=1e-12)
     C0 = smooth_field(rng, grid8)
     st = SimState(0.0, 0, u0, np.zeros(grid8.shape_cells), C0)
-    dt = stable_dt(st, params, M, grid8, cfl=0.4)
+    dt = 0.4 * min(stability_limits(st, params, M, grid8).values())
     dV = grid8.cell_volume
 
     def energy(s):
@@ -677,7 +684,7 @@ def test_step_matches_dense_oracle():
     u0 = projected_velocity(rng, g, eps=0.5, tol=1e-13)
     C0 = np.abs(smooth_field(rng, g))
     st = SimState(0.2, 0, u0, np.zeros(g.shape_cells), C0)
-    dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
+    dt = 0.5 * min(stability_limits(st, params, M, g).values())
 
     new, _ = step(st, params, M, theta, Source(src, g), dt, g, "aniso", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g)
@@ -708,7 +715,7 @@ def test_hydro_step_matches_dense_oracle():
     u0, _, _ = project(apply_velocity_bcs(smooth_velocity(rng, g)), "hydro", 0.5, 1.0, g, 1e-13)
     C0 = np.abs(smooth_field(rng, g))
     st = SimState(0.2, 0, u0, np.zeros((g.nx, g.ny)), C0)
-    dt = 0.5 * stable_dt(st, params, M, g, cfl=1.0)
+    dt = 0.5 * min(stability_limits(st, params, M, g).values())
 
     new, _ = step(st, params, M, theta, Source(src, g), dt, g, "hydro", tol=1e-13)
     o1, o2, o3, op, oc = dense_step_oracle(st, params, M, theta, src, dt, g, mode="hydro")

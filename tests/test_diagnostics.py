@@ -14,7 +14,7 @@ from hydrolimit.operators import (
     extend_velocity,
     solve_separable,
 )
-from hydrolimit.aniso import SimState, stable_dt
+from hydrolimit.aniso import SimState, stability_limits
 from hydrolimit.harness import step
 from hydrolimit.diagnostics import (
     ConvergenceRow,
@@ -58,7 +58,7 @@ def run_aniso(grid, params, M, steps, theta=None, source=None, cfl=0.4, seed=1, 
     u0 = projected_velocity(rng, grid, eps=params.eps, tol=1e-12)
     C0 = np.abs(smooth_field(rng, grid))
     st = SimState(0.0, 0, u0, np.zeros(grid.shape_cells), C0)
-    dt = stable_dt(st, params, M, grid, cfl=cfl)
+    dt = cfl * min(stability_limits(st, params, M, grid).values())
     states = [st]
     for _ in range(steps):
         st, _ = step(st, params, M, theta, source, dt, grid, "aniso", tol=tol)
@@ -504,12 +504,80 @@ def test_weak_residual_traction_term():
     assert rec.residual < flipped
 
 
+def test_weak_residual_anisotropic_forcing_term():
+    """The forcing term of a vertical test velocity is the trapezoid sum
+    sum_m w_m eta(t_m) [int (f1 u~1 + f2 u~2) + eps^2 int f3 u~3] dV, and f3
+    enters it through that eps^2 term alone.  The forcing is affine: a
+    constant one is a gradient, which no divergence-free test velocity that
+    is tangent on the boundary sees."""
+    from hydrolimit.config import parse_config
+    from hydrolimit.harness import run_simulation
+
+    cfg = parse_config(
+        "[grid]\nnx = 8\nny = 8\nnz = 6\n[source]\nintensity = 0\n"
+        "[time]\nT = 0.1\nsnapshot_every = 1\n"
+    )
+    g = cfg.grid
+    hist = run_simulation(cfg, 0.5, "aniso").history
+    eps, t_cut, n = hist.params.eps, hist.T - hist.dt, len(hist.states)
+    X1, X2, X3 = g.centers()
+    f1 = np.full(g.shape_cells, 0.3)
+    f2 = np.broadcast_to(X3 - 0.5 * g.h, g.shape_cells)
+    f3 = np.broadcast_to(X2 - 0.5 * g.ly, g.shape_cells)
+
+    def forcing(vertical_force):
+        fields = {"f1": f1, "f2": f2, "f3": vertical_force, "fC": np.full(g.shape_cells, 0.1)}
+        return lambda t, grid: fields
+
+    a, b, c = math.pi / g.lx, math.pi / g.ly, math.pi / g.h
+    u2 = np.sin(a * X1) ** 2 * np.sin(b * X2) ** 2 * c * np.sin(2 * c * X3)  # u~1 = 0
+    u3 = -np.sin(a * X1) ** 2 * b * np.sin(2 * b * X2) * np.sin(c * X3) ** 2
+    horizontal = float(np.sum(f2 * u2)) * g.cell_volume
+    vertical = eps**2 * float(np.sum(f3 * u3)) * g.cell_volume
+    envelope = sum(
+        hist.dt * (0.5 if m in (0, n - 1) else 1.0) * max(0.0, 1.0 - s.t / t_cut) ** 2
+        for m, s in enumerate(hist.states)
+    )
+    test = [VerticalTestVelocity(t_cut=t_cut)]
+    got = weak_residual(hist, test, [], forcing=forcing(f3))[0].rhs["forcing"]
+    without = weak_residual(hist, test, [], forcing=forcing(0.0 * f3))[0].rhs["forcing"]
+    assert abs(vertical) > 0.1 * abs(horizontal) > 1e-4
+    assert got == pytest.approx(envelope * (horizontal + vertical), rel=1e-12)
+    assert without == pytest.approx(envelope * horizontal, rel=1e-12)
+    assert got - without == pytest.approx(envelope * vertical, rel=1e-9)
+
+
 def test_weak_residual_rejects_bad_test_function(grid8):
     params = default_params(eps=0.5)
     hist = zero_history(grid8, params, DiffusionTensor.identity(), n=4)
     bad = StreamTestVelocity(t_cut=10.0 * hist.T)  # does not vanish at T
     with pytest.raises(ValueError, match="vanish"):
         weak_residual(hist, [bad], [])
+
+
+class _CompressedStreamVelocity(StreamTestVelocity):
+    """A stream test velocity with u~1 doubled: not divergence-free."""
+
+    def fields(self, grid):
+        f = super().fields(grid)
+        (g11, g12, g13), g2 = f.grad_uH
+        return f._replace(uH=(2.0 * f.uH[0], f.uH[1]),
+                          grad_uH=((2.0 * g11, 2.0 * g12, 2.0 * g13), g2))
+
+
+@pytest.mark.parametrize(
+    "tests, message",
+    [
+        (([_CompressedStreamVelocity(t_cut=0.2)], []), "velocity test 0 is not divergence-free"),
+        (([], [ScalarTestFunction(t_cut=10.0)]), "scalar test 0 does not vanish at the final time"),
+    ],
+    ids=["velocity-divergent", "scalar-not-vanishing"],
+)
+def test_weak_residual_refuses_unconstrained_tests(grid8, tests, message):
+    params = default_params(eps=0.5)
+    hist = zero_history(grid8, params, DiffusionTensor.identity(), n=4)
+    with pytest.raises(ValueError, match=message):
+        weak_residual(hist, *tests)
 
 
 def test_test_velocities_divergence_free(grid8):
@@ -547,6 +615,14 @@ def test_convergence_rows_sorted_and_schedule_checked(grid8):
     bad = make_history(grid8, params_b, M, hb.states[:-2], ha.dt)
     with pytest.raises(ValueError, match="schedule"):
         spacetime_errors(bad, ha)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["err_uH", "err_u3", "err_C"])
+def test_convergence_report_refuses_non_finite_error(field):
+    errs = [1e-3, 2e-3, 3e-3]
+    errs[field] = math.nan
+    with pytest.raises(ValueError, match=r"^non-finite error at eps=0\.25$"):
+        convergence_report([ConvergenceRow(0.5, 1e-3, 2e-3, 3e-3), ConvergenceRow(0.25, *errs)])
 
 
 def test_spacetime_errors_compares_grids_by_value():

@@ -4,6 +4,7 @@ import filecmp
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -128,6 +129,24 @@ def test_parse_rejects_negative_amount_with_line(text, key, line):
     the pollutant below zero: a config error at its key and line."""
     with pytest.raises(ConfigError, match="must be >= 0") as err:
         parse_config(text)
+    assert err.value.key == key and err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,message,key,line",
+    [
+        ("[grid]\nnx 8\n", "expected 'key = value'", None, 2),
+        ("nx = 8\n", "key outside of any [section]", None, 1),
+        ("[grid]\nnx = 8\n[source]\nx_s = 0.5, 0.5\n", "expected 3 comma-separated values, got 2",
+         "x_s", 4),
+        ("[bc]\ntheta_mode = file\n", "theta_mode = file requires theta_file", "theta_file", 2),
+    ],
+    ids=["no-equals", "no-section", "x_s-two-values", "theta_file-missing"],
+)
+def test_parse_rejects_malformed_entry_with_line(text, message, key, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value).endswith(f" {message}")
     assert err.value.key == key and err.value.line == line
 
 
@@ -1423,6 +1442,28 @@ def test_sweep_member_failure(tmp_path, monkeypatch, capfd, cpus, failing):
     assert failing in recorded and recorded <= set(may_start)
 
 
+def test_sweep_member_that_exits_before_sending_its_result(tmp_path, monkeypatch):
+    """A member that exits without sending a result fails the sweep with its
+    exit code, after the rows of the members before it, and no later member
+    starts."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    real = harness.run_simulation
+
+    def run(cfg, eps, mode, out_dir=None, quiet=True):
+        if mode == "aniso" and eps == 0.25:
+            os._exit(3)
+        return real(cfg, eps, mode, out_dir=out_dir, quiet=quiet)
+
+    monkeypatch.setattr(harness, "run_simulation", run)
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError) as err:
+        epsilon_sweep(parse_config(THREE_MEMBERS), out_dir=str(out))
+    assert str(err.value) == "sweep member eps=0.25 exited with code 3 before sending a result"
+    _, rows = read_csv(str(out / "sweep.csv"))
+    assert [r[0] for r in rows] == [0.5]
+    assert not (out / "aniso_eps0.125").exists()
+
+
 def test_terminated_member_leaves_its_aborted_manifest(tmp_path, monkeypatch, capfd):
     """A member that the sweep terminates after another member failed writes
     run.txt with status=aborted and that cause, and its last good state,
@@ -1636,7 +1677,9 @@ snapshot_every = 2
 
 
 def test_numerical_abort_exit_code_and_flush(tmp_path):
-    """A CFL blow-up aborts with exit code 2 and flushes the last good state."""
+    """A CFL blow-up aborts with exit code 2, flushes the last good state and
+    names the limit that broke: the traction drives the velocity past the
+    advective one."""
     cfgfile = tmp_path / "abort.cfg"
     cfgfile.write_text(ABORT_RUN)
     out = tmp_path / "aborted"
@@ -1645,13 +1688,30 @@ def test_numerical_abort_exit_code_and_flush(tmp_path):
     header, _, _, _ = _read_vtk(out / "snapshots" / "last_good.vtk", 8 * 8 * 6)
     assert header[1].endswith("aborted")
     manifest = _manifest(out / "run.txt")
-    assert manifest["status"] == "aborted" and manifest["cause"].startswith("CFLError: ")
+    assert manifest["status"] == "aborted"
+    assert re.fullmatch(
+        r"CFLError: dt=\S+ exceeds the advective limit \S+ at step \d+", manifest["cause"]
+    )
+    assert manifest["cause"].endswith(f"at step {manifest['step']}")
 
 
 def test_cli_config_error_exit_code(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("[phys]\nnu1 = -3\n")
     assert cli_main([str(cfgfile)]) == 1
+
+
+@pytest.mark.parametrize("text", [SMALL_RUN, SMALL_SWEEP], ids=["single", "sweep"])
+def test_cli_unwritable_output_exit_code(tmp_path, capfd, text):
+    """An output directory under a regular file ends the run with exit code
+    1 and one stderr line naming the error and the path, not a traceback."""
+    (tmp_path / "run.cfg").write_text(text)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert cli_main([str(tmp_path / "run.cfg"), "--out", str(out), "--quiet"]) == 1
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and "Not a directory" in err and str(out) in err
+    assert "Traceback" not in err
 
 
 def test_cli_missing_file_exit_code(tmp_path):

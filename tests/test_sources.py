@@ -147,6 +147,25 @@ def test_source_samples_once_and_switches_on(kind):
         src.at(-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"kind": "plume"}, "unknown source kind 'plume'"),
+        ({"kind": "gaussian", "intensity": -1.0}, "intensity must be >= 0, got -1.0"),
+        ({"kind": "gaussian", "t_s": -0.1}, "switch time must be >= 0, got -0.1"),
+        ({"kind": "gaussian", "x_s": (0.5, 0.5)}, "x_s must be a 3-tuple"),
+        ({"kind": "gaussian", "width": 0.0}, "gaussian source requires a positive width"),
+        ({"kind": "lorentzian", "width": -0.2}, "lorentzian source requires a positive width"),
+    ],
+    ids=["kind", "intensity", "t_s", "x_s", "width-zero", "width-negative"],
+)
+def test_source_spec_refuses_bad_fields(kwargs, message):
+    """A spec built without the parser is checked by itself."""
+    with pytest.raises(ValueError) as err:
+        SourceSpec(**kwargs)
+    assert str(err.value) == message
+
+
 def test_delta_deposit_takes_no_width():
     with pytest.raises(ValueError, match="delta_deposit source takes no width"):
         SourceSpec("delta_deposit", width=0.3)
